@@ -1,49 +1,48 @@
-"""Extraction-engine comparison: reference (dict) vs sparse (Gram matrix).
+"""Extraction-engine comparison: reference (dict) vs bitset (CSR kernel).
 
 Both engines compute the same greatest fixpoint of Algorithm 3's pruning
-conditions (property-tested in ``tests/core/test_extraction_sparse.py``);
-this bench records the wall-clock gap at paper scale — roughly an order of
-magnitude in favour of the sparse engine.
+conditions (property-tested in ``tests/core/test_extraction_bitset.py``);
+this bench records the wall-clock gap at paper scale.
 """
 
 import pytest
 
 from repro.config import RICDParams
 from repro.core.extraction import extract_groups
-from repro.core.extraction_sparse import extract_groups_sparse, sparse_available
+from repro.core.extraction_bitset import extract_groups_bitset
 from repro.core.framework import RICDDetector
 
 PARAMS = RICDParams(k1=10, k2=10, alpha=1.0)
 
+ENGINES = {"reference": extract_groups, "bitset": extract_groups_bitset}
 
-@pytest.mark.parametrize("engine", ["reference", "sparse"])
+
+def _group_set(groups):
+    return {(frozenset(map(str, g.users)), frozenset(map(str, g.items))) for g in groups}
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
 def test_extraction_engine(benchmark, scenario, engine):
-    if engine == "sparse" and not sparse_available():
-        pytest.skip("scipy not installed")
-    run = extract_groups if engine == "reference" else extract_groups_sparse
-    groups = benchmark.pedantic(run, args=(scenario.graph, PARAMS), rounds=1, iterations=1)
+    graph = scenario.graph.copy()  # fresh snapshot: no memoized fixpoint
+    groups = benchmark.pedantic(
+        ENGINES[engine], args=(graph, PARAMS), rounds=1, iterations=1
+    )
     assert isinstance(groups, list)
 
 
 def test_engines_identical_output(benchmark, scenario, emit_report):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    if not sparse_available():
-        pytest.skip("scipy not installed")
     reference = extract_groups(scenario.graph, PARAMS)
-    fast = extract_groups_sparse(scenario.graph, PARAMS)
-    key = lambda groups: {
-        (frozenset(map(str, g.users)), frozenset(map(str, g.items))) for g in groups
-    }
-    assert key(reference) == key(fast)
+    bitset = extract_groups_bitset(scenario.graph, PARAMS)
+    assert _group_set(reference) == _group_set(bitset)
     emit_report(
-        "Ablation (engines): reference and sparse extraction agree on "
+        "Ablation (engines): reference and bitset extraction agree on "
         f"{len(reference)} groups at paper scale"
     )
 
 
-@pytest.mark.parametrize("engine", ["reference", "sparse"])
+@pytest.mark.parametrize("engine", list(ENGINES))
 def test_full_detector_engine(benchmark, scenario, engine):
-    if engine == "sparse" and not sparse_available():
-        pytest.skip("scipy not installed")
     detector = RICDDetector(engine=engine)
-    benchmark.pedantic(detector.detect, args=(scenario.graph,), rounds=1, iterations=1)
+    graph = scenario.graph.copy()
+    benchmark.pedantic(detector.detect, args=(graph,), rounds=1, iterations=1)

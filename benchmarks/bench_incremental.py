@@ -5,8 +5,6 @@ against re-running the whole batch framework after every click batch —
 the speedup that makes online deployment plausible (Section VIII).
 """
 
-import pytest
-
 from repro.config import RICDParams
 from repro.core.framework import RICDDetector
 from repro.core.incremental import ClickBatch, IncrementalRICD

@@ -5,9 +5,9 @@ Three questions, at the 0.5x / 1x / 2x marketplace scales of
 
 1. **Snapshot build cost** — the one-time dict→array conversion an
    :class:`~repro.graph.indexed.IndexedGraph` pays (the price of entry).
-2. **Cached vs uncached extraction** — the sparse engine with a warm
-   memoized snapshot (CSR + pruning-fixpoint memo) against the historical
-   rebuild-every-call behaviour (cache invalidated before each run).
+2. **Cached vs uncached extraction** — the bitset engine with a warm
+   memoized snapshot (CSR/CSC arrays + pruning-fixpoint memo) against
+   the rebuild-every-call behaviour (cache invalidated before each run).
    This is the suite / ablation / benchmark steady state the fast path
    targets: same graph, same floors, extraction repeated.
 3. **Parallel vs serial suite** — ``run_suite(jobs=4)`` against the
@@ -22,10 +22,10 @@ import time
 import pytest
 
 from repro.config import RICDParams
-from repro.core.extraction_sparse import extract_groups_sparse, sparse_available
+from repro.core.extraction_bitset import extract_groups_bitset
 from repro.datagen import AttackConfig, MarketplaceConfig, generate_scenario
 from repro.eval import default_detector_suite, run_suite
-from repro.graph.indexed import IndexedGraph, indexed_available
+from repro.graph.indexed import IndexedGraph
 
 PARAMS = RICDParams(k1=10, k2=10, alpha=1.0)
 
@@ -64,13 +64,11 @@ def _invalidate(graph) -> None:
 
 def _uncached_extract(graph):
     _invalidate(graph)
-    return extract_groups_sparse(graph, PARAMS)
+    return extract_groups_bitset(graph, PARAMS)
 
 
 @pytest.mark.parametrize("scale", list(SCALES))
 def test_snapshot_build(benchmark, scaled_scenarios, scale):
-    if not indexed_available():
-        pytest.skip("numpy not installed")
     graph = scaled_scenarios[scale].graph
     benchmark.pedantic(
         IndexedGraph.from_graph, args=(graph,), rounds=3, iterations=1
@@ -79,20 +77,16 @@ def test_snapshot_build(benchmark, scaled_scenarios, scale):
 
 @pytest.mark.parametrize("scale", list(SCALES))
 def test_extraction_uncached(benchmark, scaled_scenarios, scale):
-    if not sparse_available():
-        pytest.skip("scipy not installed")
     graph = scaled_scenarios[scale].graph
     benchmark.pedantic(_uncached_extract, args=(graph,), rounds=3, iterations=1)
 
 
 @pytest.mark.parametrize("scale", list(SCALES))
 def test_extraction_cached(benchmark, scaled_scenarios, scale):
-    if not sparse_available():
-        pytest.skip("scipy not installed")
     graph = scaled_scenarios[scale].graph
-    extract_groups_sparse(graph, PARAMS)  # warm the snapshot + fixpoint memo
+    extract_groups_bitset(graph, PARAMS)  # warm the snapshot + fixpoint memo
     benchmark.pedantic(
-        extract_groups_sparse, args=(graph, PARAMS), rounds=3, iterations=1
+        extract_groups_bitset, args=(graph, PARAMS), rounds=3, iterations=1
     )
 
 
@@ -106,18 +100,19 @@ def _min_elapsed(fn, rounds: int) -> float:
 
 
 def test_indexed_path_report(benchmark, scaled_scenarios, emit_report, emit_json):
-    if not sparse_available():
-        pytest.skip("scipy not installed")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    lines = ["Indexed fast path — snapshot build / uncached vs cached extraction (min of 3):"]
+    lines = [
+        "Indexed fast path — snapshot build / uncached vs cached bitset extraction "
+        "(min of 3):"
+    ]
     json_scales = {}
     for scale, scenario in scaled_scenarios.items():
         graph = scenario.graph
         build = _min_elapsed(lambda: IndexedGraph.from_graph(graph), 3)
         uncached = _min_elapsed(lambda: _uncached_extract(graph), 3)
-        extract_groups_sparse(graph, PARAMS)  # warm the snapshot + fixpoint memo
-        cached = _min_elapsed(lambda: extract_groups_sparse(graph, PARAMS), 3)
+        extract_groups_bitset(graph, PARAMS)  # warm the snapshot + fixpoint memo
+        cached = _min_elapsed(lambda: extract_groups_bitset(graph, PARAMS), 3)
         speedup = uncached / cached if cached > 0 else float("inf")
         json_scales[scale] = {
             "edges": graph.num_edges,

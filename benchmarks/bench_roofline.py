@@ -13,12 +13,9 @@ Scale is controlled by ``RICD_ROOFLINE_SCALE`` (default ``0.002`` — a
 40k-user miniature, small enough for CI's perf-smoke entry).  What runs
 depends on the scale:
 
-* every scale: bitset survivors must equal the sparse engine's, the run
-  must stay inside the stated memory budget, and a capped-at-tiny
+* every scale: the survivors must be exactly the injected groups, the
+  run must stay inside the stated memory budget, and a capped-at-tiny
   miniature must match the pure-Python reference engine id for id;
-* ``>= 0.1`` (a 1/10-scale marketplace or larger): the bitset kernel
-  must beat the sparse-matrix fixpoint by at least
-  :data:`MIN_SPEEDUP_VS_SPARSE`;
 * ``1.0``: the full paper-proportioned table — ~90M click records —
   extracted end to end; the memory budget line doubles as the claim in
   the README's "Engines" table.
@@ -36,12 +33,10 @@ import numpy as np
 import pytest
 
 from repro.config import RICDParams
-from repro.core.extraction_bitset import bitset_available, prune_fixpoint_arrays
-from repro.core.extraction_sparse import sparse_available
+from repro.core.extraction_bitset import prune_fixpoint_arrays
 from repro.datagen.atscale import (
     PAPER_RECORDS,
     AtScaleConfig,
-    AtScaleArrays,
     generate_at_scale,
     to_bipartite,
 )
@@ -50,14 +45,8 @@ PARAMS = RICDParams(k1=10, k2=10, alpha=1.0)
 
 SCALE = float(os.environ.get("RICD_ROOFLINE_SCALE", "0.002"))
 
-#: Floors for the perf assertions.  The sparse comparison only means
-#: anything once the casual majority dwarfs the survivor set, hence the
-#: 1/10-scale gate; below it the two engines are both microseconds deep.
-MIN_SPEEDUP_VS_SPARSE = 5.0
-SPEEDUP_GATE_SCALE = 0.1
-
 #: The stated memory budget, linear in scale: a fixed interpreter +
-#: numpy/scipy floor plus the edge arrays and their transient sort/gather
+#: numpy floor plus the edge arrays and their transient sort/gather
 #: copies.  At scale 1.0 this claims the full ~90M-record extraction fits
 #: in 14 GiB of RSS (measured ~9.5 GiB).
 MEMORY_BUDGET_MB = 2048 + 12288 * SCALE
@@ -82,44 +71,13 @@ def _peak_copy_bandwidth_bytes() -> float:
     return 2 * block.nbytes / elapsed  # one read + one write stream
 
 
-def _sparse_fixpoint(arrays: AtScaleArrays):
-    """The sparse engine's matrix-level fixpoint on the same edge arrays.
-
-    Uses :func:`repro.core.extraction_sparse._prune_round` directly —
-    the same rounds the engine runs, minus dict-graph construction, so
-    the comparison isolates kernel against kernel.
-    """
-    from scipy import sparse
-
-    from repro.core.extraction_sparse import _prune_round
-
-    matrix = sparse.csr_matrix(
-        (np.ones(arrays.n_edges, dtype=np.int64), (arrays.user_idx, arrays.item_idx)),
-        shape=(arrays.n_users, arrays.n_items),
-    )
-    user_indices = np.arange(arrays.n_users, dtype=np.int64)
-    item_indices = np.arange(arrays.n_items, dtype=np.int64)
-    while True:
-        matrix, row_keep, col_keep, removed = _prune_round(matrix, PARAMS)
-        user_indices = user_indices[row_keep]
-        item_indices = item_indices[col_keep]
-        if matrix.shape[0] == 0 or matrix.shape[1] == 0:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        if not removed:
-            return user_indices, item_indices
-
-
 @pytest.fixture(scope="module")
 def marketplace():
-    if not bitset_available():
-        pytest.skip("numpy not installed")
     return generate_at_scale(AtScaleConfig(scale=SCALE, seed=0))
 
 
 def test_bitset_matches_reference_at_tiny_scale():
     """The kernel equals the pure-Python reference engine, id for id."""
-    if not bitset_available():
-        pytest.skip("numpy not installed")
     from repro.core.extraction import prune_to_fixpoint
 
     arrays = generate_at_scale(AtScaleConfig(scale=min(SCALE, 0.002), seed=0))
@@ -163,13 +121,6 @@ def test_roofline_report(marketplace, emit_report, emit_json):
         _TIMING_ROUNDS,
     )
 
-    sparse_elapsed = None
-    if sparse_available():
-        sparse_users, sparse_items = _sparse_fixpoint(marketplace)
-        assert np.array_equal(alive_users, sparse_users)
-        assert np.array_equal(alive_items, sparse_items)
-        sparse_elapsed = _min_elapsed(lambda: _sparse_fixpoint(marketplace), _TIMING_ROUNDS)
-
     peak_bw = _peak_copy_bandwidth_bytes()
     lines = [
         f"Roofline — bitset fixpoint at scale {SCALE:g} "
@@ -190,17 +141,6 @@ def test_roofline_report(marketplace, emit_report, emit_json):
             f"achieved {achieved / 1e9:.2f} GB/s "
             f"({100 * achieved / peak_bw:.0f}% of roofline)"
         )
-    if sparse_elapsed is not None:
-        speedup = sparse_elapsed / max(bitset_elapsed, 1e-9)
-        lines.append(
-            f"  sparse-matrix fixpoint {sparse_elapsed * 1000:.1f} ms -> "
-            f"bitset speedup {speedup:.1f}x"
-        )
-        if SCALE >= SPEEDUP_GATE_SCALE:
-            assert speedup >= MIN_SPEEDUP_VS_SPARSE, (
-                f"bitset kernel only {speedup:.1f}x over sparse at scale "
-                f"{SCALE:g}; the engine promotion floor is {MIN_SPEEDUP_VS_SPARSE}x"
-            )
     rss = peak_rss_mb()
     lines.append(f"  peak RSS {rss:.0f} MB (budget {MEMORY_BUDGET_MB:.0f} MB)")
     assert rss <= MEMORY_BUDGET_MB, (
@@ -224,7 +164,6 @@ def test_roofline_report(marketplace, emit_report, emit_json):
                 "n_edges": marketplace.n_edges,
             },
             "bitset_fixpoint_s": bitset_elapsed,
-            "sparse_fixpoint_s": sparse_elapsed,
             "peak_copy_bandwidth_bytes_per_s": peak_bw,
             "rounds": rounds_json,
             "survivors": {"users": len(alive_users), "items": len(alive_items)},

@@ -2,16 +2,15 @@
 
 Section V-D bounds Algorithm 3 at ``O((|U|+|V|)(|V||U| + 1) + |E|)`` worst
 case; on realistic graphs the pruning cascade removes most vertices before
-the quadratic term can bite, and the sparse engine's Gram products are
-near-linear in surviving edges.  This bench records the trend over 0.5x /
-1x / 2x marketplaces for both engines.
+the quadratic term can bite.  This bench records the trend over 0.5x /
+1x / 2x marketplaces for the reference and bitset engines.
 """
 
 import pytest
 
 from repro.config import RICDParams
 from repro.core.extraction import extract_groups
-from repro.core.extraction_sparse import extract_groups_sparse, sparse_available
+from repro.core.extraction_bitset import extract_groups_bitset
 from repro.datagen import AttackConfig, MarketplaceConfig, generate_scenario
 
 PARAMS = RICDParams(k1=10, k2=10, alpha=1.0)
@@ -56,32 +55,43 @@ def test_scaling_reference_engine(benchmark, scaled_scenarios, scale):
     )
 
 
+def _bitset_uncached(graph):
+    """Bitset extraction on a fresh snapshot (no memoized fixpoint)."""
+    graph._indexed = None
+    return extract_groups_bitset(graph, PARAMS)
+
+
 @pytest.mark.parametrize("scale", list(SCALES))
-def test_scaling_sparse_engine(benchmark, scaled_scenarios, scale):
-    if not sparse_available():
-        pytest.skip("scipy not installed")
+def test_scaling_bitset_engine(benchmark, scaled_scenarios, scale):
     graph = scaled_scenarios[scale].graph
-    benchmark.pedantic(
-        extract_groups_sparse, args=(graph, PARAMS), rounds=3, iterations=1
-    )
+    benchmark.pedantic(_bitset_uncached, args=(graph,), rounds=3, iterations=1)
 
 
 def test_scaling_report(benchmark, scaled_scenarios, emit_report):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     import time
 
-    lines = ["Scaling — extraction wall-clock by marketplace size (min of repeats):"]
+    def min_elapsed(fn, graph, rounds):
+        samples = []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            fn(graph)
+            samples.append(time.perf_counter() - start)
+        return min(samples)
+
+    lines = [
+        "Scaling — extraction wall-clock by marketplace size, reference vs "
+        "bitset (uncached snapshot, min of repeats):"
+    ]
     for scale, scenario in scaled_scenarios.items():
         graph = scenario.graph
-        samples = []
-        for _ in range(_rounds(scale)):
-            start = time.perf_counter()
-            extract_groups_sparse(graph, PARAMS) if sparse_available() else extract_groups(
-                graph, PARAMS
-            )
-            samples.append(time.perf_counter() - start)
+        reference = min_elapsed(
+            lambda g: extract_groups(g, PARAMS), graph, _rounds(scale)
+        )
+        bitset = min_elapsed(_bitset_uncached, graph, 3)
         lines.append(
             f"  {scale:>4}: {graph.num_users:,} users / {graph.num_edges:,} edges "
-            f"-> {min(samples) * 1000:.0f} ms"
+            f"-> reference {reference * 1000:.0f} ms, bitset {bitset * 1000:.0f} ms "
+            f"({reference / max(bitset, 1e-9):.0f}x)"
         )
     emit_report("\n".join(lines))

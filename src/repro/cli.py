@@ -98,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect_parser.add_argument(
         "--engine",
-        choices=("reference", "sparse", "bitset", "auto"),
+        choices=("reference", "bitset", "auto"),
         default="auto",
         help=(
-            "extraction engine: pure-Python reference, scipy sparse, numpy "
-            "bitset, or auto (bitset above the edge threshold; default)"
+            "extraction engine: pure-Python reference, numpy bitset, or auto "
+            "(bitset above the edge threshold; default)"
         ),
     )
     detect_parser.add_argument(
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=20_000,
         help=(
-            "edge count above which engine=auto switches to an accelerated "
+            "edge count above which engine=auto switches to the bitset "
             "engine (default 20000)"
         ),
     )
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--k2", type=int, default=10, help="min group items")
     serve_parser.add_argument(
         "--engine",
-        choices=("reference", "sparse", "bitset", "auto"),
+        choices=("reference", "bitset", "auto"),
         default="auto",
         help="extraction engine for rechecks (default auto)",
     )
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     server_parser.add_argument("--k2", type=int, default=10, help="min group items")
     server_parser.add_argument(
         "--engine",
-        choices=("reference", "sparse", "bitset", "auto"),
+        choices=("reference", "bitset", "auto"),
         default="auto",
         help="extraction engine for rechecks (default auto)",
     )
@@ -440,11 +440,7 @@ def _run_detect(args: argparse.Namespace) -> int:
                     "shards": args.shards,
                 }
             )
-        try:
-            result = detector.detect(graph)
-        except RuntimeError as error:  # engine="sparse" without scipy
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        result = detector.detect(graph)
 
     print(f"loaded {graph!r}")
     resolved = detector.resolve_thresholds(graph)

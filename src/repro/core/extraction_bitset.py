@@ -1,11 +1,10 @@
 """Native-speed bitset/CSR implementation of Algorithm 3's pruning.
 
-The sparse engine (:mod:`repro.core.extraction_sparse`) re-expresses the
-pruning conditions as scipy Gram products, but it pays for that clarity at
-scale: every fixpoint round *copies* the whole working matrix twice (row
-and column fancy-index slicing) and multiplies full matrices even when a
-round only perturbed a handful of vertices.  This module touches the full
-vertex axes exactly once — a vectorized CorePruning floor pass straight
+The reference engine (:mod:`repro.core.extraction`) walks dicts vertex by
+vertex; a matrix formulation (Gram products of the biadjacency) would
+*copy* the whole working matrix every round and multiply full matrices
+even when a round only perturbed a handful of vertices.  This module
+touches the full vertex axes exactly once — a vectorized CorePruning floor pass straight
 off the CSR ``indptr`` degrees that mass-kills the casual majority — and
 then compacts the survivors into a rank-compressed working subgraph where
 everything else happens:
@@ -23,11 +22,10 @@ everything else happens:
   bounded-memory blocks, on a freshly re-compacted subgraph each round so
   wedges never cross dead hot-vertex fan-out.
 
-The fixpoint is identical to the reference and sparse engines': the
-pruning conditions are monotone (a removal never makes another vertex
-*more* viable), so any evaluation order converges to the same unique
-fixpoint; the differential suite pins the equivalence on the shared
-scenario grid.  The kernel itself is array-native —
+The fixpoint is identical to the reference engine's: the pruning
+conditions are monotone (a removal never makes another vertex *more*
+viable), so any evaluation order converges to the same unique fixpoint;
+the differential suite pins the equivalence on the shared scenario grid.  The kernel itself is array-native —
 :func:`prune_fixpoint_arrays` needs nothing but CSR/CSC index arrays —
 which is what lets paper-scale graphs stream from disk (memory-mapped
 arrays, see :mod:`repro.graph.io`) without ever materialising a
@@ -38,10 +36,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-try:  # numpy is an optional accelerator; the reference engine needs nothing
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from .. import obs
 from .._util import ceil_frac, peak_rss_mb
@@ -51,7 +46,6 @@ from ..graph.views import connected_components
 from .groups import SuspiciousGroup
 
 __all__ = [
-    "bitset_available",
     "prune_fixpoint_arrays",
     "prune_to_fixpoint_bitset",
     "extract_groups_bitset",
@@ -64,11 +58,6 @@ Node = Hashable
 _TARGET_CELLS = 1 << 22
 #: Upper bound on one wedge-expansion chunk (two-hop gather entries).
 _WEDGE_LIMIT = 1 << 23
-
-
-def bitset_available() -> bool:
-    """Whether the numpy-backed bitset engine can be used."""
-    return np is not None
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +199,6 @@ def prune_fixpoint_arrays(
     (numpy.ndarray, numpy.ndarray)
         Ascending indices of the surviving users and items.
     """
-    if np is None:
-        raise RuntimeError("numpy is not installed; use the reference engine")
     import time
 
     n_users = len(user_indptr) - 1
@@ -310,8 +297,8 @@ def prune_fixpoint_arrays(
         casual users).  One compaction per round — gathering only the
         *live users'* rows, which are short by the time any square pass
         runs — bounds all square work by the live edge count, the same
-        shrinkage the sparse engine gets from physically slicing its
-        matrix.  Returns the kept vertices (ids in the *input* space)
+        shrinkage the reference engine gets from physically deleting
+        vertices.  Returns the kept vertices (ids in the *input* space)
         plus fresh CSR + CSC arrays over their ranks.
         """
         alive_su = np.flatnonzero(live_su)
@@ -339,8 +326,8 @@ def prune_fixpoint_arrays(
         Strong-partner counts come from expanding each dirty vertex's
         two-hop wedges and bin-counting co-vertex multiplicities; the
         diagonal self term (``count == degree``) falls out of the wedges
-        through the vertex's own edges, matching the sparse engine's Gram
-        diagonal semantics exactly.  Work is blocked two ways: the counts
+        through the vertex's own edges, matching the reference engine's
+        self-included count (Definition 4) exactly.  Work is blocked two ways: the counts
         matrix at ``_TARGET_CELLS`` cells, wedge expansion at
         ``_WEDGE_LIMIT`` entries.
         """
@@ -473,7 +460,7 @@ def prune_fixpoint_arrays(
         deg_u = np.diff(w_user_indptr)
         deg_i = np.diff(w_item_indptr)
         # Both sides evaluate on the same alive state (simultaneous
-        # SquarePruning, exactly like the sparse engine's Gram pass).
+        # SquarePruning; the fixpoint is order-independent).
         bad_cu = square_bad(
             dirty_cu, w_user_indptr, w_user_items, w_item_indptr, w_item_users,
             n_wu, user_common_floor, params.k1,
@@ -559,22 +546,18 @@ def prune_fixpoint_arrays(
 
 
 # ----------------------------------------------------------------------
-# Graph-level wrappers (drop-ins for the sparse engine's entry points)
+# Graph-level wrappers (drop-ins for the reference engine's entry points)
 # ----------------------------------------------------------------------
 def prune_to_fixpoint_bitset(
     graph: BipartiteGraph, params: RICDParams
 ) -> tuple[set[Node], set[Node]]:
     """Bitset fixpoint pruning; returns the surviving (users, items).
 
-    The input graph is not modified.  Like the sparse engine, the result
-    memoizes on the snapshot's derived-results cache (keyed by the pruning
-    floors), so feedback rounds and suites re-extracting the same graph
-    version pay the kernel once.  Raises :class:`RuntimeError` when numpy
-    is unavailable — call :func:`bitset_available` first to fall back
-    gracefully.
+    The input graph is not modified.  The result memoizes on the
+    snapshot's derived-results cache (keyed by the pruning floors), so
+    feedback rounds and suites re-extracting the same graph version pay
+    the kernel once.
     """
-    if np is None:
-        raise RuntimeError("numpy is not installed; use the reference engine")
     if graph.num_users == 0 or graph.num_items == 0:
         return set(), set()
     snapshot = graph.indexed()

@@ -109,17 +109,14 @@ class RICDDetector:
         otherwise return the best (largest) output seen.
     engine:
         Extraction engine: ``"reference"`` (pure-Python Algorithm 3, the
-        paper-faithful implementation), ``"sparse"`` (scipy Gram-matrix
-        evaluation — same fixpoint, roughly an order of magnitude faster
-        on 10^5-edge graphs), ``"bitset"`` (numpy packed-bitset/CSR
-        frontier kernel — same fixpoint again, another order of magnitude
-        at paper-proportioned scales) or ``"auto"`` (bitset when numpy is
-        installed and the graph exceeds ``auto_engine_edge_threshold``
-        edges, sparse when only scipy is available).
+        paper-faithful implementation), ``"bitset"`` (numpy packed-bitset/
+        CSR frontier kernel — same fixpoint, the engine that holds paper
+        scale) or ``"auto"`` (bitset when the graph exceeds
+        ``auto_engine_edge_threshold`` edges, reference otherwise).
     auto_engine_edge_threshold:
         Edge count above which ``engine="auto"`` switches from the
-        reference to an accelerated engine.  The 20k default is where the
-        accelerated engines' fixed costs amortise on typical marketplaces;
+        reference to the bitset engine.  The 20k default is where the
+        bitset kernel's fixed costs amortise on typical marketplaces;
         benchmarks and the CLI can tune it per workload.
     shards:
         ``> 1`` partitions the click graph into that many (at most)
@@ -197,10 +194,9 @@ class RICDDetector:
             raise ValueError(
                 f"variant must be one of {_VALID_VARIANTS}, got {self.variant!r}"
             )
-        if self.engine not in ("reference", "sparse", "bitset", "auto"):
+        if self.engine not in ("reference", "bitset", "auto"):
             raise ValueError(
-                "engine must be 'reference', 'sparse', 'bitset' or 'auto', "
-                f"got {self.engine!r}"
+                f"engine must be 'reference', 'bitset' or 'auto', got {self.engine!r}"
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")

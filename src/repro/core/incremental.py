@@ -37,7 +37,6 @@ from ..config import RICDParams, ScreeningParams
 from ..errors import ReproError
 from ..graph.bipartite import BipartiteGraph
 from ..graph.builders import seed_expansion
-from ..graph.indexed import snapshot_or_none
 from ..pipeline import Identification, PipelineContext
 from ..resilience.faults import inject
 from .framework import RICDDetector
@@ -273,17 +272,13 @@ class IncrementalRICD:
                         ]
                     )
                 resolved = self._detector.resolve_thresholds(self._graph)
-                derived = {}
-                array_snapshot = snapshot_or_none(self._graph)
-                if array_snapshot is not None:
-                    derived = array_snapshot.derived
                 from ..store import memos_to_json
 
                 store.put_thresholds(
                     self._detector.params,
                     resolved,
                     self._detector.screening,
-                    memos=memos_to_json(derived),
+                    memos=memos_to_json(self._graph.indexed().derived),
                 )
                 store.put_result(self._result)
                 store.commit()

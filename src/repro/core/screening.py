@@ -40,7 +40,6 @@ from .. import obs
 from ..config import ScreeningParams
 from ..errors import ScreeningError
 from ..graph.bipartite import BipartiteGraph
-from ..graph.indexed import snapshot_or_none
 from .groups import SuspiciousGroup
 
 __all__ = [
@@ -64,23 +63,14 @@ def _split_items(
     """
     hot: set[Node] = set()
     ordinary: set[Node] = set()
-    snapshot = snapshot_or_none(graph)
-    if snapshot is not None:
-        totals = snapshot.item_total_clicks()
-        item_index = snapshot.item_index
-        for item in items:
-            column = item_index.get(item)
-            if column is None:
-                continue
-            if totals[column] >= t_hot:
-                hot.add(item)
-            else:
-                ordinary.add(item)
-        return hot, ordinary
+    snapshot = graph.indexed()
+    totals = snapshot.item_total_clicks()
+    item_index = snapshot.item_index
     for item in items:
-        if not graph.has_item(item):
+        column = item_index.get(item)
+        if column is None:
             continue
-        if graph.item_total_clicks(item) >= t_hot:
+        if totals[column] >= t_hot:
             hot.add(item)
         else:
             ordinary.add(item)

@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from typing import Hashable
 
+import numpy as np
+
 from ..errors import DegenerateGraphError
 from ..graph.bipartite import BipartiteGraph
-from ..graph.indexed import snapshot_or_none
-from ..graph.stats import side_stats
 
 __all__ = [
     "pareto_hot_threshold",
@@ -54,32 +54,15 @@ def pareto_hot_threshold(graph: BipartiteGraph, mass_fraction: float = 0.8) -> i
     """
     if not 0.0 < mass_fraction <= 1.0:
         raise ValueError(f"mass_fraction must lie in (0, 1], got {mass_fraction}")
-    snapshot = snapshot_or_none(graph)
-    if snapshot is not None:
-        import numpy as np
-
-        totals_desc = snapshot.item_total_clicks_descending()
-        grand = int(totals_desc.sum()) if len(totals_desc) else 0
-        if grand == 0:
-            return 1
-        cumulative = np.cumsum(totals_desc)
-        # First rank whose cumulative share reaches the mass fraction —
-        # identical to the reference loop (int sums are exact either way).
-        rank = int(np.searchsorted(cumulative, mass_fraction * grand, side="left"))
-        rank = min(rank, len(totals_desc) - 1)
-        return max(int(totals_desc[rank]), 1)
-    totals = sorted(
-        (graph.item_total_clicks(item) for item in graph.items()), reverse=True
-    )
-    grand_total = sum(totals)
-    if grand_total == 0:
+    totals_desc = graph.indexed().item_total_clicks_descending()
+    grand = int(totals_desc.sum()) if len(totals_desc) else 0
+    if grand == 0:
         return 1
-    cumulative = 0
-    for total in totals:
-        cumulative += total
-        if cumulative >= mass_fraction * grand_total:
-            return max(total, 1)
-    return max(totals[-1], 1)
+    cumulative = np.cumsum(totals_desc)
+    # First rank whose cumulative share reaches the mass fraction.
+    rank = int(np.searchsorted(cumulative, mass_fraction * grand, side="left"))
+    rank = min(rank, len(totals_desc) - 1)
+    return max(int(totals_desc[rank]), 1)
 
 
 def t_click_threshold(
@@ -114,54 +97,30 @@ def t_click_threshold(
 
 def t_click_from_graph(graph: BipartiteGraph, heavy_share: float = 0.8) -> int:
     """Eq. 4 evaluated on a graph's own user-side statistics."""
-    snapshot = snapshot_or_none(graph)
-    if snapshot is not None:
-        # Avg_clk / Avg_cnt are ratios of exact integer sums, so this path
-        # reproduces the dict path bit-for-bit.
-        n_users = snapshot.num_users
-        if n_users == 0:
-            return 2
-        avg_clk = int(snapshot.user_total_clicks().sum()) / n_users
-        avg_cnt = snapshot.num_edges / n_users
-        if avg_clk <= 0 or avg_cnt <= 0:
-            return 2
-        return t_click_threshold(avg_clk, avg_cnt, heavy_share)
-    stats = side_stats(graph, "user")
-    if stats.avg_clk <= 0 or stats.avg_cnt <= 0:
+    snapshot = graph.indexed()
+    n_users = snapshot.num_users
+    if n_users == 0:
         return 2
-    return t_click_threshold(stats.avg_clk, stats.avg_cnt, heavy_share)
+    # Avg_clk / Avg_cnt are ratios of exact integer sums, the same values
+    # :func:`repro.graph.stats.side_stats` reports.
+    avg_clk = int(snapshot.user_total_clicks().sum()) / n_users
+    avg_cnt = snapshot.num_edges / n_users
+    if avg_clk <= 0 or avg_cnt <= 0:
+        return 2
+    return t_click_threshold(avg_clk, avg_cnt, heavy_share)
 
 
 def hot_items(graph: BipartiteGraph, t_hot: float) -> set[Node]:
     """Items whose total clicks are ``>= t_hot``."""
-    snapshot = snapshot_or_none(graph)
-    if snapshot is not None:
-        import numpy as np
-
-        mask = snapshot.item_total_clicks() >= t_hot
-        return {snapshot.items[index] for index in np.flatnonzero(mask)}
-    return {
-        item for item in graph.items() if graph.item_total_clicks(item) >= t_hot
-    }
+    return classify_items(graph, t_hot)[0]
 
 
 def classify_items(
     graph: BipartiteGraph, t_hot: float
 ) -> tuple[set[Node], set[Node]]:
     """Split items into ``(hot, ordinary)`` by the ``t_hot`` boundary."""
-    snapshot = snapshot_or_none(graph)
-    if snapshot is not None:
-        import numpy as np
-
-        mask = snapshot.item_total_clicks() >= t_hot
-        hot = {snapshot.items[index] for index in np.flatnonzero(mask)}
-        ordinary = {snapshot.items[index] for index in np.flatnonzero(~mask)}
-        return hot, ordinary
-    hot: set[Node] = set()
-    ordinary: set[Node] = set()
-    for item in graph.items():
-        if graph.item_total_clicks(item) >= t_hot:
-            hot.add(item)
-        else:
-            ordinary.add(item)
+    snapshot = graph.indexed()
+    mask = snapshot.item_total_clicks() >= t_hot
+    hot = {snapshot.items[index] for index in np.flatnonzero(mask)}
+    ordinary = {snapshot.items[index] for index in np.flatnonzero(~mask)}
     return hot, ordinary

@@ -21,10 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 __all__ = [
     "PAPER_USERS",
@@ -132,8 +129,6 @@ def _zipf_cdf(n_items: int, exponent: float):
 
 def generate_at_scale(config: AtScaleConfig) -> AtScaleArrays:
     """Generate one paper-proportioned marketplace with injected attacks."""
-    if np is None:
-        raise RuntimeError("numpy is not installed; use datagen.generate_scenario")
     rng = np.random.default_rng(config.seed)
     n_organic = max(60, int(PAPER_USERS * config.scale))
     n_items = max(30, int(PAPER_ITEMS * config.scale))

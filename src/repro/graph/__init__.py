@@ -17,7 +17,7 @@ from .builders import (
     from_edge_list,
     seed_expansion,
 )
-from .indexed import IndexedGraph, indexed_available, snapshot_or_none
+from .indexed import IndexedGraph
 from .io import read_click_table, write_click_table
 from .projection import project_items, project_users, top_co_clicked
 from .sampling import stratified_item_sample
@@ -39,8 +39,6 @@ from .views import (
 __all__ = [
     "BipartiteGraph",
     "IndexedGraph",
-    "indexed_available",
-    "snapshot_or_none",
     "from_click_records",
     "from_edge_list",
     "seed_expansion",

@@ -314,9 +314,7 @@ class BipartiteGraph:
         as a from-scratch miss — so append-mostly workloads (stream
         ingestion, incremental rechecks) keep their array views warm.
         Destructive mutation (removals, click decreases) still invalidates
-        and rebuilds.  Requires numpy; check
-        :func:`repro.graph.indexed.indexed_available` to fall back to the
-        dict paths gracefully.
+        and rebuilds.
         """
         from .indexed import IndexedGraph
 

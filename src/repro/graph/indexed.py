@@ -2,23 +2,22 @@
 
 The dict-of-dict representation is right for the *mutating* phases of the
 framework (pruning deletes vertices), but every vectorized consumer — the
-scipy extraction engine, the threshold derivations, the screening module's
-aggregate scans — wants the same three things: contiguous integer ids per
-partition, flat edge arrays, and a CSR biadjacency.  Rebuilding those from
-the dicts on every call is the hot-path tax this module removes.
+bitset extraction engine, the threshold derivations, the screening
+module's aggregate scans — wants the same things: contiguous integer ids
+per partition, flat edge arrays, and CSR/CSC index arrays.  Rebuilding
+those from the dicts on every call is the hot-path tax this module
+removes.
 
 :class:`IndexedGraph` interns users and items into contiguous int ids
-(the *base* row/column order is sorted-by-``str``, matching the historical
-CSR ordering of the sparse engine; nodes appended through
+(the *base* row/column order is sorted-by-``str``; nodes appended through
 :meth:`apply_delta` take the next free ids), stores the edge list as three
 parallel numpy arrays in **canonical order** — sorted by ``(row, column)``
 with no duplicate pairs — and lazily caches the derived aggregates
-(degrees, total clicks, the binary CSR biadjacency, scipy-free CSR/CSC
-index arrays).  Snapshots are *frozen*: they never observe later graph
-mutation.  :meth:`BipartiteGraph.indexed` memoizes the snapshot against
-the graph's mutation version, so the common build-once/detect-many
-workloads (feedback rounds, suites, sweeps, benchmarks) pay the
-dict→array conversion exactly once.
+(degrees, total clicks, CSR/CSC index arrays).  Snapshots are *frozen*:
+they never observe later graph mutation.  :meth:`BipartiteGraph.indexed`
+memoizes the snapshot against the graph's mutation version, so the common
+build-once/detect-many workloads (feedback rounds, suites, sweeps,
+benchmarks) pay the dict→array conversion exactly once.
 
 Append-mostly mutation no longer forces a from-scratch rebuild:
 :meth:`apply_delta` merges a buffered batch of appends (new nodes, new
@@ -27,53 +26,20 @@ operations — O(delta log delta) sorting plus one O(edges) array merge —
 instead of the Python per-edge loop of :meth:`from_graph`.  The merge is
 the delta buffer's periodic compaction: the produced snapshot is again
 canonical, so chains of delta applications never degrade lookups.
-
-numpy is an optional accelerator exactly like scipy is for the sparse
-engine: when it is missing, :func:`indexed_available` returns ``False``
-and every consumer keeps using its pure-dict reference path.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable
 
-try:  # numpy is an optional accelerator; dict paths need nothing
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
-
-try:  # scipy is optional on top of numpy (CSR biadjacency only)
-    from scipy import sparse
-except ImportError:  # pragma: no cover - exercised only without scipy
-    sparse = None
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .bipartite import BipartiteGraph
 
-__all__ = ["IndexedGraph", "indexed_available", "snapshot_or_none"]
+__all__ = ["IndexedGraph"]
 
 Node = Hashable
-
-
-def indexed_available() -> bool:
-    """Whether the numpy-backed indexed fast path can be used."""
-    return np is not None
-
-
-def snapshot_or_none(graph: "BipartiteGraph") -> "IndexedGraph | None":
-    """``graph.indexed()`` when numpy is present, else ``None``.
-
-    The one-line guard every dual-path consumer starts with::
-
-        snapshot = snapshot_or_none(graph)
-        if snapshot is not None:
-            ...  # vectorized path
-        else:
-            ...  # dict reference path
-    """
-    if np is None:
-        return None
-    return graph.indexed()
 
 
 class IndexedGraph:
@@ -82,8 +48,8 @@ class IndexedGraph:
     Attributes
     ----------
     users, items:
-        Node ids in row/column order (sorted by ``str``, the sparse
-        engine's historical ordering).
+        Node ids in row/column order (sorted by ``str`` for snapshots
+        built by :meth:`from_graph`).
     user_index, item_index:
         Interning tables mapping node id → contiguous int id.
     user_idx, item_idx, clicks:
@@ -103,7 +69,6 @@ class IndexedGraph:
         "item_idx",
         "clicks",
         "version",
-        "_csr",
         "_csr_arrays",
         "_csc_arrays",
         "_csc_clicks",
@@ -139,7 +104,6 @@ class IndexedGraph:
         self.item_idx = item_idx
         self.clicks = clicks
         self.version = version
-        self._csr = None
         self._csr_arrays = None
         self._csc_arrays = None
         self._csc_clicks = None
@@ -148,7 +112,7 @@ class IndexedGraph:
         self._user_clicks = None
         self._item_clicks = None
         self._item_clicks_sorted = None
-        #: Scratch cache for consumer-derived results (e.g. the sparse
+        #: Scratch cache for consumer-derived results (e.g. the bitset
         #: engine's pruning fixpoints, keyed by parameter floors).  Entries
         #: must be pure functions of this snapshot plus their key; the
         #: whole cache dies with the snapshot on graph mutation, so
@@ -181,8 +145,6 @@ class IndexedGraph:
     @classmethod
     def from_graph(cls, graph: "BipartiteGraph") -> "IndexedGraph":
         """Build a snapshot of ``graph``'s current state (one dict pass)."""
-        if np is None:
-            raise RuntimeError("numpy is not installed; use the dict paths")
         users = sorted(graph.users(), key=str)
         items = sorted(graph.items(), key=str)
         item_index = {item: column for column, item in enumerate(items)}
@@ -204,9 +166,9 @@ class IndexedGraph:
         user_idx, item_idx, clicks = cls._canonicalize(
             user_idx, item_idx, clicks, len(items)
         )
-        snapshot = cls(users, items, user_idx, item_idx, clicks, graph.version)
-        snapshot.item_index = item_index
-        return snapshot
+        return cls(
+            users, items, user_idx, item_idx, clicks, graph.version, item_index=item_index
+        )
 
     @classmethod
     def from_arrays(
@@ -227,8 +189,6 @@ class IndexedGraph:
         pairs coalesced by summing clicks); the id lists are taken as
         given — element ``i`` names row/column ``i``.
         """
-        if np is None:
-            raise RuntimeError("numpy is not installed; use the dict paths")
         user_idx = np.asarray(user_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
         clicks = np.asarray(clicks, dtype=np.int64)
@@ -420,16 +380,15 @@ class IndexedGraph:
     def item_total_clicks_descending(self):
         """``int64[num_items]`` — per-item totals, sorted descending.
 
-        The Pareto ``T_hot`` derivation re-sorts on every call in the dict
-        path; repeated derivations (sweep points, suite detectors) hit this
-        cache instead.
+        The Pareto ``T_hot`` derivation reads this; repeated derivations
+        (sweep points, suite detectors) sort once per snapshot.
         """
         if self._item_clicks_sorted is None:
             self._item_clicks_sorted = np.sort(self.item_total_clicks())[::-1]
         return self._item_clicks_sorted
 
     # ------------------------------------------------------------------
-    # scipy-free CSR / CSC index arrays
+    # CSR / CSC index arrays
     # ------------------------------------------------------------------
     def csr_arrays(self):
         """``(indptr, item_idx)`` — user-major CSR adjacency, cached.
@@ -438,8 +397,8 @@ class IndexedGraph:
         unique), the column index array is ``item_idx`` itself; only the
         ``int64[num_users + 1]`` row pointer is derived.  Row ``u``'s
         distinct items are ``item_idx[indptr[u]:indptr[u + 1]]``, columns
-        ascending.  Needs numpy only — this is the bitset engine's and the
-        memmap writer's view of the graph.
+        ascending.  This is the bitset engine's and the memmap writer's
+        view of the graph.
         """
         if self._csr_arrays is None:
             indptr = np.zeros(self.num_users + 1, dtype=np.int64)
@@ -505,28 +464,6 @@ class IndexedGraph:
         if position < len(cols) and int(cols[position]) == column:
             return int(weights[position])
         return 0
-
-    # ------------------------------------------------------------------
-    # CSR biadjacency
-    # ------------------------------------------------------------------
-    def biadjacency(self):
-        """Binary CSR biadjacency (rows = users, columns = items), cached.
-
-        Consumers must treat the matrix as read-only: the sparse pruning
-        engine only slices and multiplies it, never writes in place.
-        Raises :class:`RuntimeError` when scipy is unavailable.
-        """
-        if sparse is None:
-            raise RuntimeError("scipy is not installed; use the reference engine")
-        if self._csr is None:
-            self._csr = sparse.csr_matrix(
-                (
-                    np.ones(self.num_edges, dtype=np.int32),
-                    (self.user_idx, self.item_idx),
-                ),
-                shape=(self.num_users, self.num_items),
-            )
-        return self._csr
 
     def __repr__(self) -> str:
         return (

@@ -26,10 +26,7 @@ import json
 from pathlib import Path
 from typing import Iterator
 
-try:  # numpy is optional; the text-table paths below work without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from ..errors import ClickTableError, MalformedRowError, SchemaVersionError
 from .bipartite import BipartiteGraph
@@ -159,8 +156,6 @@ def read_click_table_indexed(
     appear in first-seen order, not sorted — consumers key by id, never
     by row number).
     """
-    if np is None:
-        raise RuntimeError("numpy is not installed; use read_click_table")
     users: list[str] = []
     items: list[str] = []
     user_index: dict[str, int] = {}
@@ -275,8 +270,6 @@ def write_graph_npz(graph, path: str | Path) -> Path:
     edge arrays are stored canonical (sorted by ``(row, column)``), so
     :func:`read_graph_npz` rebuilds without re-sorting.
     """
-    if np is None:
-        raise RuntimeError("numpy is not installed; use write_click_table")
     snapshot = _as_snapshot(graph)
     path = Path(path)
     np.savez(
@@ -294,8 +287,6 @@ def write_graph_npz(graph, path: str | Path) -> Path:
 
 def read_graph_npz(path: str | Path) -> IndexedGraph:
     """Load a :func:`write_graph_npz` archive back into a snapshot."""
-    if np is None:
-        raise RuntimeError("numpy is not installed")
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
         # Archives written before the marker existed lack the field;
@@ -322,8 +313,6 @@ def write_graph_memmap(graph, directory: str | Path) -> Path:
     ``mmap_mode="r"`` — the arrays then live in the page cache and are
     paged in on demand, bounding heap use for paper-scale graphs.
     """
-    if np is None:
-        raise RuntimeError("numpy is not installed; use write_click_table")
     snapshot = _as_snapshot(graph)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -355,8 +344,6 @@ def read_graph_memmap(directory: str | Path, mmap: bool = True) -> IndexedGraph:
     The id lists always load eagerly (the node-id round trip needs real
     strings).
     """
-    if np is None:
-        raise RuntimeError("numpy is not installed")
     directory = Path(directory)
     meta = json.loads((directory / "meta.json").read_text())
     if meta.get("format") != "repro-graph-memmap":

@@ -25,7 +25,7 @@ Instrumentation sites use the module-level helpers::
     with obs.span("prune"):
         ...
     obs.count("extract.users_removed", removed)
-    obs.gauge("detect.engine", "sparse")
+    obs.gauge("detect.engine", "bitset")
 
 and entry points that own a trace use :func:`recording`::
 

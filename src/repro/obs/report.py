@@ -6,9 +6,8 @@ and screening work (counters), configuration facts (gauges) and run
 metadata.  It is the shape the CLI writes with ``--trace-out``, the eval
 harness merges across workers, and the golden/differential tests compare.
 
-The module is dependency-free on purpose (stdlib only): traces must stay
-readable on hosts without numpy/scipy, and importing them must never pull
-the detection stack in.
+The module is dependency-free on purpose (stdlib only): importing it must
+never pull the detection stack in.
 """
 
 from __future__ import annotations

@@ -209,10 +209,9 @@ class Extraction:
 
     Owns the engine-selection logic formerly buried in
     ``RICDDetector._extract``: ``reference`` (pure-Python Algorithm 3),
-    ``sparse`` (scipy Gram-matrix fixpoint), ``bitset`` (numpy packed-
-    bitset/CSR frontier kernel) or ``auto`` (bitset when numpy is
-    installed and the working graph exceeds ``auto_edge_threshold``
-    edges, falling back to sparse when only scipy is available).
+    ``bitset`` (numpy packed-bitset/CSR frontier kernel) or ``auto``
+    (bitset when the working graph exceeds ``auto_edge_threshold`` edges,
+    reference otherwise).
     """
 
     engine: str = "reference"
@@ -224,31 +223,16 @@ class Extraction:
         self, graph: "BipartiteGraph", params: "RICDParams"
     ) -> "list[SuspiciousGroup]":
         """Run the selected engine on ``graph``."""
-        # Late imports keep numpy/scipy optional and the engines patchable.
+        # Late imports keep the engines patchable.
         from ..core.extraction import extract_groups
-        from ..core.extraction_bitset import bitset_available, extract_groups_bitset
-        from ..core.extraction_sparse import extract_groups_sparse, sparse_available
+        from ..core.extraction_bitset import extract_groups_bitset
 
         selected = self.engine
         if selected == "auto":
-            if graph.num_edges > self.auto_edge_threshold:
-                if bitset_available():
-                    selected = "bitset"
-                elif sparse_available():
-                    selected = "sparse"
-                else:
-                    selected = "reference"
-            else:
-                selected = "reference"
+            selected = "bitset" if graph.num_edges > self.auto_edge_threshold else "reference"
         obs.gauge("detect.engine", selected)
         if selected == "bitset":
-            if not bitset_available():
-                raise RuntimeError("engine='bitset' requires numpy")
             return extract_groups_bitset(graph, params)
-        if selected == "sparse":
-            if not sparse_available():
-                raise RuntimeError("engine='sparse' requires scipy")
-            return extract_groups_sparse(graph, params)
         return extract_groups(graph, params)
 
     def run(self, ctx: PipelineContext) -> None:

@@ -8,11 +8,9 @@ METIS-style edge cuts — are deliberately out of scope: the adversarial
 tests in ``tests/shard/`` construct attack groups that any node-level
 split would cut in half.
 
-Component discovery rides the :class:`~repro.graph.indexed.IndexedGraph`
-snapshot when scipy is available (one ``csgraph.connected_components``
-call over the block adjacency, memoized with the snapshot) and falls back
-to the pure-dict BFS of :func:`repro.graph.views.connected_components`
-otherwise — both produce the same partition of the node set.
+Component discovery is the dict BFS of
+:func:`repro.graph.views.connected_components`, the same pass both
+extraction engines use to split their survivors into groups.
 
 Balancing is greedy bin-packing by component *edge count* (the quantity
 that tracks extraction cost): components are placed largest-first into
@@ -32,15 +30,7 @@ from typing import Hashable
 
 from .. import obs
 from ..graph.bipartite import BipartiteGraph
-from ..graph.indexed import snapshot_or_none
 from ..graph.views import connected_components
-
-try:  # scipy is an optional accelerator, exactly as in the sparse engine
-    from scipy import sparse
-    from scipy.sparse import csgraph
-except ImportError:  # pragma: no cover - exercised only without scipy
-    sparse = None
-    csgraph = None
 
 __all__ = ["Component", "ShardPlan", "graph_components", "partition_graph"]
 
@@ -68,66 +58,21 @@ class Component:
         return (-self.edges, -self.nodes, smallest)
 
 
-def _components_csgraph(graph: BipartiteGraph) -> "list[Component] | None":
-    """Vectorized component labels via ``csgraph`` on the CSR snapshot.
-
-    Returns ``None`` when numpy/scipy are unavailable, sending the caller
-    to the dict BFS path.
-    """
-    if sparse is None:
-        return None
-    snapshot = snapshot_or_none(graph)
-    if snapshot is None:
-        return None
-    import numpy as np
-
-    n_users, n_items = snapshot.num_users, snapshot.num_items
-    if n_users + n_items == 0:
-        return []
-    biadjacency = snapshot.biadjacency()
-    # Square block adjacency over users (rows 0..U-1) then items.
-    adjacency = sparse.bmat(
-        [[None, biadjacency], [biadjacency.T, None]], format="csr"
-    )
-    _, labels = csgraph.connected_components(adjacency, directed=False)
-    user_labels = labels[:n_users]
-    item_labels = labels[n_users:]
-    edge_counts = np.bincount(
-        user_labels[snapshot.user_idx], minlength=int(labels.max()) + 1
-    )
-    users_by_label: dict[int, set] = {}
-    for row, label in enumerate(user_labels):
-        users_by_label.setdefault(int(label), set()).add(snapshot.users[row])
-    items_by_label: dict[int, set] = {}
-    for column, label in enumerate(item_labels):
-        items_by_label.setdefault(int(label), set()).add(snapshot.items[column])
-    return [
-        Component(
-            users=frozenset(users_by_label.get(label, ())),
-            items=frozenset(items_by_label.get(label, ())),
-            edges=int(edge_counts[label]) if label < len(edge_counts) else 0,
-        )
-        for label in sorted(set(users_by_label) | set(items_by_label))
-    ]
-
-
 def graph_components(graph: BipartiteGraph) -> list[Component]:
     """Connected components with edge counts, in canonical order.
 
     Canonical order is largest-first by edge count, then node count, then
     smallest node id — the deterministic input the greedy packer needs so
-    plans are identical run to run and across the csgraph/BFS paths.
+    plans are identical run to run.
     """
-    components = _components_csgraph(graph)
-    if components is None:
-        components = [
-            Component(
-                users=frozenset(users),
-                items=frozenset(items),
-                edges=sum(graph.user_degree(user) for user in users),
-            )
-            for users, items in connected_components(graph)
-        ]
+    components = [
+        Component(
+            users=frozenset(users),
+            items=frozenset(items),
+            edges=sum(graph.user_degree(user) for user in users),
+        )
+        for users, items in connected_components(graph)
+    ]
     components.sort(key=Component.sort_key)
     return components
 

@@ -46,10 +46,7 @@ import os
 import zlib
 from pathlib import Path
 
-try:  # numpy is required for the array snapshots (same bar as graph.io)
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from .. import obs
 from ..config import RICDParams, ScreeningParams
@@ -61,7 +58,6 @@ from ..graph.io import read_graph_memmap, write_graph_memmap
 from ..resilience.faults import inject
 from .serialization import (
     memos_from_json,
-    memos_to_json,
     params_from_json,
     params_to_json,
     result_from_json,
@@ -134,8 +130,6 @@ class DetectionStore:
     @classmethod
     def create(cls, root: str | Path) -> "DetectionStore":
         """Initialise an empty store at ``root`` (which must not hold one)."""
-        if np is None:
-            raise RuntimeError("numpy is not installed; the store needs array IO")
         root = Path(root)
         if (root / "catalog.json").exists():
             raise StoreError(f"{root} already holds a detection store")
@@ -147,8 +141,6 @@ class DetectionStore:
     @classmethod
     def open(cls, root: str | Path) -> "DetectionStore":
         """Open an existing store, validating the catalog schema."""
-        if np is None:
-            raise RuntimeError("numpy is not installed; the store needs array IO")
         root = Path(root)
         catalog_path = root / "catalog.json"
         if not catalog_path.exists():

@@ -1,7 +1,5 @@
 """Tests for the FRAUDAR baseline."""
 
-import pytest
-
 from repro.baselines import FraudarDetector
 from repro.baselines.fraudar import peel_densest_block
 from repro.graph import BipartiteGraph

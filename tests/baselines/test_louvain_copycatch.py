@@ -2,8 +2,6 @@
 
 import time
 
-import pytest
-
 from repro.baselines import CopyCatchDetector, LouvainDetector
 from repro.baselines.copycatch import enumerate_bicliques
 from repro.graph import BipartiteGraph

@@ -1,7 +1,5 @@
 """Tests for Algorithm 3: CorePruning, SquarePruning, group extraction."""
 
-import pytest
-
 from repro.config import RICDParams
 from repro.core.extraction import (
     core_pruning,

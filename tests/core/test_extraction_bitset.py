@@ -8,6 +8,7 @@ unique regardless of evaluation order, and the engines must agree
 exactly).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,13 @@ from repro import obs
 from repro.config import RICDParams
 from repro.core.extraction import extract_groups, prune_to_fixpoint
 from repro.core.extraction_bitset import (
-    bitset_available,
+    _bitset_clear,
+    _bitset_count,
+    _bitset_full,
+    _bitset_indices,
+    _bitset_test,
+    _gather,
+    _recount_alive_degrees,
     extract_groups_bitset,
     prune_fixpoint_arrays,
     prune_to_fixpoint_bitset,
@@ -24,23 +31,6 @@ from repro.core.extraction_bitset import (
 from repro.graph import BipartiteGraph, from_click_records
 
 from ..conftest import make_biclique
-
-pytestmark = pytest.mark.skipif(
-    not bitset_available(), reason="numpy not installed"
-)
-
-if bitset_available():
-    import numpy as np
-
-    from repro.core.extraction_bitset import (
-        _bitset_clear,
-        _bitset_count,
-        _bitset_full,
-        _bitset_indices,
-        _bitset_test,
-        _gather,
-        _recount_alive_degrees,
-    )
 
 
 class TestBitsetPrimitives:

@@ -1,7 +1,10 @@
 """Tests for T_hot (Pareto rule) and T_click (Eq. 4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.thresholds import (
     classify_items,
     hot_items,
@@ -9,7 +12,7 @@ from repro.core.thresholds import (
     t_click_from_graph,
     t_click_threshold,
 )
-from repro.graph import BipartiteGraph
+from repro.graph import BipartiteGraph, from_click_records, side_stats
 
 
 @pytest.fixture()
@@ -150,3 +153,70 @@ class TestDegenerateInputs:
 
         result = RICDDetector(params=RICDParams(k1=4, k2=4)).detect(empty_graph)
         assert result.groups == []
+
+
+click_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=9).map(lambda n: f"u{n}"),
+        st.integers(min_value=0, max_value=9).map(lambda n: f"i{n}"),
+        # Small weights make cumulative sums land exactly on the Pareto
+        # mass target, the boundary the derivation must resolve inclusively.
+        st.integers(min_value=1, max_value=5),
+    ),
+    max_size=40,
+)
+
+
+def _expected_thresholds(graph, mass_fraction, t_hot):
+    """``(T_hot, T_click, hot, ordinary)`` recomputed from the edge table."""
+    totals = dict.fromkeys(graph.items(), 0)
+    for _user, item, clicks in graph.edges():
+        totals[item] += clicks
+    grand = sum(totals.values())
+    expected_t_hot = 1
+    cumulative = 0
+    for total in sorted(totals.values(), reverse=True):
+        cumulative += total
+        if grand and cumulative >= mass_fraction * grand:
+            expected_t_hot = max(total, 1)
+            break
+    stats = side_stats(graph, "user")
+    if stats.avg_clk <= 0 or stats.avg_cnt <= 0:
+        expected_t_click = 2
+    else:
+        expected_t_click = t_click_threshold(stats.avg_clk, stats.avg_cnt)
+    hot = {item for item, total in totals.items() if total >= t_hot}
+    return expected_t_hot, expected_t_click, hot, set(totals) - hot
+
+
+def _assert_thresholds_match(graph, mass_fraction, t_hot):
+    expected_t_hot, expected_t_click, hot, ordinary = _expected_thresholds(
+        graph, mass_fraction, t_hot
+    )
+    assert pareto_hot_threshold(graph, mass_fraction) == expected_t_hot
+    assert t_click_from_graph(graph) == expected_t_click
+    assert hot_items(graph, t_hot) == hot
+    assert classify_items(graph, t_hot) == (hot, ordinary)
+
+
+class TestThresholdsMatchEdgeTable:
+    """The array-backed derivations against values computed from ``edges()``."""
+
+    @given(
+        click_rows,
+        click_rows,
+        st.sampled_from([0.3, 0.5, 0.8, 0.95, 1.0]),
+        st.integers(min_value=1, max_value=30),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fresh_and_delta_merged_snapshots(self, first, appended, mass_fraction, t_hot):
+        graph = from_click_records(first)
+        _assert_thresholds_match(graph, mass_fraction, t_hot)
+        for user, item, clicks in appended:
+            graph.add_click(user, item, clicks)
+        with obs.recording(obs.Recorder()) as recorder:
+            _assert_thresholds_match(graph, mass_fraction, t_hot)
+        # The second pass read the delta-merged snapshot, not a rebuild.
+        assert recorder.counters.get("graph.indexed.misses", 0) == 0
+        if appended:
+            assert recorder.counters["graph.indexed.delta_builds"] == 1

@@ -1,9 +1,7 @@
 """Tests for scenario presets."""
 
-import pytest
-
 from repro.core.thresholds import pareto_hot_threshold, t_click_from_graph
-from repro.datagen import generate_scenario, small_scenario, tiny_scenario
+from repro.datagen import generate_scenario, tiny_scenario
 from repro.datagen import AttackConfig, MarketplaceConfig
 
 

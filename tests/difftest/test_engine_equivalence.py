@@ -3,7 +3,7 @@
 The repo has three pairs of paths that promise identical detection
 output:
 
-* the pure-Python **reference** extraction engine vs the scipy **sparse**
+* the pure-Python **reference** extraction engine vs the numpy **bitset**
   engine (and the ``auto`` switch between them);
 * the **serial** evaluation harness vs the ``jobs=2`` process-pool path;
 * running with an **active recorder** (``--trace``) vs without.
@@ -20,8 +20,7 @@ import pytest
 from repro import obs
 from repro.config import RICDParams
 from repro.core.extraction import extract_groups
-from repro.core.extraction_bitset import bitset_available, extract_groups_bitset
-from repro.core.extraction_sparse import extract_groups_sparse, sparse_available
+from repro.core.extraction_bitset import extract_groups_bitset
 from repro.core.framework import RICDDetector
 from repro.eval import run_suite
 from repro.eval.reporting import format_float, render_table
@@ -53,31 +52,17 @@ def _result_key(result):
     )
 
 
-needs_scipy = pytest.mark.skipif(not sparse_available(), reason="scipy not installed")
-needs_numpy = pytest.mark.skipif(not bitset_available(), reason="numpy not installed")
-
-
 class TestEngineEquivalence:
-    @needs_scipy
-    def test_extraction_engines_identical_groups(self, scenario):
-        params = RICDParams(k1=5, k2=5, t_hot=60, t_click=12)
-        reference = extract_groups(scenario.graph, params)
-        sparse = extract_groups_sparse(scenario.graph, params)
-        assert _group_set(reference) == _group_set(sparse)
-
-    @needs_numpy
     def test_bitset_extraction_identical_groups(self, scenario):
         params = RICDParams(k1=5, k2=5, t_hot=60, t_click=12)
         reference = extract_groups(scenario.graph, params)
         bitset = extract_groups_bitset(scenario.graph, params)
         assert _group_set(reference) == _group_set(bitset)
 
-    @needs_scipy
-    @needs_numpy
     def test_full_detector_identical_across_engines(self, scenario, shard_count):
         params = RICDParams(k1=5, k2=5)
         keys = {}
-        for engine in ("reference", "sparse", "bitset", "auto"):
+        for engine in ("reference", "bitset", "auto"):
             detector = RICDDetector(
                 params=params,
                 engine=engine,
@@ -85,11 +70,8 @@ class TestEngineEquivalence:
                 shards=shard_count,
             )
             keys[engine] = _result_key(detector.detect(scenario.graph))
-        assert (
-            keys["reference"] == keys["sparse"] == keys["bitset"] == keys["auto"]
-        )
+        assert keys["reference"] == keys["bitset"] == keys["auto"]
 
-    @needs_scipy
     def test_auto_threshold_does_not_change_output(self, scenario, shard_count):
         params = RICDParams(k1=5, k2=5)
         low = RICDDetector(

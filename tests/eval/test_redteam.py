@@ -8,7 +8,7 @@ from repro.config import RICDParams
 from repro.datagen import clean_marketplace, family_names
 from repro.errors import DataGenError
 from repro.eval.metrics import Metrics
-from repro.eval.robustness import FrontierPoint, RedTeamReport, red_team
+from repro.eval.robustness import FrontierPoint, red_team
 
 PARAMS = RICDParams(k1=4, k2=4)
 

@@ -149,3 +149,9 @@ class TestDetectCommand:
     def test_invalid_params_error(self, click_table, capsys):
         assert main(["detect", str(click_table), "--alpha", "3.0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_removed_sparse_engine_exits_2(self, click_table, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", str(click_table), "--engine", "sparse"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -196,7 +196,6 @@ class TestSetClickInvalidation:
         assert simple_graph.version == before
 
     def test_noop_set_click_keeps_indexed_snapshot_valid(self, simple_graph):
-        pytest.importorskip("numpy")
         snapshot = simple_graph.indexed()
         simple_graph.set_click("u1", "i1", simple_graph.get_click("u1", "i1"))
         assert simple_graph.indexed() is snapshot
@@ -221,7 +220,6 @@ class TestDeltaEventFlags:
 
     @staticmethod
     def _snapshots_equal(graph):
-        pytest.importorskip("numpy")
         from repro.graph.indexed import IndexedGraph
 
         # apply_delta appends new nodes after the base ordering (its
@@ -243,28 +241,24 @@ class TestDeltaEventFlags:
         assert content(delta_built) == content(rebuilt)
 
     def test_add_click_new_edge_existing_endpoints(self, simple_graph):
-        pytest.importorskip("numpy")
         simple_graph.indexed()  # arm the delta buffer
         simple_graph.add_click("u1", "i3", 2)  # endpoints exist, edge is new
         assert simple_graph._delta[-1] == ("edge", "u1", "i3", 2, True)
         self._snapshots_equal(simple_graph)
 
     def test_add_click_existing_edge_is_not_flagged_new(self, simple_graph):
-        pytest.importorskip("numpy")
         simple_graph.indexed()
         simple_graph.add_click("u1", "i1", 2)
         assert simple_graph._delta[-1] == ("edge", "u1", "i1", 2, False)
         self._snapshots_equal(simple_graph)
 
     def test_set_click_increase_on_new_edge_existing_endpoints(self, simple_graph):
-        pytest.importorskip("numpy")
         simple_graph.indexed()
         simple_graph.set_click("u2", "i2", 4)  # endpoints exist, edge is new
         assert simple_graph._delta[-1] == ("edge", "u2", "i2", 4, True)
         self._snapshots_equal(simple_graph)
 
     def test_mixed_delta_burst_matches_rebuild(self, simple_graph):
-        pytest.importorskip("numpy")
         simple_graph.indexed()
         simple_graph.add_click("u9", "i9", 1)      # both endpoints new
         simple_graph.add_click("u9", "i1", 3)      # new edge, one old endpoint

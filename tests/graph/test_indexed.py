@@ -8,17 +8,7 @@ from repro import obs
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.graph import (
-    BipartiteGraph,
-    IndexedGraph,
-    from_click_records,
-    indexed_available,
-    snapshot_or_none,
-)
-
-pytestmark = pytest.mark.skipif(
-    not indexed_available(), reason="numpy not installed"
-)
+from repro.graph import BipartiteGraph, IndexedGraph, from_click_records
 
 records = st.lists(
     st.tuples(
@@ -130,9 +120,6 @@ class TestMemoization:
 
 
 class TestHelpers:
-    def test_snapshot_or_none_returns_snapshot(self, simple_graph):
-        assert snapshot_or_none(simple_graph) is simple_graph.indexed()
-
     def test_from_graph_matches_accessor_ordering(self, simple_graph):
         direct = IndexedGraph.from_graph(simple_graph)
         memoized = simple_graph.indexed()
@@ -143,15 +130,6 @@ class TestHelpers:
         snapshot = BipartiteGraph().indexed()
         assert snapshot.num_users == snapshot.num_items == snapshot.num_edges == 0
         assert snapshot.total_clicks == 0
-
-    def test_biadjacency_cached_and_binary(self, simple_graph):
-        pytest.importorskip("scipy")
-        snapshot = simple_graph.indexed()
-        matrix = snapshot.biadjacency()
-        assert matrix is snapshot.biadjacency()
-        assert matrix.shape == (snapshot.num_users, snapshot.num_items)
-        assert matrix.sum() == snapshot.num_edges
-        assert set(matrix.data.tolist()) <= {1}
 
 
 class TestIncrementalMaintenance:

@@ -9,10 +9,7 @@ value, every raised error, and the full end state (including ``edges()``
 iteration order, which downstream canonicalization relies on).
 """
 
-import pytest
-
-np = pytest.importorskip("numpy")
-
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

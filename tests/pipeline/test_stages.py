@@ -137,13 +137,6 @@ class TestExtraction:
             Extraction().extract(small.graph, FIXED)
         assert recorder.gauges["detect.engine"] == "reference"
 
-    def test_sparse_without_scipy_raises(self, small, monkeypatch):
-        from repro.core import extraction_sparse
-
-        monkeypatch.setattr(extraction_sparse, "sparse_available", lambda: False)
-        with pytest.raises(RuntimeError, match="scipy"):
-            Extraction(engine="sparse").extract(small.graph, FIXED)
-
 
 class TestScreeningStage:
     def _extracted(self, small):

@@ -15,7 +15,6 @@ import pytest
 
 from repro import obs
 from repro.baselines import NaiveDetector
-from repro.config import RICDParams
 from repro.eval import run_suite
 from repro.eval.parallel import (
     MP_CONTEXT_ENV,

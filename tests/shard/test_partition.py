@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph import BipartiteGraph, connected_components, from_click_records
-from repro.shard.partition import (
-    Component,
-    ShardPlan,
-    _components_csgraph,
-    graph_components,
-    partition_graph,
-)
+from repro.shard.partition import ShardPlan, graph_components, partition_graph
 
 
 def _component_graph(n_components: int, users_per: int = 3, clicks: int = 2):
@@ -37,24 +31,6 @@ class TestGraphComponents:
             for users, items in connected_components(graph)
         }
         assert _as_sets(fast) == reference
-
-    def test_csgraph_path_matches_fallback(self, small):
-        graph = small.graph
-        via_csgraph = _components_csgraph(graph)
-        if via_csgraph is None:
-            pytest.skip("scipy not installed")
-        via_bfs = [
-            Component(
-                users=frozenset(users),
-                items=frozenset(items),
-                edges=sum(graph.user_degree(user) for user in users),
-            )
-            for users, items in connected_components(graph)
-        ]
-        assert _as_sets(via_csgraph) == _as_sets(via_bfs)
-        assert sorted(c.edges for c in via_csgraph) == sorted(
-            c.edges for c in via_bfs
-        )
 
     def test_edge_counts_sum_to_graph(self):
         graph = _component_graph(5)
@@ -122,13 +98,15 @@ class TestPartitionGraph:
         rows = [(f"c{c}:u{u}", f"c{c}:i{u % 2}", u + 1) for c in range(6) for u in range(4)]
         forward = partition_graph(from_click_records(rows), 3)
         backward = partition_graph(from_click_records(rows[::-1]), 3)
-        key = lambda plan: [
-            sorted(
-                (sorted(map(str, c.users)), sorted(map(str, c.items)), c.edges)
-                for c in shard
-            )
-            for shard in plan.shards
-        ]
+        def key(plan):
+            return [
+                sorted(
+                    (sorted(map(str, c.users)), sorted(map(str, c.items)), c.edges)
+                    for c in shard
+                )
+                for shard in plan.shards
+            ]
+
         assert key(forward) == key(backward)
 
     def test_invalid_shard_count(self):

@@ -9,8 +9,6 @@ references, at any injected fault point.
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro import obs
 from repro.errors import ReproError
 from repro.resilience.faults import injecting

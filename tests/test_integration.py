@@ -1,5 +1,12 @@
 """Cross-module integration tests: the full pipeline, end to end."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -20,6 +27,47 @@ class TestPublicAPI:
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
+
+
+class TestDependencies:
+    def test_runtime_paths_never_import_scipy(self):
+        """numpy is the only numeric dependency: scipy never loads at run time."""
+        script = textwrap.dedent(
+            """
+            import json
+            import sys
+
+            import repro
+            import repro.serve
+            import repro.shard
+            import repro.store
+            from repro.datagen import small_scenario
+            from repro.shard import partition_graph
+
+            graph = small_scenario().graph
+            repro.RICDDetector(
+                engine="auto", auto_engine_edge_threshold=1, shards=2
+            ).detect(graph)
+            plan = partition_graph(graph, 2)
+            print(json.dumps({
+                "shards": len(plan),
+                "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+            }))
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        report = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert report["shards"] == 2
+        assert report["scipy"] == []
 
 
 class TestEndToEnd:
