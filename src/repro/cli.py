@@ -8,7 +8,6 @@ Usage::
     ricd run fig8 --seed 7          # change the scenario seed
     ricd detect clicks.csv          # run RICD on a real click table
     ricd detect clicks.csv --k1 5 --k2 5 --output findings
-    ricd detect clicks.csv --shards 4 --jobs 4   # component-sharded detection
     ricd serve --replay clicks.csv  # stream the table through the online service
     ricd serve --replay clicks.csv --rate 50000 --max-batch 2000
     ricd server --store ./store     # detection-as-a-service over HTTP
@@ -115,41 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     detect_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "partition the graph into up to N component-aligned shards and "
-            "detect per shard — the same pipeline run under its sharded "
-            "execution strategy (identical output; 1 = unsharded, default)"
-        ),
-    )
-    detect_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for the per-shard fan-out when --shards > 1; "
-            "1 runs shards serially (default)"
-        ),
-    )
-    detect_parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help=(
-            "bounded retries (with backoff) for transient per-shard/worker "
-            "failures before the serial fallback; 0 disables (default)"
-        ),
-    )
-    detect_parser.add_argument(
         "--deadline",
         type=float,
         default=None,
         metavar="SECONDS",
         help=(
-            "soft wall-clock budget: on expiry stragglers are abandoned and "
-            "the run completes serially, marked degraded (default: none)"
+            "soft wall-clock budget: on expiry the feedback loop stops "
+            "relaxing and the run is marked degraded (default: none)"
         ),
     )
     detect_parser.add_argument(
@@ -422,12 +393,9 @@ def _run_detect(args: argparse.Namespace) -> int:
             max_group_users=args.max_group_users or None,
             engine=args.engine,
             auto_engine_edge_threshold=args.auto_engine_threshold,
-            shards=args.shards,
-            shard_jobs=args.jobs,
-            retries=args.retries,
             deadline=args.deadline,
         )
-    except ValueError as error:  # shards/jobs/retries/deadline out of range
+    except ValueError as error:  # deadline out of range
         print(f"error: {error}", file=sys.stderr)
         return 2
     with _trace_scope(args) as recorder:
@@ -437,7 +405,6 @@ def _run_detect(args: argparse.Namespace) -> int:
                     "command": "detect",
                     "input": str(args.click_table),
                     "engine": args.engine,
-                    "shards": args.shards,
                 }
             )
         result = detector.detect(graph)

@@ -18,11 +18,10 @@ prescribes (Pareto rule for ``T_hot``, Eq. 4 for ``T_click``).
 
 Since the pipeline refactor the detector no longer sequences the modules
 itself: :meth:`RICDDetector.detect` builds a
-:class:`~repro.pipeline.runner.DetectionPipeline` — shared stage objects
-plus an execution strategy (single-graph or sharded) — and runs it.  The
-sharded runner, the incremental recheck and the baselines' "+UI" wrapper
-compose the very same stages, so the framework's behaviour is defined in
-exactly one place: :mod:`repro.pipeline`.
+:class:`~repro.pipeline.runner.DetectionPipeline` from shared stage
+objects and runs it.  The incremental recheck and the baselines' "+UI"
+wrapper compose the very same stages, so the framework's behaviour is
+defined in exactly one place: :mod:`repro.pipeline`.
 """
 
 from __future__ import annotations
@@ -43,12 +42,9 @@ from ..pipeline import (
     ResolveThresholds,
     Screening,
     SeedExpansion,
-    ShardedExecution,
-    SingleGraphExecution,
     SizeCaps,
     run_stages,
 )
-from ..resilience import RetryPolicy
 from .groups import DetectionResult, SuspiciousGroup
 from .thresholds import pareto_hot_threshold, t_click_from_graph
 
@@ -118,28 +114,10 @@ class RICDDetector:
         reference to the bitset engine.  The 20k default is where the
         bitset kernel's fixed costs amortise on typical marketplaces;
         benchmarks and the CLI can tune it per workload.
-    shards:
-        ``> 1`` partitions the click graph into that many (at most)
-        component-aligned shards and runs extraction + screening per
-        shard with globally resolved thresholds — identical output to
-        the unsharded path (see :mod:`repro.shard.runner` for the
-        argument, ``tests/shard/`` for the proof-by-test).  ``1`` (the
-        default) keeps the classic single-graph path.
-    shard_jobs:
-        Worker processes for the per-shard fan-out when ``shards > 1``;
-        ``1`` runs shards in-line.  Like ``jobs`` elsewhere, wall-clock
-        wins need real cores.
-    retries:
-        Bounded retries for transient per-shard / per-worker failures
-        (``0`` disables, reproducing the pre-resilience behaviour where
-        a broken pool fell straight through to the serial path).  Each
-        retry backs off exponentially with deterministic jitter; see
-        :class:`repro.resilience.RetryPolicy`.
     deadline:
         Soft wall-clock budget in seconds for one ``detect`` call, or
-        ``None`` for unbounded.  Expiry never aborts the run: stragglers
-        are abandoned, remaining work completes serially, the feedback
-        loop stops relaxing, and the result carries explicit
+        ``None`` for unbounded.  Expiry never aborts the run: the
+        feedback loop stops relaxing and the result carries explicit
         ``degraded`` provenance.
 
     Examples
@@ -162,9 +140,6 @@ class RICDDetector:
     strict_feedback: bool = False
     engine: str = "reference"
     auto_engine_edge_threshold: int = 20_000
-    shards: int = 1
-    shard_jobs: int = 1
-    retries: int = 0
     deadline: float | None = None
 
     #: Lazily built memoized threshold resolver (one per detector, so the
@@ -198,12 +173,6 @@ class RICDDetector:
             raise ValueError(
                 f"engine must be 'reference', 'bitset' or 'auto', got {self.engine!r}"
             )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_jobs < 1:
-            raise ValueError(f"shard_jobs must be >= 1, got {self.shard_jobs}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
 
@@ -242,27 +211,12 @@ class RICDDetector:
             ),
         )
 
-    def build_pipeline(self, sharded: bool | None = None) -> DetectionPipeline:
-        """Assemble the detection plan this detector's ``detect`` runs.
-
-        ``sharded`` forces the execution strategy; ``None`` (the default)
-        follows ``self.shards``.  The sharded runner passes ``True`` so
-        ``detect_sharded`` exercises the partition + merge machinery even
-        with ``shards = 1`` (the metamorphic suite's base case).
-        """
-        use_sharded = self.shards > 1 if sharded is None else sharded
-        retry = RetryPolicy(max_retries=self.retries) if self.retries > 0 else None
-        strategy = (
-            ShardedExecution(
-                modules=self, shards=self.shards, jobs=self.shard_jobs, retry=retry
-            )
-            if use_sharded
-            else SingleGraphExecution(modules=self)
-        )
+    def build_pipeline(self) -> DetectionPipeline:
+        """Assemble the detection plan this detector's ``detect`` runs."""
         return DetectionPipeline(
             thresholds=self._thresholds(),
             seed=SeedExpansion(hops=2),
-            strategy=strategy,
+            modules=self,
             identify=Identification(),
             feedback=(
                 FeedbackDriver(self.feedback, strict=self.strict_feedback)
@@ -291,10 +245,9 @@ class RICDDetector:
     ) -> list[SuspiciousGroup]:
         """Modules 1 + 2 with the given (possibly relaxed) parameters.
 
-        The unit of work every execution strategy schedules — in-line, per
-        shard, or in a pool worker — and the seam the incremental layer's
-        dirty-region recheck reuses.  Subclass overrides therefore apply
-        in every execution mode.
+        The unit of work each pipeline round runs and the seam the
+        incremental layer's dirty-region recheck reuses, so subclass
+        overrides apply on both paths.
         """
         ctx = PipelineContext(graph=graph, params=params, screening=screening, timer=timer)
         run_stages(ctx, self._module_stages())

@@ -83,14 +83,12 @@ class DetectionResult:
         (0 when the first run met the expectation or no loop was used).
     degraded:
         ``True`` when the run absorbed a graceful-degradation event (a
-        shard fell back to the full-graph pass, a deadline truncated the
-        feedback loop).  The *detection output* of a shard fallback is
-        identical to the fault-free run by the locality argument in
-        :mod:`repro.shard.runner`; wall-clocks of degraded runs are not
-        benchmark-comparable.
+        deadline or a failed round truncated the feedback loop, which
+        then returned the best output seen so far); wall-clocks of
+        degraded runs are not benchmark-comparable.
     degradations:
-        Per-event provenance, e.g. ``("shard.2", "shard.3")`` — exactly
-        which units fell back.
+        Per-event provenance, e.g. ``("feedback.round1",)`` — exactly
+        which step was cut short.
     stale:
         Set by :class:`~repro.core.incremental.IncrementalRICD` when a
         recheck failed and this (previous, still valid) result was kept;

@@ -108,8 +108,8 @@ def straddle_anchors(
     Component-straddling camouflage: each returned item anchors the
     campaign into a different organic user's community, so a node-level
     (hash/range) partition of the graph would scatter the attack group
-    across workers while the component-aligned shard layer keeps it
-    whole.  Anchor users are sampled without replacement; from each, the
+    across workers, leaving each a fragment below the core floors.
+    Anchor users are sampled without replacement; from each, the
     least-clicked neighbouring item is chosen (cheap to ride, unlikely to
     be hot).
     """

@@ -211,7 +211,7 @@ class InjectedFaultError(TransientWorkerError):
     ----------
     site:
         The instrumentation site that fired (``"worker"``,
-        ``"extraction"``, ``"shard_merge"``, ...).
+        ``"extraction"``, ``"feedback"``, ...).
     kind:
         The fault flavour: ``"error"`` for a plain injected exception, or
         ``"crash"`` when a crash was requested in a process that must not

@@ -33,21 +33,13 @@ counters add) and keeps per-worker task counts under
 ``parallel.worker<N>.tasks``, with worker slots numbered by order of
 first result so traces are stable run to run.
 
-The same machinery also fans out *one* detection: the pipeline layer's
-sharded execution strategy
-(:class:`~repro.pipeline.execution.ShardedExecution`) submits one task
-per shard subgraph through :func:`run_shards_parallel`, with the
-detector and its globally resolved thresholds shipped once via the pool
-initializer.
-
-Entry points are not called directly: pass ``jobs=`` to
-:func:`repro.eval.harness.run_suite` or
-:func:`repro.eval.sweeps.sensitivity_sweep` (or ``--jobs`` on the CLI),
-which delegate here when ``jobs > 1`` and keep the serial fallback
-otherwise; sharded detection delegates via ``RICDDetector(shards=...,
-shard_jobs=...)``.  Wall-clock wins require actual cores; on a single-CPU host
-the fork/pickle overhead makes ``jobs=1`` the right setting, which is why
-it stays the default.
+Pass ``jobs=`` to :func:`repro.eval.harness.run_suite` or
+:func:`repro.eval.sweeps.sensitivity_sweep` (or ``--jobs`` on
+``ricd run``), which delegate here when ``jobs > 1`` and keep the serial
+fallback otherwise; call :func:`run_suite_parallel` directly to set a
+retry policy or deadline.  Wall-clock wins require actual cores; on a
+single-CPU host the fork/pickle overhead makes ``jobs=1`` the right
+setting, which is why it stays the default.
 """
 
 from __future__ import annotations
@@ -57,7 +49,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .. import obs
@@ -68,20 +59,12 @@ from ..resilience.faults import inject
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..baselines import Detector
     from ..config import RICDParams, ScreeningParams
-    from ..core.framework import RICDDetector
-    from ..core.groups import SuspiciousGroup
     from ..datagen.scenario import Scenario
-    from ..graph.bipartite import BipartiteGraph
     from .groundtruth import KnownLabels
     from .harness import DetectorRun
     from .sweeps import SweepPoint
 
-__all__ = [
-    "run_suite_parallel",
-    "sensitivity_sweep_parallel",
-    "run_shards_parallel",
-    "TaskFailure",
-]
+__all__ = ["run_suite_parallel", "sensitivity_sweep_parallel"]
 
 #: Per-worker shared state, installed once by the pool initializer.
 _WORKER_STATE: dict = {}
@@ -89,19 +72,6 @@ _WORKER_STATE: dict = {}
 #: Environment override for the pool start method (``fork`` / ``spawn``);
 #: used by the CI spawn-context job and the spawn determinism tests.
 MP_CONTEXT_ENV = "RICD_MP_CONTEXT"
-
-
-@dataclass
-class TaskFailure:
-    """Sentinel result for a task that failed even its serial fallback.
-
-    Only produced when the caller opts in with ``capture_failures=True``
-    (the sharded execution strategy, which degrades to a full-graph pass
-    on shard failure); every other caller sees the exception propagate.
-    """
-
-    index: int
-    error: Exception
 
 
 def _context_name() -> str:
@@ -198,7 +168,6 @@ def _fan_out(
     serial_fallback,
     retry: "RetryPolicy | None" = None,
     deadline: "Deadline | None" = None,
-    capture_failures: bool = False,
 ) -> list:
     """Common scatter/gather: submit every task, survive a broken pool.
 
@@ -215,11 +184,8 @@ def _fan_out(
        the serial fallback; no retries are attempted past the deadline.
     3. Tasks still unfinished after 1–2 are recovered by calling
        ``serial_fallback(task)`` in the parent
-       (``resilience.fallbacks``); a fallback that *also* raises either
-       propagates or — with ``capture_failures=True`` — becomes a
-       :class:`TaskFailure` sentinel in the result list, so callers with
-       their own degradation story (the sharded strategy) see exactly
-       which tasks died.
+       (``resilience.fallbacks``); a fallback that *also* raises
+       propagates.
 
     Genuine (non-transient) exceptions from the task body always
     propagate: retrying a deterministic failure cannot fix it.
@@ -287,12 +253,7 @@ def _fan_out(
         if index not in lost_timed_out:
             obs.count("parallel.broken_pool_recoveries")
         obs.count("resilience.fallbacks")
-        try:
-            results[index] = serial_fallback(tasks[index])
-        except TransientWorkerError as error:
-            if not capture_failures:
-                raise
-            results[index] = TaskFailure(index, error)
+        results[index] = serial_fallback(tasks[index])
     if lost and merger.tracing:
         obs.gauge("parallel.degraded", True)
     merger.finish()
@@ -357,86 +318,6 @@ def run_suite_parallel(
         recover,
         retry=retry,
         deadline=deadline,
-    )
-
-
-# ----------------------------------------------------------------------
-# sharded detection fan-out: one worker task per shard subgraph
-# ----------------------------------------------------------------------
-def _init_shard_worker(
-    detector: "RICDDetector",
-    params: "RICDParams",
-    screening: "ScreeningParams",
-    trace: bool,
-) -> None:
-    _WORKER_STATE["detector"] = detector
-    _WORKER_STATE["params"] = params
-    _WORKER_STATE["screening"] = screening
-    _WORKER_STATE["trace"] = trace
-
-
-def _run_one_shard(
-    payload: tuple[int, tuple[int, "BipartiteGraph"]],
-) -> tuple[int, "list[SuspiciousGroup]", dict | None, int]:
-    from .._util import Stopwatch
-
-    index, (shard_index, shard_graph) = payload
-
-    def task() -> "list[SuspiciousGroup]":
-        # The span prefixes everything the shard records (extraction,
-        # screening, counters via merge) under shard.<i>, so a merged
-        # trace reads like the serial sharded run's.
-        with obs.span(f"shard.{shard_index}"):
-            return _WORKER_STATE["detector"]._run_modules(
-                shard_graph,
-                _WORKER_STATE["params"],
-                _WORKER_STATE["screening"],
-                Stopwatch(),
-            )
-
-    groups, trace, pid = _run_traced(task)
-    return index, groups, trace, pid
-
-
-def run_shards_parallel(
-    detector: "RICDDetector",
-    shard_graphs: "list[BipartiteGraph]",
-    params: "RICDParams",
-    screening: "ScreeningParams",
-    jobs: int,
-    retry: "RetryPolicy | None" = None,
-    deadline: "Deadline | None" = None,
-    capture_failures: bool = False,
-) -> "list[list[SuspiciousGroup] | TaskFailure]":
-    """Run modules 1 + 2 over every shard across ``jobs`` processes.
-
-    The detector (with its *resolved* global parameters — thresholds are
-    never re-derived in a worker) ships once through the pool
-    initializer; tasks carry only their shard subgraph.  Per-shard group
-    lists come back in shard order.  A shard whose worker died is
-    retried per ``retry``, then re-run serially in the parent; with
-    ``capture_failures=True`` a shard that fails even the serial re-run
-    comes back as a :class:`TaskFailure` (the sharded strategy's cue to
-    degrade to a full-graph pass) instead of aborting the fan-out.
-    """
-
-    def recover(pair: tuple[int, "BipartiteGraph"]) -> "list[SuspiciousGroup]":
-        from .._util import Stopwatch
-
-        shard_index, shard_graph = pair
-        with obs.span(f"shard.{shard_index}"):
-            return detector._run_modules(shard_graph, params, screening, Stopwatch())
-
-    return _fan_out(
-        list(enumerate(shard_graphs)),
-        _run_one_shard,
-        _init_shard_worker,
-        (detector, params, screening, obs.current() is not None),
-        jobs,
-        recover,
-        retry=retry,
-        deadline=deadline,
-        capture_failures=capture_failures,
     )
 
 

@@ -1,21 +1,13 @@
-"""Composable detection pipeline: stages, feedback, execution strategies.
+"""Composable detection pipeline: stages, feedback, the runner.
 
 This package is the single orchestration seam for the RICD framework.
-The four entry points that used to hand-assemble Fig. 4 — the
-single-graph detector, the sharded runner, the incremental recheck and
-the baselines' "+UI" wrapper — now compose the stage objects defined
-here and run them through one :class:`DetectionPipeline`.
+The entry points that used to hand-assemble Fig. 4 — the detector, the
+incremental recheck and the baselines' "+UI" wrapper — compose the
+stage objects defined here; the detector runs them through one
+:class:`DetectionPipeline`.
 """
 
 from .context import PipelineContext
-from .execution import (
-    ExecutionStrategy,
-    ModulesRunner,
-    ShardedExecution,
-    SingleGraphExecution,
-    group_sort_key,
-    merge_groups,
-)
 from .feedback import FeedbackDriver
 from .runner import DetectionPipeline
 from .stages import (
@@ -42,11 +34,5 @@ __all__ = [
     "run_stages",
     "shared_thresholds",
     "FeedbackDriver",
-    "ExecutionStrategy",
-    "ModulesRunner",
-    "SingleGraphExecution",
-    "ShardedExecution",
-    "group_sort_key",
-    "merge_groups",
     "DetectionPipeline",
 ]

@@ -6,8 +6,8 @@ possibly feedback-relaxed — parameter pair, the stopwatch that produces
 ``DetectionResult.timings``, and the group list flowing from extraction
 through screening into identification.  Stages communicate exclusively
 through it, which is what lets the same :class:`~repro.pipeline.stages`
-instances serve the single-graph, sharded, incremental and baseline
-("+UI") orchestrations without knowing which one is running.
+instances serve the detector, incremental and baseline ("+UI")
+orchestrations without knowing which one is running.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ class PipelineContext:
         modules run on a pruned ``working`` graph.
     working:
         The graph modules 1 + 2 actually run on: the seed-expanded
-        neighbourhood when business seeds were given, a shard subgraph
-        inside :class:`~repro.pipeline.execution.ShardedExecution`, the
-        dirty region during an incremental recheck, or ``graph`` itself.
+        neighbourhood when business seeds were given, the dirty region
+        during an incremental recheck, or ``graph`` itself.
     params, screening:
         The current parameter pair.  The feedback driver replaces these
         with relaxed copies between rounds; stages must read them from
@@ -63,14 +62,13 @@ class PipelineContext:
     feedback_rounds:
         Rounds the Fig. 7 driver performed (0 when no loop ran).
     deadline:
-        The run's soft wall-clock budget, or ``None``.  The execution
-        strategy stops waiting on pool stragglers and the feedback
+        The run's soft wall-clock budget, or ``None``.  The feedback
         driver stops relaxing once it expires; the run always finishes
-        (serially, possibly degraded).
+        (possibly degraded).
     degradations:
         Provenance of every graceful-degradation event this run absorbed
-        (``"shard.2"``, ``"feedback.round1"``, ...).  Non-empty marks
-        the assembled result ``degraded``.
+        (``"feedback.round1"``, ``"feedback.deadline"``).  Non-empty
+        marks the assembled result ``degraded``.
     """
 
     graph: "BipartiteGraph"

@@ -1,13 +1,10 @@
 """The Fig. 7 feedback parameter-adjustment loop, implemented once.
 
-Before the pipeline layer existed this loop was written out twice — in
-``RICDDetector._detect`` and again in ``shard.runner.detect_sharded`` —
-and the two copies had already started to drift (the sharded copy
-re-counted its rounds separately).  :class:`FeedbackDriver` is now the
-only implementation: it relaxes the context's parameter pair with
-:func:`repro.core.identification.adjust_parameters` and re-invokes
-whatever round-runner the active execution strategy provides, so the
-single-graph and sharded paths loop identically by construction.
+:class:`FeedbackDriver` relaxes the context's parameter pair with
+:func:`repro.core.identification.adjust_parameters` and re-invokes the
+pipeline's round-runner (:meth:`DetectionPipeline.run_round
+<repro.pipeline.runner.DetectionPipeline.run_round>`) until the output
+meets the end-user expectation.
 """
 
 from __future__ import annotations
@@ -58,9 +55,7 @@ class FeedbackDriver:
 
         ``screened`` is round zero's output (already computed by the
         caller).  Each relaxation round rewrites ``ctx.params`` /
-        ``ctx.screening`` — the execution strategy reads them from the
-        context, so every shard of a sharded run sees the same relaxed
-        values, exactly as the unsharded loop re-runs the whole graph.
+        ``ctx.screening``, which ``run_round`` reads from the context.
         Records the round count on ``ctx.feedback_rounds``.
 
         Resilience: the loop honours ``ctx.deadline`` — no new

@@ -1,13 +1,12 @@
 """The detection pipeline runner: one orchestration for every path.
 
 :class:`DetectionPipeline` wires the stage instances together in the
-Fig. 4 order — threshold resolution, seed expansion, an execution
-strategy driving modules 1 + 2 (optionally re-driven by the Fig. 7
-feedback loop), then identification — and produces a fully populated
+Fig. 4 order — threshold resolution, seed expansion, modules 1 + 2 over
+the working graph (optionally re-driven by the Fig. 7 feedback loop),
+then identification — and produces a fully populated
 :class:`~repro.core.groups.DetectionResult`.  The detector's ``detect``
-builds a plan (stages + strategy) and hands it here; the sharded runner
-builds the same plan with :class:`ShardedExecution` swapped in.  Neither
-re-implements sequencing, timing, or the feedback loop.
+builds a plan and hands it here; nothing else re-implements sequencing,
+timing, or the feedback loop.
 """
 
 from __future__ import annotations
@@ -19,13 +18,13 @@ from .. import obs
 from .._util import Stopwatch
 from ..resilience import Deadline
 from .context import PipelineContext
-from .execution import ExecutionStrategy
 from .feedback import FeedbackDriver
 from .stages import Identification, ResolveThresholds, SeedExpansion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import RICDParams, ScreeningParams
-    from ..core.groups import DetectionResult
+    from ..core.framework import RICDDetector
+    from ..core.groups import DetectionResult, SuspiciousGroup
     from ..graph.bipartite import BipartiteGraph
 
 __all__ = ["DetectionPipeline"]
@@ -41,9 +40,9 @@ class DetectionPipeline:
         The shared head and tail stages.  ``thresholds`` is typically the
         owning detector's memoized resolver so repeated runs reuse the
         derived marketplace statistics.
-    strategy:
-        Where rounds execute: :class:`SingleGraphExecution` or
-        :class:`ShardedExecution`.
+    modules:
+        The detector whose ``_run_modules`` (extraction → screening →
+        size caps) each round runs, so subclass overrides apply.
     feedback:
         The Fig. 7 driver, or ``None`` when the detector runs without a
         feedback policy.  Either way ``detect.feedback_rounds`` is
@@ -51,18 +50,23 @@ class DetectionPipeline:
         feedback-disabled runs line up.
     deadline_seconds:
         Soft wall-clock budget for the whole detection, or ``None``.
-        The clock starts when :meth:`run` is entered; expiry routes
-        remaining parallel work through the serial fallback and stops
-        new feedback rounds — the run always completes, possibly marked
+        The clock starts when :meth:`run` is entered; expiry stops new
+        feedback rounds — the run always completes, possibly marked
         degraded, never truncated silently.
     """
 
     thresholds: ResolveThresholds
     seed: SeedExpansion
-    strategy: ExecutionStrategy
+    modules: "RICDDetector"
     identify: Identification
     feedback: "FeedbackDriver | None" = None
     deadline_seconds: "float | None" = None
+
+    def run_round(self, ctx: PipelineContext) -> "list[SuspiciousGroup]":
+        """Modules 1 + 2 over the working graph under the context's parameters."""
+        return self.modules._run_modules(
+            ctx.working_graph(), ctx.params, ctx.screening, ctx.timer
+        )
 
     def run(
         self,
@@ -84,10 +88,9 @@ class DetectionPipeline:
         )
         self.thresholds.run(ctx)
         self.seed.run(ctx)
-        self.strategy.prepare(ctx)
-        screened = self.strategy.run_round(ctx)
+        screened = self.run_round(ctx)
         if self.feedback is not None:
-            screened = self.feedback.drive(ctx, screened, self.strategy.run_round)
+            screened = self.feedback.drive(ctx, screened, self.run_round)
         obs.count("detect.feedback_rounds", ctx.feedback_rounds)
         ctx.groups = screened
         self.identify.run(ctx)

@@ -2,12 +2,11 @@
 
 Every stage is a small, reusable object with a ``name`` and a
 ``run(ctx)`` that reads and writes the shared
-:class:`~repro.pipeline.context.PipelineContext`.  The four
-orchestrations that used to hand-assemble the framework — the
-single-graph detector, the sharded runner, the incremental recheck and
-the baselines' "+UI" wrapper — now compose these same instances, so a
-behaviour fix (or a new obs counter) lands in one place and every path
-inherits it.
+:class:`~repro.pipeline.context.PipelineContext`.  The orchestrations
+that used to hand-assemble the framework — the detector, the
+incremental recheck and the baselines' "+UI" wrapper — now compose
+these same instances, so a behaviour fix (or a new obs counter) lands
+in one place and every path inherits it.
 
 Observability names are part of each stage's contract: spans
 (``thresholds`` / ``seed_expansion`` / ``extraction`` / ``screening`` /

@@ -2,15 +2,15 @@
 
 The paper deploys RICD as a production service over a 20M-user click
 table (Section VII), where worker crashes, stragglers and partial
-failures are routine.  This package gives every fan-out execution path —
-the evaluation pool, the sharded strategy, the feedback loop and the
-incremental recheck — one shared vocabulary for surviving them:
+failures are routine.  This package gives every path that can fail
+part-way — the evaluation pool, the feedback loop, the incremental
+recheck and the store — one shared vocabulary for surviving them:
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   deterministic jitter (seeded, so two runs back off identically);
-* :class:`Deadline` — a monotonic soft budget; expiry cancels stragglers
-  and routes the remaining work through the serial fallback instead of
-  killing the detection;
+* :class:`Deadline` — a monotonic soft budget; expiry abandons pool
+  stragglers to the serial fallback and stops new feedback rounds
+  instead of killing the detection;
 * :class:`FaultInjector` / :func:`inject` — an env-gated test harness
   that fires probabilistic or targeted worker crashes, task hangs and
   exceptions at stage boundaries; production code pays one ``None``

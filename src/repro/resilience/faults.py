@@ -1,10 +1,11 @@
 """Env-gated fault injection for the resilience test harness.
 
 Production code paths call :func:`inject` at stage boundaries (worker
-task start, extraction, screening, shard merge, feedback round,
-incremental recheck, streaming-service ingest).  When no injector is installed the call is one
-module-global read plus a ``None`` check — no RNG, no dict lookups — so
-the fault hooks are effectively free outside the test matrix.
+task start, extraction, screening, feedback round, incremental recheck,
+streaming-service ingest, store write).  When no injector is installed
+the call is one module-global read plus a ``None`` check — no RNG, no
+dict lookups — so the fault hooks are effectively free outside the test
+matrix.
 
 Activation happens two ways, both covered by :func:`injecting`:
 
@@ -54,7 +55,6 @@ SITES = (
     "worker",
     "extraction",
     "screening",
-    "shard_merge",
     "feedback",
     "recheck",
     "ingest",

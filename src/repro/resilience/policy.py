@@ -1,7 +1,6 @@
 """Retry and deadline policies shared by every execution path.
 
-Both objects are deliberately tiny and dependency-free: a policy must be
-picklable (it rides into pool workers with the execution strategy) and
+Both objects are deliberately tiny and dependency-free, so they are
 cheap to consult on hot paths.
 """
 
@@ -92,9 +91,9 @@ class Deadline:
     """A soft wall-clock budget anchored at creation time.
 
     A deadline never aborts a detection by itself: expiry means "stop
-    waiting on stragglers and finish the remaining work serially", so
-    the result is always complete — possibly marked degraded, never
-    silently truncated.  Construct with :meth:`start`, which maps
+    waiting on pool stragglers (they finish serially in the parent) and
+    open no new feedback rounds", so the result is always complete —
+    possibly marked degraded, never silently truncated.  Construct with :meth:`start`, which maps
     ``None`` to "no deadline" so call sites stay branch-free.
 
     ``clock`` is an optional ``() -> float`` time source replacing

@@ -1,35 +1,25 @@
-"""Component-sharded detection: partition the click graph, detect per shard.
+"""Multi-region detection: one persistent store per region.
 
-``(alpha, k1, k2)``-extension bicliques are connected subgraphs, so they
-can never span two connected components of the user-item click graph.
-That makes partition-and-merge a *semantics-preserving* scaling layer for
-the RICD pipeline: split the graph into shards that are unions of whole
-components, run the full extraction → screening pipeline per shard with
-**globally** resolved thresholds, and merge the per-shard groups.  The
-formal argument lives in :mod:`repro.shard.runner`'s docstring; the
-metamorphic test suite in ``tests/shard/`` pins it.
+Production marketplaces run regional deployments that each keep their
+own durable state, while the fake-click thresholds stay marketplace-wide
+statistics.  :mod:`repro.shard.regions` gives each region its own
+:class:`~repro.store.DetectionStore`, resolves ``T_hot``/``T_click``
+once on the union of the region graphs, and folds the per-region
+results through one canonical merge order.
 
 Public surface:
 
-* :func:`repro.shard.partition.partition_graph` — component discovery plus
-  greedy balanced bin-packing into a :class:`~repro.shard.partition.ShardPlan`;
-* :func:`repro.shard.runner.detect_sharded` — the orchestrator
-  :class:`~repro.core.framework.RICDDetector` delegates to when
-  ``shards > 1`` (also reachable via ``ricd detect --shards N``);
-* :class:`repro.shard.regions.RegionalStores` — the same
-  global-thresholds + canonical-merge contract extended to one
-  persistent :class:`~repro.store.DetectionStore` per region.
+* :class:`repro.shard.regions.RegionalStores` — the on-disk layout
+  (``<root>/<region>/``) with ingest, checkpoint and merged reads;
+* :func:`repro.shard.regions.detect_regions` — global-threshold
+  detection over in-memory region graphs;
+* :func:`repro.shard.regions.merge_groups` — the canonical total-order
+  group merge.
 """
 
-from .partition import ShardPlan, graph_components, partition_graph
-from .regions import RegionalStores, RegionReport, detect_regions
-from .runner import detect_sharded, merge_groups
+from .regions import RegionalStores, RegionReport, detect_regions, merge_groups
 
 __all__ = [
-    "ShardPlan",
-    "graph_components",
-    "partition_graph",
-    "detect_sharded",
     "merge_groups",
     "RegionalStores",
     "RegionReport",

@@ -5,8 +5,8 @@ own click traffic and keeps its own durable state, but fake-click
 thresholds are *marketplace* statistics — Section IV derives ``T_hot``
 (Pareto rule) and ``T_click`` (Eq. 4) from the global click distribution,
 and a cold region resolving them locally would misclassify its items
-(the exact failure mode the shard layer's threshold-globality tests pin).
-This module extends that contract from shards to stores:
+(a local Pareto cutoff over a quiet region promotes ordinary items to
+"hot").  This module therefore keeps:
 
 * **one :class:`~repro.store.DetectionStore` per region** under a common
   root (``<root>/<region>/``), each with its own version history, warm
@@ -16,17 +16,18 @@ This module extends that contract from shards to stores:
   region's detector, and persisted into every region's store so a
   region resumed in isolation still detects with marketplace-level
   thresholds;
-* **canonical merge** — per-region groups fold through the shard
-  layer's :func:`~repro.pipeline.execution.merge_groups` total order,
-  so the merged result is byte-stable regardless of region count or
-  iteration order.
+* **canonical merge** — per-region groups fold through the
+  :func:`merge_groups` total order, so the merged result is byte-stable
+  regardless of region count or iteration order.
 
-The locality argument from :mod:`repro.shard.runner` carries over
-unchanged *when regions partition the click graph component-wise* —
-which regional deployments satisfy by construction (a user clicks in
-their region).  Node ids shared across regions are merged
-conservatively: suspicious anywhere means suspicious globally, and a
-score is the maximum over regions.
+Per-region detection equals detection over the union graph *when
+regions partition the click graph component-wise* — which regional
+deployments satisfy by construction (a user clicks in their region).
+An ``(alpha, k1, k2)``-extension biclique is connected, so it lives in
+one component; pruning, screening and risk scoring read only a node's
+own neighbourhood, which a whole component keeps intact.  Node ids
+shared across regions are merged conservatively: suspicious anywhere
+means suspicious globally, and a score is the maximum over regions.
 """
 
 from __future__ import annotations
@@ -37,16 +38,50 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .. import obs
 from ..core.framework import RICDDetector
-from ..core.groups import DetectionResult
+from ..core.groups import DetectionResult, SuspiciousGroup
 from ..errors import StoreError
 from ..graph.bipartite import BipartiteGraph
-from ..pipeline.execution import merge_groups
 from ..store import DetectionStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import RICDParams, ScreeningParams
 
-__all__ = ["RegionalStores", "RegionReport", "detect_regions"]
+__all__ = [
+    "RegionalStores",
+    "RegionReport",
+    "detect_regions",
+    "group_sort_key",
+    "merge_groups",
+]
+
+
+def group_sort_key(group: SuspiciousGroup) -> tuple:
+    """Total order over groups: size-descending, then sorted member ids.
+
+    A *total* order (unlike the screening module's size/min-user key) is
+    what makes the merged list independent of region count and arrival
+    order — two distinct groups can never compare equal.
+    """
+    return (
+        -group.size,
+        tuple(sorted(str(user) for user in group.users)),
+        tuple(sorted(str(item) for item in group.items)),
+        tuple(sorted(str(item) for item in group.hot_items)),
+    )
+
+
+def merge_groups(
+    per_region: Iterable[list[SuspiciousGroup]],
+) -> list[SuspiciousGroup]:
+    """Fold per-region group lists into one canonically ordered list.
+
+    Regions hold disjoint components, so this is a pure concatenation +
+    deterministic sort — no deduplication or conflict resolution is
+    attempted.
+    """
+    merged = [group for groups in per_region for group in groups]
+    merged.sort(key=group_sort_key)
+    return merged
 
 
 @dataclass(frozen=True)
@@ -66,8 +101,8 @@ class RegionReport:
 def _merge_results(per_region: "Mapping[str, DetectionResult]") -> DetectionResult:
     """Fold per-region results into one canonical global result.
 
-    Groups merge through the shard layer's total order; suspicious sets
-    union; a node scored in several regions keeps its maximum risk.
+    Groups merge through :func:`merge_groups`; suspicious sets union; a
+    node scored in several regions keeps its maximum risk.
     Degradation provenance is namespaced ``<region>:<event>`` so a
     degraded region stays attributable in the merged result.
     """

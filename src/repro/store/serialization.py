@@ -91,9 +91,9 @@ def screening_from_json(payload: dict) -> ScreeningParams:
 def result_to_json(result: DetectionResult) -> dict:
     """``DetectionResult`` → plain dict, sets sorted for determinism.
 
-    Degraded/stale provenance is part of the payload, so a result that
-    absorbed a shard fallback or kept a stale answer through a failed
-    recheck reports the same flags after a store round trip.
+    Degraded/stale provenance is part of the payload, so a result whose
+    feedback loop was truncated or that kept a stale answer through a
+    failed recheck reports the same flags after a store round trip.
     """
     return {
         "suspicious_users": _sorted_ids(result.suspicious_users),

@@ -19,32 +19,12 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=False,
         help="rewrite tests/experiments/goldens/*.json from the current outputs",
     )
-    parser.addoption(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "run the differential suites with RICD detectors sharded this "
-            "many ways (1 = classic unsharded detectors, the default)"
-        ),
-    )
 
 
 @pytest.fixture()
 def update_goldens(request: pytest.FixtureRequest) -> bool:
     """Whether golden snapshot files should be rewritten instead of compared."""
     return request.config.getoption("--update-goldens")
-
-
-@pytest.fixture(scope="session")
-def shard_count(request: pytest.FixtureRequest) -> int:
-    """Shard count the differential suites build their RICD detectors with.
-
-    The CI ``shardtest`` entry re-runs ``tests/difftest/`` with
-    ``--shards 3`` so every engine/parallel/recorder equivalence is also
-    pinned under component-sharded execution.
-    """
-    return request.config.getoption("--shards")
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,9 @@
-"""The seeded scenario grid shared by the differential and shard suites.
+"""The seeded scenario grid shared by the differential suites.
 
-One grid, two consumers: ``tests/difftest/`` proves the alternate
-execution paths (engines, parallel harness, recorder) agree on it, and
-``tests/shard/`` proves the sharded pipeline agrees with the unsharded
-reference on exactly the same inputs.  Keeping the grid in one place
-means a new axis (density, skew, camouflage) automatically hardens both
-suites.
+``tests/difftest/`` proves the alternate execution paths (engines,
+parallel harness, recorder, incremental, serving, warm store) agree on
+it.  Keeping the grid in one place means a new axis (density, skew,
+camouflage) automatically hardens every suite that reads it.
 """
 
 from repro.datagen import AttackConfig, MarketplaceConfig, generate_scenario

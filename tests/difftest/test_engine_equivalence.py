@@ -59,7 +59,7 @@ class TestEngineEquivalence:
         bitset = extract_groups_bitset(scenario.graph, params)
         assert _group_set(reference) == _group_set(bitset)
 
-    def test_full_detector_identical_across_engines(self, scenario, shard_count):
+    def test_full_detector_identical_across_engines(self, scenario):
         params = RICDParams(k1=5, k2=5)
         keys = {}
         for engine in ("reference", "bitset", "auto"):
@@ -67,31 +67,28 @@ class TestEngineEquivalence:
                 params=params,
                 engine=engine,
                 auto_engine_edge_threshold=1,
-                shards=shard_count,
             )
             keys[engine] = _result_key(detector.detect(scenario.graph))
         assert keys["reference"] == keys["bitset"] == keys["auto"]
 
-    def test_auto_threshold_does_not_change_output(self, scenario, shard_count):
+    def test_auto_threshold_does_not_change_output(self, scenario):
         params = RICDParams(k1=5, k2=5)
         low = RICDDetector(
             params=params,
             engine="auto",
             auto_engine_edge_threshold=1,
-            shards=shard_count,
         )
         high = RICDDetector(
             params=params,
             engine="auto",
             auto_engine_edge_threshold=10**9,
-            shards=shard_count,
         )
         assert _result_key(low.detect(scenario.graph)) == _result_key(
             high.detect(scenario.graph)
         )
 
 
-def _suite(shards: int = 1):
+def _suite():
     # COPYCATCH is excluded: its wall-clock deadline is the one legitimate
     # source of run-to-run variation (see tests/eval/test_parallel.py).
     from repro.baselines import (
@@ -103,7 +100,7 @@ def _suite(shards: int = 1):
 
     params = RICDParams(k1=5, k2=5)
     return [
-        RICDDetector(params=params, shards=shards),
+        RICDDetector(params=params),
         WithScreening(LabelPropagationDetector(min_users=5, min_items=5)),
         WithScreening(
             CommonNeighborsDetector(cn_threshold=5, min_users=5, min_items=5)
@@ -135,17 +132,17 @@ def _suite_report(runs) -> str:
 
 
 class TestParallelEquivalence:
-    def test_serial_vs_jobs2_reports_byte_identical(self, scenario, shard_count):
-        serial = run_suite(_suite(shard_count), scenario, label_seed=5)
-        parallel = run_suite(_suite(shard_count), scenario, label_seed=5, jobs=2)
+    def test_serial_vs_jobs2_reports_byte_identical(self, scenario):
+        serial = run_suite(_suite(), scenario, label_seed=5)
+        parallel = run_suite(_suite(), scenario, label_seed=5, jobs=2)
         assert _suite_report(serial) == _suite_report(parallel)
         for left, right in zip(serial, parallel):
             assert _result_key(left.result) == _result_key(right.result)
 
 
 class TestRecorderTransparency:
-    def test_enabled_recorder_changes_no_detection_output(self, scenario, shard_count):
-        detector = RICDDetector(params=RICDParams(k1=5, k2=5), shards=shard_count)
+    def test_enabled_recorder_changes_no_detection_output(self, scenario):
+        detector = RICDDetector(params=RICDParams(k1=5, k2=5))
         plain = detector.detect(scenario.graph)
         with obs.recording(obs.Recorder()) as recorder:
             traced = detector.detect(scenario.graph)
@@ -153,8 +150,8 @@ class TestRecorderTransparency:
         # Sanity: the traced run really did record.
         assert recorder.counters["identify.groups"] == len(traced.groups)
 
-    def test_traced_suite_report_matches_untraced(self, scenario, shard_count):
-        untraced = run_suite(_suite(shard_count), scenario, label_seed=5, jobs=2)
+    def test_traced_suite_report_matches_untraced(self, scenario):
+        untraced = run_suite(_suite(), scenario, label_seed=5, jobs=2)
         with obs.recording(obs.Recorder()):
-            traced = run_suite(_suite(shard_count), scenario, label_seed=5, jobs=2)
+            traced = run_suite(_suite(), scenario, label_seed=5, jobs=2)
         assert _suite_report(untraced) == _suite_report(traced)

@@ -7,8 +7,7 @@ recheck leaves the detection state equal to a one-shot batch
 Starting from an *empty* graph makes every node dirty by the final
 recheck, so the dirty region is the whole graph and the comparison is
 exact — groups, suspicious sets, and risk scores, in canonical order —
-across the same scenario grid the engine/shard equivalences are pinned
-on.
+across the same scenario grid the engine equivalences are pinned on.
 """
 
 import pytest

@@ -4,9 +4,7 @@ The store layer promises that persisting a detected version and
 rehydrating every cache layer from it — the indexed snapshot, the
 resolved thresholds, the fixpoint memos — changes *nothing* observable
 about detection.  Both paths are pinned in canonical, order-free form
-across the shared scenario grid, and (because detectors take the
-``shard_count`` fixture) the shardtest re-run with ``--shards 3``
-covers the sharded pipeline over store-loaded graphs too.
+across the shared scenario grid.
 """
 
 import pytest
@@ -34,11 +32,9 @@ def click_records(graph):
     ]
 
 
-def persist_detected(root, graph, shards):
+def persist_detected(root, graph):
     """Detect cold, commit one fully-derived version, return the result."""
-    detector = RICDDetector(
-        params=PARAMS, screening=SCREENING, engine="bitset", shards=shards
-    )
+    detector = RICDDetector(params=PARAMS, screening=SCREENING, engine="bitset")
     result = detector.detect(graph)
     store = DetectionStore.create(root)
     store.begin_version()
@@ -56,11 +52,11 @@ def persist_detected(root, graph, shards):
 
 
 @pytest.mark.parametrize("case", SCENARIO_GRID, ids=lambda case: case[0])
-def test_warm_detection_matches_cold(case, shard_count, tmp_path):
+def test_warm_detection_matches_cold(case, tmp_path):
     """Reload + rehydrate + detect == the detection that was persisted."""
     _, seed, density, exponent, camouflage = case
     scenario = build_scenario(seed, density, exponent, camouflage)
-    cold = persist_detected(tmp_path / "store", scenario.graph, shard_count)
+    cold = persist_detected(tmp_path / "store", scenario.graph)
 
     reopened = DetectionStore.open(tmp_path / "store")
     warm_graph = reopened.load_graph()
@@ -69,7 +65,6 @@ def test_warm_detection_matches_cold(case, shard_count, tmp_path):
         params=stored_params,
         screening=stored_screening,
         engine="bitset",
-        shards=shard_count,
     )
     warm_detector._thresholds().rehydrate(warm_graph, stored_params, stored_resolved)
     warm = warm_detector.detect(warm_graph)
@@ -79,7 +74,7 @@ def test_warm_detection_matches_cold(case, shard_count, tmp_path):
 
 
 @pytest.mark.parametrize("case", SCENARIO_GRID, ids=lambda case: case[0])
-def test_warm_resume_then_stream_matches_cold_batch(case, shard_count, tmp_path):
+def test_warm_resume_then_stream_matches_cold_batch(case, tmp_path):
     """Persist a prefix, resume from the store, stream the rest: the final
     state equals a one-shot cold detection over the full table."""
     _, seed, density, exponent, camouflage = case
@@ -90,7 +85,7 @@ def test_warm_resume_then_stream_matches_cold_batch(case, shard_count, tmp_path)
     prefix = BipartiteGraph()
     for user, item, clicks in records[:half]:
         prefix.add_click(user, item, clicks)
-    persist_detected(tmp_path / "store", prefix, shard_count)
+    persist_detected(tmp_path / "store", prefix)
 
     resumed = IncrementalRICD.from_store(
         DetectionStore.open(tmp_path / "store"), recheck_batches=10**9
@@ -98,8 +93,6 @@ def test_warm_resume_then_stream_matches_cold_batch(case, shard_count, tmp_path)
     resumed.ingest(ClickBatch.of(records[half:]))
     resumed.recheck()
 
-    expected = RICDDetector(
-        params=PARAMS, screening=SCREENING, shards=shard_count
-    ).detect(resumed.graph)
+    expected = RICDDetector(params=PARAMS, screening=SCREENING).detect(resumed.graph)
     assert resumed.graph.num_edges == scenario.graph.num_edges
     assert canonical_result(resumed.current_result) == canonical_result(expected)

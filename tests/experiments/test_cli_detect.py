@@ -1,7 +1,6 @@
 """Tests for the ``ricd detect`` subcommand."""
 
 import json
-import re
 
 import pytest
 
@@ -106,42 +105,6 @@ class TestDetectCommand:
         assert data["meta"]["experiments"] == "eq3"
         assert any(path.startswith("experiment.eq3") for path in data["spans"])
 
-    def test_sharded_detect_matches_unsharded(self, click_table, capsys):
-        def scrubbed(text):
-            return re.sub(r"\d+\.\d+s", "<time>", text)
-
-        assert main(["detect", str(click_table), "--k1", "5", "--k2", "5"]) == 0
-        unsharded = scrubbed(capsys.readouterr().out)
-        args = ["detect", str(click_table), "--k1", "5", "--k2", "5", "--shards", "3"]
-        assert main(args) == 0
-        assert scrubbed(capsys.readouterr().out) == unsharded
-        assert main(args + ["--jobs", "2"]) == 0
-        assert scrubbed(capsys.readouterr().out) == unsharded
-
-    def test_sharded_trace_records_plan(self, click_table, tmp_path, capsys):
-        trace_path = tmp_path / "shard_trace.json"
-        args = [
-            "detect",
-            str(click_table),
-            "--k1",
-            "5",
-            "--k2",
-            "5",
-            "--shards",
-            "4",
-            "--trace-out",
-            str(trace_path),
-        ]
-        assert main(args) == 0
-        report = TraceReport.from_json(trace_path.read_text())
-        assert report.meta["shards"] == 4
-        assert report.gauges["shard.requested"] == 4
-        assert any(".shard." in path for path in report.spans)
-
-    def test_invalid_shards_error(self, click_table, capsys):
-        assert main(["detect", str(click_table), "--shards", "0"]) == 2
-        assert "error" in capsys.readouterr().err
-
     def test_missing_file_errors(self, capsys):
         assert main(["detect", "/no/such/file.csv"]) == 2
         assert "cannot load" in capsys.readouterr().err
@@ -155,3 +118,10 @@ class TestDetectCommand:
             main(["detect", str(click_table), "--engine", "sparse"])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--shards", "--jobs", "--retries"])
+    def test_removed_sharding_flags_exit_2(self, click_table, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", str(click_table), flag, "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

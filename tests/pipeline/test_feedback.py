@@ -80,8 +80,8 @@ class TestFeedbackDriver:
         assert [len(group.users) for group in screened] == [4]
 
     def test_relaxed_parameters_land_on_the_context(self):
-        # Every round rewrites ctx.params/ctx.screening, which is how a
-        # sharded run's shards all see the same relaxed values.
+        # Every round rewrites ctx.params/ctx.screening, which is where
+        # the pipeline's run_round reads the relaxed values from.
         policy = FeedbackPolicy(
             expectation=10_000, max_rounds=2, t_click_step=5.0, alpha_step=0.0
         )

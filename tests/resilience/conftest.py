@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import RICDParams
 from repro.core.framework import RICDDetector
-from repro.datagen import AttackConfig, MarketplaceConfig, generate_scenario
+from repro.datagen import tiny_scenario
 from repro.graph import BipartiteGraph
 from repro.resilience import faults
 
@@ -33,23 +33,15 @@ def _clean_injector():
 
 
 def federated_graph(regions: int = 3) -> BipartiteGraph:
-    """Independent regional marketplaces merged under prefixed ids.
+    """Independent attacked tiny marketplaces merged under ``r<i>:`` ids.
 
-    Multiple components give the component-aligned partitioner real
-    shards, so per-shard faults and fallbacks are exercised for real.
+    Each region plants one crowd-worker group that the fixture detector
+    finds, so every "output unchanged" check in the suite compares
+    non-empty results.
     """
     graph = BipartiteGraph()
     for region in range(regions):
-        scenario = generate_scenario(
-            MarketplaceConfig(n_users=300, n_items=80, seed=11 + region),
-            AttackConfig(
-                n_groups=1,
-                workers_per_group=(6, 8),
-                targets_per_group=(4, 6),
-                seed=70 + region,
-            ),
-        )
-        for user, item, clicks in scenario.graph.edges():
+        for user, item, clicks in tiny_scenario(seed=region).graph.edges():
             graph.add_click(f"r{region}:{user}", f"r{region}:{item}", clicks)
     return graph
 
@@ -60,8 +52,8 @@ def federation() -> BipartiteGraph:
 
 
 def make_detector(**overrides) -> RICDDetector:
-    """A sharded detector sized for the federation fixture."""
-    defaults = dict(params=RICDParams(k1=4, k2=3), shards=3)
+    """A detector sized for the federation fixture."""
+    defaults = dict(params=RICDParams(k1=4, k2=3))
     defaults.update(overrides)
     return RICDDetector(**defaults)
 

@@ -1,4 +1,4 @@
-"""CLI surface of the resilience layer: --retries / --deadline / counters."""
+"""CLI surface of the resilience layer: --deadline, provenance, counters."""
 
 import csv
 
@@ -22,19 +22,11 @@ def click_table(tiny, tmp_path):
 class TestFlags:
     def test_defaults(self):
         args = build_parser().parse_args(["detect", "x.csv"])
-        assert args.retries == 0
         assert args.deadline is None
 
     def test_values_parse(self):
-        args = build_parser().parse_args(
-            ["detect", "x.csv", "--retries", "2", "--deadline", "30.5"]
-        )
-        assert args.retries == 2
+        args = build_parser().parse_args(["detect", "x.csv", "--deadline", "30.5"])
         assert args.deadline == 30.5
-
-    def test_negative_retries_rejected(self, click_table, capsys):
-        assert main(["detect", click_table, "--retries", "-1"]) == 2
-        assert "retries" in capsys.readouterr().err
 
     def test_non_positive_deadline_rejected(self, click_table, capsys):
         assert main(["detect", click_table, "--deadline", "0"]) == 2
@@ -49,8 +41,6 @@ class TestDetectWithResilience:
                 click_table,
                 "--k1", "4",
                 "--k2", "4",
-                "--shards", "2",
-                "--retries", "2",
                 "--deadline", "3600",
                 "--trace",
             ]
@@ -61,20 +51,21 @@ class TestDetectWithResilience:
         assert "degraded" not in out
 
     def test_degraded_run_reports_provenance_and_counters(self, click_table, capsys):
-        with injecting(FaultInjector(error=1.0, sites=("shard_merge",), max_faults=1)):
+        # An unreachable expectation forces a relaxation round, which the
+        # injected fault cuts short.
+        with injecting(FaultInjector(error=1.0, sites=("feedback",), max_faults=1)):
             code = main(
                 [
                     "detect",
                     click_table,
                     "--k1", "4",
                     "--k2", "4",
-                    "--shards", "2",
-                    "--retries", "1",
+                    "--expectation", "1000000",
                     "--trace",
                 ]
             )
         out = capsys.readouterr().out
         assert code == 0
-        assert "degraded run (fallbacks: shard.merge)" in out
+        assert "degraded run (fallbacks: feedback.round1)" in out
         # The trace summary carries the resilience counters.
         assert "resilience.fallbacks" in out

@@ -38,8 +38,8 @@ class TestSpecParsing:
         # The spec grammar's site names must match the production call
         # sites; a typo here would silently disable targeted injection.
         assert set(SITES) == {
-            "worker", "extraction", "screening", "shard_merge", "feedback",
-            "recheck", "ingest", "store",
+            "worker", "extraction", "screening", "feedback", "recheck",
+            "ingest", "store",
         }
 
 

@@ -1,4 +1,4 @@
-"""Pool-level resilience: retry generations, deadlines, typed failures.
+"""Pool-level resilience: retry generations, deadlines, crashed workers.
 
 These tests exercise the real :class:`ProcessPoolExecutor` fan-out, so
 they are kept few and small — worker faults are staged either through
@@ -11,18 +11,10 @@ import multiprocessing
 import os
 import time
 
-import pytest
-
 from repro import obs
 from repro.baselines import NaiveDetector
 from repro.eval import run_suite
-from repro.eval.parallel import (
-    MP_CONTEXT_ENV,
-    TaskFailure,
-    run_shards_parallel,
-    run_suite_parallel,
-)
-from repro.errors import TransientWorkerError
+from repro.eval.parallel import MP_CONTEXT_ENV, run_suite_parallel
 from repro.resilience import RetryPolicy, injecting
 
 from .conftest import canonical, make_detector
@@ -112,60 +104,26 @@ class TestDeadline:
         assert recorder.counters["resilience.fallbacks"] >= 1
 
 
-class TestTypedFailures:
-    def test_shard_that_fails_everywhere_becomes_a_task_failure(self, federation):
-        detector = make_detector(shard_jobs=2)
-        resolved = detector.resolve_thresholds(federation)
-        from repro.shard.partition import partition_graph
-
-        shard_graphs = partition_graph(federation, 3).subgraphs(federation)
-        # Workers fail at the worker site; the parent's serial fallback
-        # fails at extraction — nothing left but the typed sentinel.
-        # Staged through the env spec so spawn workers (which inherit
-        # nothing from the parent) pick the injector up at boot too.
-        with injecting("error=1.0,sites=worker|extraction"):
-            parts = run_shards_parallel(
-                detector,
-                shard_graphs,
-                resolved,
-                detector.screening,
-                jobs=2,
-                capture_failures=True,
-            )
-        assert all(isinstance(part, TaskFailure) for part in parts)
-        assert all(isinstance(part.error, TransientWorkerError) for part in parts)
-
-    def test_without_capture_the_failure_propagates(self, federation):
-        detector = make_detector(shard_jobs=2)
-        resolved = detector.resolve_thresholds(federation)
-        from repro.shard.partition import partition_graph
-
-        shard_graphs = partition_graph(federation, 3).subgraphs(federation)
-        with injecting("error=1.0,sites=worker|extraction"):
-            with pytest.raises(TransientWorkerError):
-                run_shards_parallel(
-                    detector,
-                    shard_graphs,
-                    resolved,
-                    detector.screening,
-                    jobs=2,
-                    capture_failures=False,
-                )
-
-
 class TestPoolWorkerFaults:
-    def test_crashed_workers_degrade_to_equal_output(self, federation):
-        reference = make_detector().detect(federation)
+    def test_crashed_workers_degrade_to_equal_output(self, tiny):
+        detectors = [make_detector(), make_detector(variant="ricd-i")]
+        reference = [detector.detect(tiny.graph) for detector in detectors]
+        assert reference[0].groups  # non-vacuous
         recorder = obs.Recorder()
         with obs.recording(recorder):
             # Every worker (fork-inherited or spawn-booted via the env
             # spec) carries crash=1.0 and dies at task start in every
-            # pool generation; retries exhaust and the parent recovers
-            # each shard serially (the parent-side "crash" path never
+            # pool generation; the retry exhausts and the parent recovers
+            # each detector serially (the parent-side "crash" path never
             # fires: recovery skips the worker site).
             with injecting("crash=1.0,sites=worker"):
-                result = make_detector(shard_jobs=2, retries=1).detect(federation)
-        assert canonical(result) == canonical(reference)
+                runs = run_suite_parallel(
+                    detectors, tiny, None, jobs=2, retry=RetryPolicy(max_retries=1)
+                )
+        assert [canonical(run.result) for run in runs] == [
+            canonical(result) for result in reference
+        ]
+        assert all(run.degraded for run in runs)
         assert recorder.counters["resilience.retries"] >= 1
         assert recorder.counters["resilience.fallbacks"] >= 1
 
@@ -181,7 +139,7 @@ class TestSpawnContext:
         monkeypatch.setenv(MP_CONTEXT_ENV, "spawn")
         detectors = [
             NaiveDetector(),
-            make_detector(shards=1),
+            make_detector(),
         ]
         serial = run_suite(detectors, tiny, simulate_labels=False, jobs=1)
         parallel = run_suite(detectors, tiny, simulate_labels=False, jobs=2)

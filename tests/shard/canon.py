@@ -1,9 +1,10 @@
-"""Canonical result forms shared across the shard suite.
+"""Canonical result forms shared by the equivalence suites.
 
-Every test in this package compares detection outputs through the same
-canonical, order-free forms, so "identical" always means the same thing:
-same group decomposition (users, items, hot items), same suspicious
-sets, same risk scores, same metrics.
+The region, metamorphic, pipeline and differential tests compare
+detection outputs through the same canonical, order-free forms, so
+"identical" always means the same thing: same group decomposition
+(users, items, hot items), same suspicious sets, same risk scores, same
+metrics.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """Multi-region stores: global thresholds, canonical merge, warm restart.
 
-Extends the shard layer's threshold-globality contract to the
-one-store-per-region layout: a cold region must inherit marketplace-level
-thresholds from the union graph, and the merged verdict must be
-reconstructible from the region stores alone after a restart.
+The one-store-per-region layout keeps thresholds global: a cold region
+must inherit marketplace-level thresholds from the union graph, the
+per-region groups must fold through one total order, and the merged
+verdict must be reconstructible from the region stores alone after a
+restart.
 """
+
+import random
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.datagen import tiny_scenario
 from repro.errors import StoreError
 from repro.graph import BipartiteGraph
 from repro.shard import RegionalStores, detect_regions
+from repro.shard.regions import group_sort_key, merge_groups
 
 from .canon import canonical_result
 
@@ -39,6 +43,19 @@ def cold_graph():
 
 def edges(graph):
     return [(user, item, clicks) for user, item, clicks in graph.edges()]
+
+
+@pytest.fixture(scope="module")
+def federated_groups():
+    """Merged groups of three attacked tiny regions (one group each)."""
+    regions = {}
+    for region in range(3):
+        graph = BipartiteGraph()
+        for user, item, clicks in tiny_scenario(seed=region).graph.edges():
+            graph.add_click(f"r{region}:{user}", f"r{region}:{item}", clicks)
+        regions[f"r{region}"] = graph
+    merged, _ = detect_regions(regions, params=PARAMS, engine="reference")
+    return merged.groups
 
 
 @pytest.fixture()
@@ -138,3 +155,24 @@ class TestMergeAndRestart:
         merged = _merge_results({"na": degraded, "eu": clean})
         assert merged.degraded and merged.stale
         assert merged.degradations == ("na:shard.1",)
+
+
+class TestMergeGroups:
+    def test_merge_is_invariant_under_region_order(self, federated_groups):
+        groups = list(federated_groups)
+        assert len(groups) >= 2  # non-vacuous
+        rng = random.Random(7)
+        for _ in range(10):
+            buckets = [[] for _ in range(4)]
+            for group in groups:
+                buckets[rng.randrange(4)].append(group)
+            rng.shuffle(buckets)
+            assert merge_groups(buckets) == groups
+
+    def test_sort_key_is_a_total_order_on_distinct_groups(self, federated_groups):
+        keys = [group_sort_key(group) for group in federated_groups]
+        assert len(set(keys)) == len(keys)
+        assert keys == sorted(keys)
+
+    def test_merge_of_empty_regions(self):
+        assert merge_groups([[], [], []]) == []
