@@ -100,7 +100,7 @@ def test_serve_throughput(benchmark, emit_report, emit_json):
     service = DetectionService.over_graph(
         BipartiteGraph(),
         params=PARAMS,
-        engine="auto",
+        engine="bitset",
         config=ServeConfig(
             queue_capacity=max(200_000, len(events) // 5),
             max_batch=10_000,
@@ -108,7 +108,7 @@ def test_serve_throughput(benchmark, emit_report, emit_json):
         ),
         clock=clock,
     )
-    batch_detector = RICDDetector(params=PARAMS, engine="auto")
+    batch_detector = RICDDetector(params=PARAMS, engine="bitset")
     # Checkpoint marks aligned up to pump-chunk boundaries, since the
     # replay loop only observes event counts at chunk ends.
     chunk = service.config.max_batch

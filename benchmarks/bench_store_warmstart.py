@@ -80,7 +80,7 @@ def cold_start(records):
     graph = BipartiteGraph()
     for user, item, clicks in records:
         graph.add_click(user, item, clicks)
-    detector = RICDDetector(params=PARAMS, engine="auto")
+    detector = RICDDetector(params=PARAMS, engine="bitset")
     return graph, detector, detector.detect(graph)
 
 

@@ -97,21 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect_parser.add_argument(
         "--engine",
-        choices=("reference", "bitset", "auto"),
-        default="auto",
-        help=(
-            "extraction engine: pure-Python reference, numpy bitset, or auto "
-            "(bitset above the edge threshold; default)"
-        ),
-    )
-    detect_parser.add_argument(
-        "--auto-engine-threshold",
-        type=int,
-        default=20_000,
-        help=(
-            "edge count above which engine=auto switches to the bitset "
-            "engine (default 20000)"
-        ),
+        choices=("reference", "bitset"),
+        default="bitset",
+        help="extraction engine: numpy bitset (default) or the pure-Python reference",
     )
     detect_parser.add_argument(
         "--deadline",
@@ -193,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--k2", type=int, default=10, help="min group items")
     serve_parser.add_argument(
         "--engine",
-        choices=("reference", "bitset", "auto"),
-        default="auto",
-        help="extraction engine for rechecks (default auto)",
+        choices=("reference", "bitset"),
+        default="bitset",
+        help="extraction engine for rechecks (default bitset)",
     )
     _add_trace_flags(serve_parser)
 
@@ -232,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     server_parser.add_argument("--k2", type=int, default=10, help="min group items")
     server_parser.add_argument(
         "--engine",
-        choices=("reference", "bitset", "auto"),
-        default="auto",
-        help="extraction engine for rechecks (default auto)",
+        choices=("reference", "bitset"),
+        default="bitset",
+        help="extraction engine for rechecks (default bitset)",
     )
     server_parser.add_argument(
         "--max-batch", type=int, default=1_000, help="events per micro-batch (default 1000)"
@@ -392,7 +380,6 @@ def _run_detect(args: argparse.Namespace) -> int:
             feedback=feedback,
             max_group_users=args.max_group_users or None,
             engine=args.engine,
-            auto_engine_edge_threshold=args.auto_engine_threshold,
             deadline=args.deadline,
         )
     except ValueError as error:  # deadline out of range

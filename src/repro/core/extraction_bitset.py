@@ -1,5 +1,7 @@
-"""Native-speed bitset/CSR implementation of Algorithm 3's pruning.
+"""Native-speed mask/CSR implementation of Algorithm 3's pruning.
 
+This is the production extraction engine (``engine="bitset"``; the name
+is kept because stores persist its ``prune_fixpoint_bitset`` memo tag).
 The reference engine (:mod:`repro.core.extraction`) walks dicts vertex by
 vertex; a matrix formulation (Gram products of the biadjacency) would
 *copy* the whole working matrix every round and multiply full matrices
@@ -9,10 +11,10 @@ off the CSR ``indptr`` degrees that mass-kills the casual majority — and
 then compacts the survivors into a rank-compressed working subgraph where
 everything else happens:
 
-* **membership masks** are numpy packed bitsets (``uint64`` words, one bit
-  per vertex, with byte-mask twins for fast gathered-index tests), so
-  kills are bit-clears and degree upkeep is a decrement cascade bounded
-  at O(E) for the whole fixpoint;
+* **membership** is one boolean mask per side, so kills are mask clears,
+  membership tests over big gathered index arrays are one fancy-index,
+  and degree upkeep is a decrement cascade bounded at O(E) for the whole
+  fixpoint;
 * **degree/click recomputation** is segment arithmetic over CSR
   ``indptr`` slices (``np.diff`` at each compaction, ``np.add.reduceat``
   in the property-test cross-check, bincount deltas in the cascade);
@@ -61,51 +63,6 @@ _WEDGE_LIMIT = 1 << 23
 
 
 # ----------------------------------------------------------------------
-# Packed-bitset membership masks
-# ----------------------------------------------------------------------
-def _bitset_full(n: int):
-    """A packed bitset of ``n`` bits, all set."""
-    words = np.full((n + 63) >> 6, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    tail = n & 63
-    if tail and len(words):
-        words[-1] = (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
-    return words
-
-
-def _bitset_test(words, idx):
-    """Boolean array: is bit ``idx`` set?  Vectorized gather + shift."""
-    shifts = (idx & 63).astype(np.uint64)
-    return ((words[idx >> 6] >> shifts) & np.uint64(1)).astype(bool)
-
-
-def _bitset_clear(words, idx) -> None:
-    """Clear bits ``idx`` in place (duplicates and shared words are fine)."""
-    if len(idx) == 0:
-        return
-    masks = ~(np.uint64(1) << (idx & 63).astype(np.uint64))
-    np.bitwise_and.at(words, idx >> 6, masks)
-
-
-if hasattr(np, "bitwise_count") if np is not None else False:
-
-    def _bitset_count(words) -> int:
-        """Number of set bits."""
-        return int(np.bitwise_count(words).sum())
-
-else:  # pragma: no cover - numpy < 2.0 fallback
-
-    def _bitset_count(words) -> int:
-        """Number of set bits (byte-unpack fallback for old numpy)."""
-        return int(np.unpackbits(words.view(np.uint8)).sum())
-
-
-def _bitset_indices(words):
-    """Indices of the set bits, ascending."""
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits)
-
-
-# ----------------------------------------------------------------------
 # Frontier-limited CSR helpers
 # ----------------------------------------------------------------------
 def _gather(vertices, indptr, indices):
@@ -131,7 +88,8 @@ def _recount_alive_degrees(vertices, indptr, indices, other_alive, deg) -> None:
     """``deg[vertices] = alive-neighbour count``, via ``np.add.reduceat``.
 
     Full recomputation of a vertex set's alive degrees as segment sums
-    over their static CSR slices.  The fixpoint driver itself maintains
+    over their static CSR slices; ``other_alive`` is the opposite side's
+    boolean membership mask.  The fixpoint driver itself maintains
     degrees by decrement (see ``kill`` inside
     :func:`prune_fixpoint_arrays`), so this is the independent
     cross-check used by the property tests, not the hot path.
@@ -144,27 +102,8 @@ def _recount_alive_degrees(vertices, indptr, indices, other_alive, deg) -> None:
     if len(nonempty) == 0:
         return
     neighbors, _, seg_starts = _gather(nonempty, indptr, indices)
-    alive = _bitset_test(other_alive, neighbors).astype(np.int64)
+    alive = other_alive[neighbors].astype(np.int64)
     deg[nonempty] = np.add.reduceat(alive, seg_starts)
-
-
-def _alive_neighbors(vertices, indptr, indices, other_alive, n_other):
-    """Unique alive neighbours of ``vertices``.
-
-    Deduplicates through a dense boolean scatter mask — ``O(edges +
-    n_other)`` with tiny constants — rather than a sort-based
-    ``np.unique``, which profiled as the cascade's dominant cost on
-    million-vertex frontiers.
-    """
-    if len(vertices) == 0:
-        return np.empty(0, dtype=np.int64)
-    neighbors, _, _ = _gather(vertices, indptr, indices)
-    if len(neighbors) == 0:
-        return np.empty(0, dtype=np.int64)
-    mask = np.zeros(n_other, dtype=bool)
-    mask[neighbors] = True
-    touched = np.flatnonzero(mask)
-    return touched[_bitset_test(other_alive, touched)]
 
 
 # ----------------------------------------------------------------------
@@ -221,20 +160,17 @@ def prune_fixpoint_arrays(
     # compacted into rank-compressed CSR/CSC arrays and every later
     # cascade, square pass and dirty walk runs in that compact space
     # (re-compacted each round as it shrinks).  ``g_users``/``g_items``
-    # map working ids back to the caller's indices.  The packed bitsets
-    # are authoritative for popcounts/enumeration; the byte-mask twins
-    # (``live_u``/``live_i``) make membership tests over big gathered
-    # index arrays a single boolean fancy-index.
+    # map working ids back to the caller's indices; ``live_u``/``live_i``
+    # are the boolean membership masks.
     # ------------------------------------------------------------------
     w_user_indptr = w_user_items = w_item_indptr = w_item_users = None
     g_users = g_items = empty
     n_wu = n_wi = 0
-    alive_u = alive_i = None
     live_u = live_i = None
     deg_u = deg_i = None
 
-    def kill(bad, indptr, indices, alive_self, live_self, deg_other, n_other, counter):
-        """Clear ``bad``'s bits and decrement their neighbours' degrees.
+    def kill(bad, indptr, indices, live_self, deg_other, n_other, counter):
+        """Clear ``bad``'s mask entries and decrement their neighbours' degrees.
 
         Degrees are maintained by decrement rather than recomputation:
         every killed vertex was alive (so it was counted in each
@@ -244,7 +180,6 @@ def prune_fixpoint_arrays(
         neighbour indices (dead ones included; callers filter by the
         membership mask).
         """
-        _bitset_clear(alive_self, bad)
         live_self[bad] = False
         obs.count(counter, len(bad))
         neighbors, _, _ = gather(bad, indptr, indices)
@@ -267,7 +202,7 @@ def prune_fixpoint_arrays(
                 frontier_u = empty
                 if len(bad):
                     touched = kill(
-                        bad, w_user_indptr, w_user_items, alive_u, live_u,
+                        bad, w_user_indptr, w_user_items, live_u,
                         deg_i, n_wi, "extract.bitset.users_removed",
                     )
                     # union1d, not concatenate: a vertex queued twice
@@ -284,7 +219,7 @@ def prune_fixpoint_arrays(
                 frontier_i = empty
                 if len(bad):
                     frontier_u = kill(
-                        bad, w_item_indptr, w_item_users, alive_i, live_i,
+                        bad, w_item_indptr, w_item_users, live_i,
                         deg_u, n_wu, "extract.bitset.items_removed",
                     )
 
@@ -398,8 +333,6 @@ def prune_fixpoint_arrays(
     )
     n_wu = len(g_users)
     n_wi = len(g_items)
-    alive_u = _bitset_full(n_wu)
-    alive_i = _bitset_full(n_wi)
     live_u = np.ones(n_wu, dtype=bool)
     live_i = np.ones(n_wi, dtype=bool)
     deg_u = np.diff(w_user_indptr)
@@ -428,7 +361,7 @@ def prune_fixpoint_arrays(
     dirty_u = None  # None = every alive vertex (the first square round)
     dirty_i = None
     rounds = 0
-    while _bitset_count(alive_u) and _bitset_count(alive_i):
+    while live_u.any() and live_i.any():
         rounds += 1
         round_start = time.perf_counter()
         traffic[0] = 0
@@ -453,8 +386,6 @@ def prune_fixpoint_arrays(
         n_wi = len(sel_i)
         w_user_indptr, w_user_items = c_user_indptr, c_user_items
         w_item_indptr, w_item_users = c_item_indptr, c_item_users
-        alive_u = _bitset_full(n_wu)
-        alive_i = _bitset_full(n_wi)
         live_u = np.ones(n_wu, dtype=bool)
         live_i = np.ones(n_wi, dtype=bool)
         deg_u = np.diff(w_user_indptr)
@@ -489,7 +420,7 @@ def prune_fixpoint_arrays(
         # side's already-taken decisions.
         touched_i = (
             kill(
-                bad_cu, w_user_indptr, w_user_items, alive_u, live_u,
+                bad_cu, w_user_indptr, w_user_items, live_u,
                 deg_i, n_wi, "extract.bitset.users_removed",
             )
             if len(bad_cu)
@@ -497,7 +428,7 @@ def prune_fixpoint_arrays(
         )
         touched_u = (
             kill(
-                bad_ci, w_item_indptr, w_item_users, alive_i, live_i,
+                bad_ci, w_item_indptr, w_item_users, live_i,
                 deg_u, n_wu, "extract.bitset.items_removed",
             )
             if len(bad_ci)
@@ -540,9 +471,9 @@ def prune_fixpoint_arrays(
                 }
             )
     obs.count("extract.fixpoint_rounds", max(rounds, 1))
-    if _bitset_count(alive_u) == 0 or _bitset_count(alive_i) == 0:
+    if not live_u.any() or not live_i.any():
         return empty, empty
-    return g_users[_bitset_indices(alive_u)], g_items[_bitset_indices(alive_i)]
+    return g_users[np.flatnonzero(live_u)], g_items[np.flatnonzero(live_i)]
 
 
 # ----------------------------------------------------------------------

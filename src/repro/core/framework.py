@@ -104,16 +104,10 @@ class RICDDetector:
         expectation: raise :class:`FeedbackExhaustedError` if ``True``,
         otherwise return the best (largest) output seen.
     engine:
-        Extraction engine: ``"reference"`` (pure-Python Algorithm 3, the
-        paper-faithful implementation), ``"bitset"`` (numpy packed-bitset/
-        CSR frontier kernel — same fixpoint, the engine that holds paper
-        scale) or ``"auto"`` (bitset when the graph exceeds
-        ``auto_engine_edge_threshold`` edges, reference otherwise).
-    auto_engine_edge_threshold:
-        Edge count above which ``engine="auto"`` switches from the
-        reference to the bitset engine.  The 20k default is where the
-        bitset kernel's fixed costs amortise on typical marketplaces;
-        benchmarks and the CLI can tune it per workload.
+        Extraction engine: ``"bitset"`` (the default: the numpy mask/CSR
+        frontier kernel, the engine that holds paper scale) or
+        ``"reference"`` (pure-Python Algorithm 3, the paper-faithful
+        oracle the tests compare against).  Both reach the same fixpoint.
     deadline:
         Soft wall-clock budget in seconds for one ``detect`` call, or
         ``None`` for unbounded.  Expiry never aborts the run: the
@@ -138,8 +132,7 @@ class RICDDetector:
     max_group_users: int | None = 18
     max_group_items: int | None = None
     strict_feedback: bool = False
-    engine: str = "reference"
-    auto_engine_edge_threshold: int = 20_000
+    engine: str = "bitset"
     deadline: float | None = None
 
     #: Lazily built memoized threshold resolver (one per detector, so the
@@ -169,9 +162,14 @@ class RICDDetector:
             raise ValueError(
                 f"variant must be one of {_VALID_VARIANTS}, got {self.variant!r}"
             )
-        if self.engine not in ("reference", "bitset", "auto"):
+        # perfbench still passes the retired "auto" spelling; it always ran
+        # bitset on perfbench's graphs.  Drop this alias once perfbench
+        # passes "bitset".
+        if self.engine == "auto":
+            self.engine = "bitset"
+        if self.engine not in ("reference", "bitset"):
             raise ValueError(
-                f"engine must be 'reference', 'bitset' or 'auto', got {self.engine!r}"
+                f"engine must be 'reference' or 'bitset', got {self.engine!r}"
             )
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
@@ -196,10 +194,7 @@ class RICDDetector:
     def _module_stages(self) -> tuple:
         """Modules 1 + 2 as stage objects, gated by the variant."""
         return (
-            Extraction(
-                engine=self.engine,
-                auto_edge_threshold=self.auto_engine_edge_threshold,
-            ),
+            Extraction(engine=self.engine),
             Screening(
                 enabled=self.variant != VARIANT_NO_SCREEN,
                 item_verification=self.variant == VARIANT_FULL,

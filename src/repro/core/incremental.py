@@ -87,7 +87,7 @@ class IncrementalRICD:
         recheck_batches: int | None = 10,
         max_group_users: int | None = 18,
         traverse_degree_cap: int | None = None,
-        engine: str = "reference",
+        engine: str = "bitset",
         time_source: Callable[[], float] | None = None,
         *,
         adopt_graph: bool = False,
@@ -103,6 +103,10 @@ class IncrementalRICD:
         ``t=0`` would silently shrink the dirty region relative to the
         marketplace.  An explicit cap stays fixed forever; pass a huge
         value to disable the cap.
+
+        ``engine`` selects the extraction engine of the bootstrap pass
+        and every recheck: ``"bitset"`` by default, ``"reference"`` for
+        the pure-Python oracle.
 
         ``recheck_batches=None`` disables the built-in every-N-batches
         cadence entirely: rechecks then happen only when a caller invokes
@@ -160,7 +164,7 @@ class IncrementalRICD:
         recheck_batches: int | None = None,
         max_group_users: int | None = 18,
         traverse_degree_cap: int | None = None,
-        engine: str = "reference",
+        engine: str = "bitset",
         time_source: Callable[[], float] | None = None,
     ) -> "IncrementalRICD":
         """Resume from the latest checkpoint of a detection store.
@@ -179,7 +183,9 @@ class IncrementalRICD:
         are rehydrated into the detector's memo so the first resolution
         is a ``detect.threshold_cache_hits``.  Parameters default to the
         values persisted with the head version, so a resumed stream keeps
-        detecting with the configuration it was persisted under.
+        detecting with the configuration it was persisted under.  The
+        extraction engine is not persisted; ``engine`` defaults to
+        ``"bitset"`` as in the constructor.
         """
         if isinstance(store, (str, Path)):
             from ..store import DetectionStore

@@ -206,15 +206,12 @@ class SeedExpansion:
 class Extraction:
     """``(alpha, k1, k2)``-extension biclique extraction, engine-selected.
 
-    Owns the engine-selection logic formerly buried in
-    ``RICDDetector._extract``: ``reference`` (pure-Python Algorithm 3),
-    ``bitset`` (numpy packed-bitset/CSR frontier kernel) or ``auto``
-    (bitset when the working graph exceeds ``auto_edge_threshold`` edges,
-    reference otherwise).
+    ``bitset`` (the default: numpy mask/CSR frontier kernel) or
+    ``reference`` (pure-Python Algorithm 3, the oracle tests select
+    explicitly).
     """
 
-    engine: str = "reference"
-    auto_edge_threshold: int = 20_000
+    engine: str = "bitset"
 
     name = "extraction"
 
@@ -226,11 +223,8 @@ class Extraction:
         from ..core.extraction import extract_groups
         from ..core.extraction_bitset import extract_groups_bitset
 
-        selected = self.engine
-        if selected == "auto":
-            selected = "bitset" if graph.num_edges > self.auto_edge_threshold else "reference"
-        obs.gauge("detect.engine", selected)
-        if selected == "bitset":
+        obs.gauge("detect.engine", self.engine)
+        if self.engine == "bitset":
             return extract_groups_bitset(graph, params)
         return extract_groups(graph, params)
 

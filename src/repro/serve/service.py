@@ -208,12 +208,16 @@ class DetectionService:
         initial_graph,
         params=None,
         screening=None,
-        engine: str = "auto",
+        engine: str = "bitset",
         max_group_users: int | None = 18,
         config: ServeConfig | None = None,
         clock: Clock | None = None,
     ) -> "DetectionService":
-        """A service over a fresh scheduler-managed incremental detector."""
+        """A service over a fresh scheduler-managed incremental detector.
+
+        Rechecks run the ``engine`` extraction: ``"bitset"`` by default,
+        ``"reference"`` for the pure-Python oracle.
+        """
         clock = clock if clock is not None else MonotonicClock()
         online = IncrementalRICD(
             initial_graph,
@@ -233,7 +237,7 @@ class DetectionService:
         initial_graph=None,
         params=None,
         screening=None,
-        engine: str = "auto",
+        engine: str = "bitset",
         max_group_users: int | None = 18,
         config: ServeConfig | None = None,
         clock: Clock | None = None,
@@ -249,7 +253,8 @@ class DetectionService:
         touches them), the persisted result — provenance flags intact —
         serves immediately, and rechecks keep committing new versions.  Restarting a process on the same store therefore
         serves the same verdicts at the same store version, the contract
-        the API round-trip test pins.
+        the API round-trip test pins.  ``engine`` is as in
+        :meth:`over_graph`.
         """
         clock = clock if clock is not None else MonotonicClock()
         if isinstance(store, (str, Path)):

@@ -134,7 +134,7 @@ def detect_regions(
     region_graphs: "Mapping[str, BipartiteGraph]",
     params: "RICDParams | None" = None,
     screening: "ScreeningParams | None" = None,
-    engine: str = "auto",
+    engine: str = "bitset",
     max_group_users: int | None = 18,
 ) -> "tuple[DetectionResult, dict[str, DetectionResult]]":
     """Detect over each region with *globally* resolved thresholds.
@@ -255,7 +255,7 @@ class RegionalStores:
         self,
         params: "RICDParams | None" = None,
         screening: "ScreeningParams | None" = None,
-        engine: str = "auto",
+        engine: str = "bitset",
         max_group_users: int | None = 18,
     ) -> "tuple[DetectionResult, list[RegionReport]]":
         """Detect with global thresholds and persist per-region results.

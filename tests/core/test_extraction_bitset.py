@@ -1,7 +1,7 @@
 """Tests for the bitset/CSR extraction kernel.
 
-Two layers: the packed-bitset and CSR helper primitives (pinned against
-naive recomputation), and the fixpoint itself (pinned against the
+Two layers: the CSR helper primitives (pinned against naive
+recomputation), and the fixpoint itself (pinned against the
 pure-Python reference engine over randomized click tables — the pruning
 conditions are anti-monotone in the surviving set, so the fixpoint is
 unique regardless of evaluation order, and the engines must agree
@@ -9,7 +9,6 @@ exactly).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,11 +16,6 @@ from repro import obs
 from repro.config import RICDParams
 from repro.core.extraction import extract_groups, prune_to_fixpoint
 from repro.core.extraction_bitset import (
-    _bitset_clear,
-    _bitset_count,
-    _bitset_full,
-    _bitset_indices,
-    _bitset_test,
     _gather,
     _recount_alive_degrees,
     extract_groups_bitset,
@@ -31,35 +25,6 @@ from repro.core.extraction_bitset import (
 from repro.graph import BipartiteGraph, from_click_records
 
 from ..conftest import make_biclique
-
-
-class TestBitsetPrimitives:
-    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
-    def test_full_bitset_has_exactly_n_bits(self, n):
-        words = _bitset_full(n)
-        assert _bitset_count(words) == n
-        assert list(_bitset_indices(words)) == list(range(n))
-
-    def test_clear_and_test(self):
-        words = _bitset_full(130)
-        cleared = np.array([0, 63, 64, 100, 129], dtype=np.int64)
-        _bitset_clear(words, cleared)
-        assert _bitset_count(words) == 130 - len(cleared)
-        probe = np.arange(130, dtype=np.int64)
-        expected = ~np.isin(probe, cleared)
-        assert np.array_equal(_bitset_test(words, probe), expected)
-
-    def test_clear_tolerates_duplicates(self):
-        words = _bitset_full(70)
-        _bitset_clear(words, np.array([5, 5, 5, 64, 64], dtype=np.int64))
-        assert _bitset_count(words) == 68
-
-    def test_indices_round_trip(self):
-        words = _bitset_full(100)
-        _bitset_clear(words, np.arange(0, 100, 3, dtype=np.int64))
-        survivors = _bitset_indices(words)
-        assert all(index % 3 != 0 for index in survivors)
-        assert _bitset_count(words) == len(survivors)
 
 
 class TestCSRHelpers:
@@ -86,8 +51,7 @@ class TestCSRHelpers:
 
     def test_recount_alive_degrees_matches_bruteforce(self):
         indptr, indices = self._csr()
-        other_alive = _bitset_full(4)
-        _bitset_clear(other_alive, np.array([3], dtype=np.int64))
+        other_alive = np.array([True, True, True, False])
         deg = np.full(3, -1, dtype=np.int64)
         _recount_alive_degrees(
             np.array([0, 1, 2], dtype=np.int64), indptr, indices, other_alive, deg
@@ -146,9 +110,8 @@ def test_array_kernel_degrees_consistent_at_fixpoint(rows, values):
         user_indptr, user_items, item_indptr, item_users, params
     )
     n_items = len(item_indptr) - 1
-    alive_mask = _bitset_full(n_items)
-    dead = np.setdiff1d(np.arange(n_items, dtype=np.int64), alive_items)
-    _bitset_clear(alive_mask, dead)
+    alive_mask = np.zeros(n_items, dtype=bool)
+    alive_mask[alive_items] = True
     deg = np.zeros(len(user_indptr) - 1, dtype=np.int64)
     _recount_alive_degrees(alive_users, user_indptr, user_items, alive_mask, deg)
     assert (deg[alive_users] >= params.user_degree_floor).all()

@@ -176,23 +176,11 @@ class TestEngines:
         assert other.suspicious_users == reference.suspicious_users
         assert other.suspicious_items == reference.suspicious_items
 
-    def test_auto_engine_threshold_tunable(self, small):
-        from unittest import mock
+    def test_default_engine_is_bitset(self):
+        assert RICDDetector().engine == "bitset"
 
-        from repro.core import extraction_bitset
-
-        # The small scenario sits under the 20k default, so auto stays on
-        # the reference engine; dropping the field promotes to bitset.
-        assert small.graph.num_edges < RICDDetector().auto_engine_edge_threshold
-        with mock.patch.object(
-            extraction_bitset,
-            "extract_groups_bitset",
-            wraps=extraction_bitset.extract_groups_bitset,
-        ) as spy:
-            detector(engine="auto").detect(small.graph)
-            assert spy.call_count == 0
-            detector(engine="auto", auto_engine_edge_threshold=1).detect(small.graph)
-            assert spy.call_count > 0
+    def test_auto_spelling_maps_to_bitset(self):
+        assert RICDDetector(engine="auto").engine == "bitset"
 
 
 class TestThresholdCache:

@@ -4,7 +4,7 @@ The repo has three pairs of paths that promise identical detection
 output:
 
 * the pure-Python **reference** extraction engine vs the numpy **bitset**
-  engine (and the ``auto`` switch between them);
+  engine (and ``auto``, the retired spelling that maps to bitset);
 * the **serial** evaluation harness vs the ``jobs=2`` process-pool path;
 * running with an **active recorder** (``--trace``) vs without.
 
@@ -66,26 +66,9 @@ class TestEngineEquivalence:
             detector = RICDDetector(
                 params=params,
                 engine=engine,
-                auto_engine_edge_threshold=1,
             )
             keys[engine] = _result_key(detector.detect(scenario.graph))
         assert keys["reference"] == keys["bitset"] == keys["auto"]
-
-    def test_auto_threshold_does_not_change_output(self, scenario):
-        params = RICDParams(k1=5, k2=5)
-        low = RICDDetector(
-            params=params,
-            engine="auto",
-            auto_engine_edge_threshold=1,
-        )
-        high = RICDDetector(
-            params=params,
-            engine="auto",
-            auto_engine_edge_threshold=10**9,
-        )
-        assert _result_key(low.detect(scenario.graph)) == _result_key(
-            high.detect(scenario.graph)
-        )
 
 
 def _suite():

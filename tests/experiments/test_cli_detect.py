@@ -119,6 +119,29 @@ class TestDetectCommand:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_removed_auto_engine_exits_2(self, click_table, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", str(click_table), "--engine", "auto"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_removed_auto_engine_threshold_exits_2(self, click_table, capsys):
+        # argparse resolves unambiguous prefixes, so this fails while any
+        # flag starting with --auto-engine (the removed threshold flag
+        # among them) exists.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", str(click_table), "--auto-engine", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_default_engine_recorded_as_bitset(self, click_table, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        args = ["detect", str(click_table), "--k1", "5", "--k2", "5"]
+        assert main(args + ["--trace-out", str(trace_path)]) == 0
+        report = TraceReport.from_json(trace_path.read_text())
+        assert report.meta["engine"] == "bitset"
+        assert report.gauges["detect.engine"] == "bitset"
+
     @pytest.mark.parametrize("flag", ["--shards", "--jobs", "--retries"])
     def test_removed_sharding_flags_exit_2(self, click_table, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:

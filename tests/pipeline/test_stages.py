@@ -135,7 +135,7 @@ class TestExtraction:
     def test_engine_choice_recorded_as_gauge(self, small):
         with obs.recording(obs.Recorder()) as recorder:
             Extraction().extract(small.graph, FIXED)
-        assert recorder.gauges["detect.engine"] == "reference"
+        assert recorder.gauges["detect.engine"] == "bitset"
 
 
 class TestScreeningStage:
