@@ -2,10 +2,11 @@
 
 Detection-as-a-service survives a process restart: one process ingests a
 click table, checkpoints, and exits; a second process resumes from the
-store directory alone and must serve the *identical* verdict at the same
-store version — without ever rebuilding the array snapshot (asserted by
-counter, not by timing).  CI runs the two phases as separate processes;
-running the script with no phase argument does both in sequence.
+store directory alone, finds every artifact intact (``verify()``), and
+must serve the *identical* verdict at the same store version — without
+ever rebuilding the array snapshot (asserted by counter, not by
+timing).  CI runs the two phases as separate processes; running the
+script with no phase argument does both in sequence.
 
 Run:  python examples/warm_resume.py [write|resume] [store-dir]
 """
@@ -67,6 +68,9 @@ def resume(store_dir) -> None:
         service.online.graph.indexed()
     misses = recorder.counters.get("graph.indexed.misses", 0)
     assert misses == 0, f"warm resume rebuilt the snapshot {misses}x"
+    # The checkpoint snapshot another process wrote: CRCs hold, no orphans.
+    orphans = service.store.verify()
+    assert orphans == [], f"store holds unreferenced artifacts: {orphans}"
 
     cold = RICDDetector(params=PARAMS, engine="reference").detect(
         service.online.graph

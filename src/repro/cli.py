@@ -594,8 +594,8 @@ def _run_server(args: argparse.Namespace) -> int:
         try:
             server.shutdown()
             service.stop(drain=False)
-            # A clean close is a checkpoint: drain, sync exactly, compact
-            # the store head so the next start resumes from one snapshot.
+            # A clean close is a checkpoint: drain, sync exactly, commit
+            # the head as a snapshot so the next start resumes from it.
             result = service.checkpoint()
             print(
                 f"final state at store version {service.store_version}: "

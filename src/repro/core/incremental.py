@@ -147,7 +147,7 @@ class IncrementalRICD:
         self._batches_since_recheck = 0
         self._store = None
         self._pending_records: list[tuple[Node, Node, int]] = []
-        self._pending_destructive = False
+        self._snapshot_owed = False
         if initial_result is not None:
             self._result = initial_result
         else:
@@ -221,17 +221,20 @@ class IncrementalRICD:
         """Persist every subsequent recheck's state into ``store``.
 
         Successful and stale rechecks alike commit a new store version —
-        a delta of the records ingested since the last persist (or a full
-        snapshot after destructive cleanup, which deltas cannot express)
-        plus the resolved thresholds, fixpoint memos and the result with
-        its provenance flags.  A store write that fails (fault injection,
-        disk trouble) is absorbed: the version is aborted, the catalog
-        stays on the previous version, and the records stay pending for
-        the next recheck — the stream never dies to its own persistence.
+        a delta of the records ingested since the last persist, or a full
+        snapshot when one is owed: after :meth:`recheck_full` (whose full
+        pass has just built the live index, so the snapshot is written
+        from it without a rebuild) and after destructive cleanup (which
+        deltas cannot express) — plus the resolved thresholds, fixpoint
+        memos and the result with its provenance flags.  A store write
+        that fails (fault injection, disk trouble) is absorbed: the
+        version is aborted, the catalog stays on the previous version, and
+        the records (and any owed snapshot) stay pending for the next
+        recheck — the stream never dies to its own persistence.
         """
         self._store = store
         self._pending_records = []
-        self._pending_destructive = False
+        self._snapshot_owed = False
 
     @property
     def store(self):
@@ -239,20 +242,22 @@ class IncrementalRICD:
         return self._store
 
     def persist_checkpoint(self) -> int | None:
-        """Make the store head a full-snapshot (compaction) point.
+        """Make the store head a full-snapshot point.
 
-        The service calls this at checkpoints.  When state is already
-        persisted at the head (the usual case — the checkpoint's
-        ``recheck_full`` committed it), the head's delta chain is folded
-        into a base snapshot in place; pending or destructive changes
-        commit a fresh snapshot version instead.  Either way later
+        The service calls this at checkpoints, right after
+        :meth:`recheck_full`, which usually has committed the synced state
+        as a snapshot already; :meth:`~repro.store.DetectionStore.compact`
+        then only sweeps unreferenced files.  Pending records or an owed
+        snapshot (a write the store absorbed) commit a fresh snapshot
+        version instead, and a head delta chain (no full recheck since)
+        is folded into a base snapshot in place.  Either way later
         resumes load the checkpoint directly, without delta replay.
         Returns the snapshot's version, or ``None`` when no store is
         attached or the write was absorbed.
         """
         if self._store is None:
             return None
-        if self._store.head is None or self._pending_records or self._pending_destructive:
+        if self._store.head is None or self._pending_records or self._snapshot_owed:
             return self._persist(snapshot=True)
         try:
             with obs.span("store_persist"):
@@ -268,7 +273,7 @@ class IncrementalRICD:
         version = store.begin_version()
         try:
             with obs.span("store_persist"):
-                if snapshot or store.head is None or self._pending_destructive:
+                if snapshot or store.head is None or self._snapshot_owed:
                     store.put_snapshot(self._graph)
                 else:
                     store.put_delta(
@@ -293,7 +298,7 @@ class IncrementalRICD:
             obs.count("store.persist_failures")
             return None
         self._pending_records = []
-        self._pending_destructive = False
+        self._snapshot_owed = False
         return version
 
     @staticmethod
@@ -403,7 +408,7 @@ class IncrementalRICD:
         if self._store is not None:
             # Deltas are append-only click records; removals force the
             # next persisted version to be a full snapshot.
-            self._pending_destructive = True
+            self._snapshot_owed = True
         return self.recheck()
 
     def recheck(self) -> DetectionResult:
@@ -421,7 +426,7 @@ class IncrementalRICD:
         """
         if not self._dirty_users and not self._dirty_items:
             self._batches_since_recheck = 0
-            if self._pending_records or self._pending_destructive:
+            if self._pending_records or self._snapshot_owed:
                 # A previous persist was absorbed (store fault): the
                 # detection state is current but the store is behind.
                 # Retry so the backlog lands as soon as pressure is off.
@@ -459,9 +464,16 @@ class IncrementalRICD:
         same graph (the property the checkpointed parity suite pins).
         The streaming service calls this at checkpoints/drain; between
         them the cheaper dirty-region rechecks serve the live result.
+
+        With a store attached, the recheck commits its version as a full
+        snapshot of the live index the pass has just built, not as a
+        delta: the checkpoint needs no compaction reload afterwards.  A
+        graph with nothing to recheck commits nothing.
         """
         self._dirty_users.update(self._graph.users())
         self._dirty_items.update(self._graph.items())
+        if self._store is not None and (self._dirty_users or self._dirty_items):
+            self._snapshot_owed = True
         return self.recheck()
 
     def _recheck_dirty_region(self) -> DetectionResult:

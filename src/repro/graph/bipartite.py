@@ -82,10 +82,13 @@ class BipartiteGraph:
         "__weakref__",
     )
 
-    #: Delta-buffer backstop: past this many buffered append events the
-    #: graph falls back to plain invalidation (full rebuild on next
-    #: :meth:`indexed` call) so an unbounded append burst with no snapshot
-    #: reader cannot grow the buffer without limit.
+    #: Delta-buffer backstop: once the buffer holds more than this many
+    #: append events beyond the memoized snapshot's edge count, the graph
+    #: falls back to plain invalidation (full rebuild on next
+    #: :meth:`indexed` call), so an append burst with no snapshot reader
+    #: keeps the buffer O(graph).  Scaling with the snapshot keeps a merge
+    #: wherever it is the cheaper path: ``apply_delta`` walks only the
+    #: buffer in Python, while a rebuild walks every edge's dict entry.
     _DELTA_LIMIT = 100_000
 
     def __init__(self) -> None:
@@ -299,7 +302,7 @@ class BipartiteGraph:
         if self._delta is None:
             self._delta = []
         self._delta.extend(events)
-        if len(self._delta) > self._DELTA_LIMIT:
+        if len(self._delta) > self._DELTA_LIMIT + self._indexed.num_edges:
             self._indexed = None
             self._delta = None
 

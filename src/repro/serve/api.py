@@ -16,7 +16,7 @@ Routes (all JSON)::
     POST /v1/clicks              {"records": [[user, item, clicks], ...],
                                   "pump": true|false}
     POST /v1/pump                drain one micro-batch (deterministic driving)
-    POST /v1/checkpoint          exact sync + store compaction point
+    POST /v1/checkpoint          exact sync + store snapshot point
     GET  /v1/verdict/user/<id>   user verdict against the live result
     GET  /v1/verdict/item/<id>   item verdict against the live result
     GET  /v1/verdict/group/<n>   group composition by rank index
@@ -240,7 +240,7 @@ class DetectionAPI:
         )
 
     def checkpoint(self) -> CheckpointResponse:
-        """Exact full sync; store-backed services compact at this point."""
+        """Exact full sync; store-backed services commit a snapshot here."""
         result = self.service.checkpoint()
         return CheckpointResponse(
             store_version=self.service.store_version,

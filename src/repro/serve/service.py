@@ -461,9 +461,11 @@ class DetectionService:
             lag = self.online.dirty_age(self.clock.now())
             with obs.span("serve.checkpoint"):
                 result = self.online.recheck_full()
-            # A checkpoint is also the store's compaction point: persist
-            # the synced state as a full snapshot so later resumes load
-            # it directly instead of replaying the delta chain.
+            # A checkpoint is also the store's snapshot point: the full
+            # recheck committed the synced live index as a snapshot, so
+            # later resumes load it directly instead of replaying deltas;
+            # this makes sure of it (committing anything a store fault
+            # left pending) and sweeps unreferenced files.
             self.online.persist_checkpoint()
             self._rechecks += 1
             self._last_recheck_lag = lag

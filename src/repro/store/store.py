@@ -24,13 +24,18 @@ orphaned but invisible) or the new one (all artifacts present) — never a
 catalog naming a partial artifact.
 
 Versions persist either a full *snapshot* (graph memmap directory) or a
-*delta* (the click records appended since the previous version).
+*delta* (the click records appended since the previous version, so a
+delta's base is always the version just below it).  The streaming
+service commits a snapshot at every checkpoint — the live index its full
+pass has just built — and deltas for the regional rechecks in between.
 :meth:`DetectionStore.load_snapshot` resolves the nearest base snapshot
 at-or-below the requested version and replays the delta chain forward
 through :meth:`~repro.graph.indexed.IndexedGraph.apply_delta`, so a load
 at version V is canonically identical to a cold build of the same click
-table.  :meth:`DetectionStore.compact` folds the head's delta chain into
-a fresh base snapshot, bounding replay cost without rewriting history.
+table.  :meth:`DetectionStore.compact` folds a head delta chain into a
+fresh base snapshot (a head that is already a snapshot is left as is),
+bounding replay cost without rewriting history, and sweeps unreferenced
+files either way.
 
 Integrity is checked two ways: a ``schema`` marker on the catalog
 (:class:`~repro.errors.SchemaVersionError` on unknown revisions) and a
@@ -115,8 +120,8 @@ class DetectionStore:
     Artifacts land on disk as soon as they are ``put`` (they are
     invisible until :meth:`commit` publishes the catalog), so the commit
     itself is one fsync-cheap atomic rename.  :meth:`abort` forgets an
-    uncommitted version; its orphaned files are harmless and reclaimed
-    by the next successful write of the same version number.
+    uncommitted version; its orphaned files are harmless, and
+    :meth:`gc` (which every :meth:`compact` runs) reclaims them.
     """
 
     def __init__(self, root: str | Path, catalog: dict):
@@ -226,7 +231,7 @@ class DetectionStore:
         inject("store")
         path = self.root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
         self._record(relpath, slot)
 
     def put_snapshot(self, graph) -> None:
@@ -309,25 +314,36 @@ class DetectionStore:
     # Reads
     # ------------------------------------------------------------------
     def _base_and_chain(self, version: int) -> "tuple[int, list[int]]":
-        """The nearest base snapshot at-or-below ``version`` + delta chain."""
-        chain: list[int] = []
+        """The nearest base snapshot at-or-below ``version`` + delta chain.
+
+        Walks down by version number: :meth:`begin_version` numbers
+        versions contiguously from the head, so a delta's base is always
+        the version just below it (:meth:`load_delta_records` checks the
+        recorded ``base`` when it parses the delta).
+        """
         cursor = version
-        while True:
-            entry = self.entry(cursor)
-            if "snapshot" in entry:
-                return cursor, list(reversed(chain))
-            if "delta" not in entry:  # pragma: no cover - commit() forbids this
-                raise StoreError(f"version {cursor} has no artifacts", version=cursor)
-            chain.append(cursor)
-            base = json.loads((self.root / entry["delta"]).read_text())["base"]
-            cursor = int(base)
+        while "snapshot" not in self.entry(cursor):
+            cursor -= 1
+        return cursor, list(range(cursor + 1, version + 1))
 
     def load_delta_records(self, version: int) -> "list[tuple[str, str, int]]":
-        """The click records version ``version`` appended over its base."""
+        """The click records version ``version`` appended over its base.
+
+        Raises :class:`~repro.errors.CorruptArtifactError` when the delta
+        records a base other than ``version - 1``: replaying it on that
+        base would silently drop the versions in between.
+        """
         entry = self.entry(version)
         if "delta" not in entry:
             raise StoreError(f"version {version} has no delta", version=version)
         payload = json.loads((self.root / entry["delta"]).read_text())
+        base = payload.get("base")
+        if base != version - 1:
+            raise CorruptArtifactError(
+                f"version {version}: delta records base {base!r}, "
+                f"expected {version - 1}",
+                version=version,
+            )
         return [(user, item, int(clicks)) for user, item, clicks in payload["records"]]
 
     def load_snapshot(self, version: int | None = None) -> IndexedGraph:
@@ -400,37 +416,38 @@ class DetectionStore:
     # Maintenance
     # ------------------------------------------------------------------
     def compact(self) -> int:
-        """Fold the head's delta chain into a fresh base snapshot.
+        """Make the head a base snapshot, then sweep unreferenced files.
 
-        The materialised head graph is written as ``snapshots/v<head>``
-        and the head entry gains a ``snapshot`` reference (published
-        atomically like any write), so later loads stop replaying the
-        chain.  History is untouched — older versions remain loadable.
-        Returns the head version; a head that already has a base snapshot
-        is a no-op.
+        A head delta chain is folded: the materialised head graph is
+        written as ``snapshots/v<head>`` and the head entry gains a
+        ``snapshot`` reference (published atomically like any write), so
+        later loads stop replaying the chain.  A head that already holds a
+        snapshot — what a service checkpoint commits — is left as is.
+        Either way :meth:`gc` then reclaims invisible leftovers (aborted
+        writes, crashed publishes), including a delta an absorbed write
+        stranded at the number the head snapshot reused.  History is
+        untouched — older versions remain loadable.  Returns the head
+        version.
         """
         version = self._resolve_version(None)
         entry = self.entry(version)
-        if "snapshot" in entry:
-            return version
-        snapshot = self.load_snapshot(version)
-        inject("store")
-        relpath = f"snapshots/v{version}"
-        write_graph_memmap(snapshot, self.root / relpath)
-        checksums = dict(entry["checksums"])
-        snapshot_dir = self.root / relpath
-        for child in sorted(snapshot_dir.iterdir()):
-            checksums[f"{relpath}/{child.name}"] = _crc32(child)
-        updated = dict(entry, snapshot=relpath, checksums=checksums)
-        self._catalog["entries"][str(version)] = updated
-        try:
-            self._publish_catalog()
-        except BaseException:
-            self._catalog["entries"][str(version)] = entry
-            raise
-        obs.count("store.compactions")
-        # Reclaim any invisible leftovers (aborted writes, crashed
-        # publishes) now that the folded snapshot is durably referenced.
+        if "snapshot" not in entry:
+            snapshot = self.load_snapshot(version)
+            inject("store")
+            relpath = f"snapshots/v{version}"
+            write_graph_memmap(snapshot, self.root / relpath)
+            checksums = dict(entry["checksums"])
+            snapshot_dir = self.root / relpath
+            for child in sorted(snapshot_dir.iterdir()):
+                checksums[f"{relpath}/{child.name}"] = _crc32(child)
+            updated = dict(entry, snapshot=relpath, checksums=checksums)
+            self._catalog["entries"][str(version)] = updated
+            try:
+                self._publish_catalog()
+            except BaseException:
+                self._catalog["entries"][str(version)] = entry
+                raise
+            obs.count("store.compactions")
         # History stays loadable: every historical delta/threshold/result
         # is still referenced by its own entry and is never an orphan.
         self.gc()

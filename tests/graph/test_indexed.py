@@ -186,6 +186,18 @@ class TestIncrementalMaintenance:
             )
             assert (keys[1:] > keys[:-1]).all()
 
+    def test_buffer_within_scaled_backstop_merges(self, simple_graph, monkeypatch):
+        simple_graph.indexed()
+        monkeypatch.setattr(type(simple_graph), "_DELTA_LIMIT", 3)
+        # Two clicks by new users buffer 4 events: more than the limit,
+        # but within the limit plus the snapshot's 6 edges.
+        simple_graph.add_click("late0", "i1", 1)
+        simple_graph.add_click("late1", "i2", 1)
+        with obs.recording(obs.Recorder()) as recorder:
+            simple_graph.indexed()
+        assert recorder.counters["graph.indexed.delta_builds"] == 1
+        assert recorder.counters.get("graph.indexed.misses", 0) == 0
+
     def test_buffer_backstop_falls_back_to_rebuild(self, simple_graph):
         simple_graph.indexed()
         original_limit = type(simple_graph)._DELTA_LIMIT

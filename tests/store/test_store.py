@@ -118,6 +118,16 @@ class TestWriteProtocol:
         with pytest.raises(StoreError):
             store.put_snapshot(attack_graph().indexed())
 
+    def test_delta_is_written_on_one_line(self, tmp_path):
+        store = DetectionStore.create(tmp_path / "s")
+        commit_snapshot(store, attack_graph())
+        store.begin_version()
+        store.put_delta([("zz", "i0", 5), ("zz", "i1", 2)])
+        store.commit()
+        text = (store.root / store.entry(2)["delta"]).read_text()
+        assert len(text.splitlines()) == 1
+        assert store.load_delta_records(2) == [("zz", "i0", 5), ("zz", "i1", 2)]
+
     def test_unknown_version_reads_raise(self, tmp_path):
         store = DetectionStore.create(tmp_path / "s")
         with pytest.raises(StoreError):
@@ -267,6 +277,22 @@ class TestIntegrity:
         with pytest.raises(CorruptArtifactError) as excinfo:
             store.verify()
         assert excinfo.value.version == 1
+
+    def test_delta_base_mismatch_is_corrupt(self, tmp_path):
+        store = DetectionStore.create(tmp_path / "s")
+        commit_snapshot(store, attack_graph())
+        for user in ("v2_user", "v3_user"):
+            store.begin_version()
+            store.put_delta([(user, "i0", 3)])
+            store.commit()
+        # A v3 delta claiming v1 as its base would replay without v2.
+        path = store.root / store.entry(3)["delta"]
+        payload = json.loads(path.read_text())
+        payload["base"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptArtifactError) as excinfo:
+            DetectionStore.open(tmp_path / "s").load_snapshot(3)
+        assert excinfo.value.version == 3
 
     def test_verify_detects_missing_artifact(self, tmp_path):
         store = DetectionStore.create(tmp_path / "s")
