@@ -52,7 +52,7 @@ CHECKPOINTS = 4
 
 
 def canonical(result):
-    """Order-free canonical form (mirrors tests/shard/canon.py locally)."""
+    """Order-free canonical form (mirrors tests/canon.py locally)."""
     return (
         sorted(map(str, result.suspicious_users)),
         sorted(map(str, result.suspicious_items)),

@@ -12,8 +12,8 @@ Converts screened groups into the business-facing output table:
   toward its floor and (optionally) the group-size floors — and the first
   two modules re-run.  :func:`adjust_parameters` produces the relaxed
   parameter pair for one round; the loop itself lives in
-  :class:`repro.core.framework.RICDDetector` because it must re-invoke
-  detection.
+  :class:`repro.pipeline.feedback.FeedbackDriver` because it must
+  re-invoke detection.
 """
 
 from __future__ import annotations

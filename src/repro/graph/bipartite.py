@@ -83,12 +83,13 @@ class BipartiteGraph:
     )
 
     #: Delta-buffer backstop: once the buffer holds more than this many
-    #: append events beyond the memoized snapshot's edge count, the graph
-    #: falls back to plain invalidation (full rebuild on next
-    #: :meth:`indexed` call), so an append burst with no snapshot reader
-    #: keeps the buffer O(graph).  Scaling with the snapshot keeps a merge
-    #: wherever it is the cheaper path: ``apply_delta`` walks only the
-    #: buffer in Python, while a rebuild walks every edge's dict entry.
+    #: events (one per click, one per idle-node registration) beyond the
+    #: memoized snapshot's edge count, the graph falls back to plain
+    #: invalidation (full rebuild on next :meth:`indexed` call), so an
+    #: append burst with no snapshot reader keeps the buffer O(graph).
+    #: Scaling with the snapshot keeps a merge wherever it is the cheaper
+    #: path: ``apply_delta`` walks only the buffer in Python, while a
+    #: rebuild walks every edge's dict entry.
     _DELTA_LIMIT = 100_000
 
     def __init__(self) -> None:
@@ -287,21 +288,26 @@ class BipartiteGraph:
         self._indexed = None
         self._delta = None
 
-    def _appended(self, *events) -> None:
-        """Record one append-only mutation (new nodes / edges, increments).
+    def _appended(self, event: tuple) -> None:
+        """Record one append-only mutation as an ``apply_delta`` event.
 
+        ``event`` is a click record ``(user, item, clicks)`` — a new edge
+        or an increment, which :meth:`IndexedGraph.apply_delta` tells
+        apart itself, registering unseen endpoints as it goes — or an
+        idle-node registration ``("user", node)`` / ``("item", node)``.
         Unlike :meth:`_mutated` this keeps the memoized snapshot alive and
-        buffers the events, so the next :meth:`indexed` call merges them
-        incrementally instead of re-snapshotting from scratch.  Recording
-        only starts once a snapshot exists — with nothing to maintain, the
-        buffer stays empty and the first access builds as usual.
+        buffers the event, so the next :meth:`indexed` call merges the
+        buffer incrementally instead of re-snapshotting from scratch.
+        Recording only starts once a snapshot exists — with nothing to
+        maintain, the buffer stays empty and the first access builds as
+        usual.
         """
         self._version += 1
         if self._indexed is None:
             return
         if self._delta is None:
             self._delta = []
-        self._delta.extend(events)
+        self._delta.append(event)
         if len(self._delta) > self._DELTA_LIMIT + self._indexed.num_edges:
             self._indexed = None
             self._delta = None
@@ -413,11 +419,6 @@ class BipartiteGraph:
         """
         if clicks <= 0:
             raise ValueError(f"clicks must be positive, got {clicks}")
-        events = []
-        if not self.has_user(user):
-            events.append(("user", user))
-        if not self.has_item(item):
-            events.append(("item", item))
         user_adj = self._adj_user(user)
         item_adj = self._adj_item(item)
         previous = user_adj.get(item, 0)
@@ -427,8 +428,7 @@ class BipartiteGraph:
         self._total_clicks += clicks
         if previous == 0 and self._lazy is not None:
             self._lazy_extra_edges += 1
-        events.append(("edge", user, item, clicks, previous == 0))
-        self._appended(*events)
+        self._appended((user, item, clicks))
 
     def set_click(self, user: Node, item: Node, clicks: int) -> None:
         """Set the edge weight exactly; ``clicks = 0`` deletes the edge.
@@ -460,11 +460,6 @@ class BipartiteGraph:
                 self._lazy_extra_edges -= 1
             self._mutated()
             return
-        events = []
-        if not self.has_user(user):
-            events.append(("user", user))
-        if not self.has_item(item):
-            events.append(("item", item))
         user_adj = self._adj_user(user)
         item_adj = self._adj_item(item)
         user_adj[item] = clicks
@@ -473,8 +468,7 @@ class BipartiteGraph:
         if current == 0 and self._lazy is not None:
             self._lazy_extra_edges += 1
         if clicks > current:
-            events.append(("edge", user, item, clicks - current, current == 0))
-            self._appended(*events)
+            self._appended((user, item, clicks - current))
         else:
             # Weight decrease is destructive for the array snapshot's
             # append-only delta; fall back to full invalidation.

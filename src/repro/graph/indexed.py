@@ -20,8 +20,8 @@ build-once/detect-many workloads (feedback rounds, suites, sweeps,
 benchmarks) pay the dict→array conversion exactly once.
 
 Append-mostly mutation no longer forces a from-scratch rebuild:
-:meth:`apply_delta` merges a buffered batch of appends (new nodes, new
-edges, click increments) into a fresh snapshot with numpy merge
+:meth:`apply_delta` merges a buffered batch of appended click records
+(plus idle-node registrations) into a fresh snapshot with numpy merge
 operations — O(delta log delta) sorting plus one O(edges) array merge —
 instead of the Python per-edge loop of :meth:`from_graph`.  The merge is
 the delta buffer's periodic compaction: the produced snapshot is again
@@ -204,31 +204,21 @@ class IndexedGraph:
         )
         return cls(list(users), list(items), user_idx, item_idx, clicks, version)
 
-    @classmethod
-    def from_store(cls, store, version: int | None = None) -> "IndexedGraph":
-        """Load a snapshot from a versioned detection store.
-
-        ``store`` is any object with the
-        :meth:`repro.store.DetectionStore.load_snapshot` contract (duck
-        typed to avoid an import cycle); ``version=None`` means the store
-        head.  The store resolves the nearest persisted base snapshot and
-        replays the delta chain through :meth:`apply_delta`, so the result
-        is canonical and byte-identical to a cold build at that version.
-        """
-        return store.load_snapshot(version)
-
     # ------------------------------------------------------------------
     # Incremental maintenance (append-mostly mutation)
     # ------------------------------------------------------------------
     def apply_delta(self, events: list, version: int) -> "IndexedGraph":
-        """A new snapshot with a batch of append events merged in.
+        """A new snapshot with a batch of appended click records merged in.
 
-        ``events`` is the :class:`~repro.graph.bipartite.BipartiteGraph`
-        delta buffer: ``("user", node)`` / ``("item", node)`` register a
-        new node, ``("edge", user, item, delta_clicks, is_new)`` appends a
-        new edge or increments an existing one.  Events replay in
-        recording order, so an edge may reference a node introduced
-        earlier in the same batch.
+        ``events`` are plain click records ``(user, item, clicks)`` — the
+        form the store persists — optionally interleaved with
+        ``("user", node)`` / ``("item", node)`` registrations of idle
+        nodes.  Events replay in order: a registration, or a record's
+        unseen user and then its unseen item, takes the next free id.
+        Records on the same edge sum their clicks; one ``searchsorted``
+        against the base keys then splits the edges the snapshot already
+        holds (their clicks are incremented) from the new ones (inserted
+        in canonical position), so no record can duplicate an edge.
 
         The result is a fresh, canonical, independently cached snapshot —
         the original is untouched (frozen-snapshot contract), and chained
@@ -255,58 +245,56 @@ class IndexedGraph:
         rows: list[int] = []
         cols: list[int] = []
         weights: list[int] = []
-        fresh: list[bool] = []
         for event in events:
-            kind = event[0]
-            if kind == "user":
-                user_index[event[1]] = len(users)
-                users.append(event[1])
-            elif kind == "item":
-                item_index[event[1]] = len(items)
-                items.append(event[1])
-            elif kind == "edge":
-                _, user, item, delta_clicks, is_new = event
-                rows.append(user_index[user])
-                cols.append(item_index[item])
-                weights.append(delta_clicks)
-                fresh.append(is_new)
-            else:  # pragma: no cover - defensive against future event kinds
-                raise ValueError(f"unknown delta event kind {kind!r}")
+            if len(event) == 2:
+                kind, node = event
+                if kind == "user":
+                    user_index[node] = len(users)
+                    users.append(node)
+                elif kind == "item":
+                    item_index[node] = len(items)
+                    items.append(node)
+                else:  # pragma: no cover - defensive against future event kinds
+                    raise ValueError(f"unknown delta event kind {kind!r}")
+                continue
+            user, item, delta_clicks = event
+            row = user_index.get(user)
+            if row is None:
+                row = user_index[user] = len(users)
+                users.append(user)
+            column = item_index.get(item)
+            if column is None:
+                column = item_index[item] = len(items)
+                items.append(item)
+            rows.append(row)
+            cols.append(column)
+            weights.append(delta_clicks)
 
         user_idx, item_idx, clicks = self.user_idx, self.item_idx, self.clicks
         if rows:
             mult = max(len(items), 1)
             base_keys = user_idx.astype(np.int64) * mult + item_idx
-            d_rows = np.asarray(rows, dtype=np.int64)
-            d_cols = np.asarray(cols, dtype=np.int64)
-            d_weights = np.asarray(weights, dtype=np.int64)
-            d_fresh = np.asarray(fresh, dtype=bool)
-            d_keys = d_rows * mult + d_cols
-            # Coalesce repeated events on the same edge; the stable sort
-            # keeps recording order inside each group, so the group's
-            # first event decides whether the edge is new to this batch.
+            d_keys = np.asarray(rows, dtype=np.int64) * mult + np.asarray(cols, dtype=np.int64)
+            # Coalesce repeated records on the same edge.
             order = np.argsort(d_keys, kind="stable")
             group_keys, starts = np.unique(d_keys[order], return_index=True)
-            group_weights = np.add.reduceat(d_weights[order], starts)
-            group_fresh = d_fresh[order][starts]
-
-            patch_keys = group_keys[~group_fresh]
-            if len(patch_keys):
-                positions = np.searchsorted(base_keys, patch_keys)
-                if positions.max(initial=-1) >= len(base_keys) or not np.array_equal(
-                    base_keys[positions], patch_keys
-                ):
-                    raise RuntimeError(
-                        "delta increment references an edge missing from the snapshot"
-                    )
+            group_weights = np.add.reduceat(
+                np.asarray(weights, dtype=np.int64)[order], starts
+            )
+            positions = np.searchsorted(base_keys, group_keys)
+            present = np.zeros(len(group_keys), dtype=bool)
+            inside = positions < len(base_keys)
+            present[inside] = base_keys[positions[inside]] == group_keys[inside]
+            if present.any():
                 clicks = clicks.copy()
-                clicks[positions] += group_weights[~group_fresh]
-            insert_keys = group_keys[group_fresh]
-            if len(insert_keys):
-                positions = np.searchsorted(base_keys, insert_keys)
-                user_idx = np.insert(user_idx, positions, insert_keys // mult)
-                item_idx = np.insert(item_idx, positions, insert_keys % mult)
-                clicks = np.insert(clicks, positions, group_weights[group_fresh])
+                clicks[positions[present]] += group_weights[present]
+            inserted = ~present
+            if inserted.any():
+                insert_keys = group_keys[inserted]
+                at = positions[inserted]
+                user_idx = np.insert(user_idx, at, insert_keys // mult)
+                item_idx = np.insert(item_idx, at, insert_keys % mult)
+                clicks = np.insert(clicks, at, group_weights[inserted])
         return IndexedGraph(
             users,
             items,

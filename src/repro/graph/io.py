@@ -9,11 +9,10 @@ opaque); click counts must parse as positive integers.
 Beyond the text format, this module persists :class:`IndexedGraph`
 snapshots as numpy arrays for out-of-core work at paper scale:
 
-* :func:`write_graph_npz` / :func:`read_graph_npz` — one portable ``.npz``
-  archive (ids + canonical edge arrays);
 * :func:`write_graph_memmap` / :func:`read_graph_memmap` — a directory of
   raw ``.npy`` files whose edge arrays reload **memory-mapped**, so a
-  90M-edge graph costs page-cache, not heap;
+  90M-edge graph costs page-cache, not heap (the one graph file format:
+  every store snapshot is one);
 * :func:`read_click_table_indexed` — chunked text ingestion straight into
   edge arrays, skipping the dict-of-dict :class:`BipartiteGraph`
   entirely (≈24 bytes/edge peak instead of several hundred).
@@ -38,8 +37,6 @@ __all__ = [
     "write_click_table",
     "iter_click_table",
     "read_click_table_indexed",
-    "write_graph_npz",
-    "read_graph_npz",
     "write_graph_memmap",
     "read_graph_memmap",
 ]
@@ -228,7 +225,7 @@ def write_click_table(
 
 
 # ----------------------------------------------------------------------
-# Array persistence (npz archive / memory-mapped directory)
+# Array persistence (memory-mapped directory)
 # ----------------------------------------------------------------------
 def _as_snapshot(graph) -> IndexedGraph:
     if isinstance(graph, IndexedGraph):
@@ -249,7 +246,7 @@ _GRAPH_SCHEMA_VERSIONS = (1,)
 def _check_schema_version(found, location) -> None:
     """Reject artifacts written by an unknown schema revision.
 
-    A missing version (``None``) is accepted as revision 1 — archives
+    A missing version (``None``) is accepted as revision 1 — directories
     written before the marker existed are layout-identical to v1.
     """
     if found is None:
@@ -263,55 +260,16 @@ def _check_schema_version(found, location) -> None:
         )
 
 
-def write_graph_npz(graph, path: str | Path) -> Path:
-    """Persist a graph (or snapshot) as one ``.npz`` archive.
-
-    Node ids are stringified, exactly like :func:`write_click_table`; the
-    edge arrays are stored canonical (sorted by ``(row, column)``), so
-    :func:`read_graph_npz` rebuilds without re-sorting.
-    """
-    snapshot = _as_snapshot(graph)
-    path = Path(path)
-    np.savez(
-        path,
-        users=_id_array(snapshot.users),
-        items=_id_array(snapshot.items),
-        user_idx=np.asarray(snapshot.user_idx, dtype=np.int64),
-        item_idx=np.asarray(snapshot.item_idx, dtype=np.int64),
-        clicks=np.asarray(snapshot.clicks, dtype=np.int64),
-        schema_version=np.int64(_GRAPH_SCHEMA_VERSIONS[-1]),
-    )
-    # np.savez appends ".npz" when missing; report the real file.
-    return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
-
-
-def read_graph_npz(path: str | Path) -> IndexedGraph:
-    """Load a :func:`write_graph_npz` archive back into a snapshot."""
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        # Archives written before the marker existed lack the field;
-        # those are layout-identical to schema v1 and load as such.
-        if "schema_version" in archive.files:
-            _check_schema_version(int(archive["schema_version"]), path)
-        return IndexedGraph(
-            [str(user) for user in archive["users"]],
-            [str(item) for item in archive["items"]],
-            archive["user_idx"].astype(np.int64, copy=False),
-            archive["item_idx"].astype(np.int64, copy=False),
-            archive["clicks"].astype(np.int64, copy=False),
-        )
-
-
 _MEMMAP_ARRAYS = ("user_idx", "item_idx", "clicks")
 
 
 def write_graph_memmap(graph, directory: str | Path) -> Path:
     """Persist a graph (or snapshot) as a directory of raw ``.npy`` files.
 
-    Unlike the ``.npz`` archive, each edge array lands in its own ``.npy``
-    file, which :func:`read_graph_memmap` can open with
-    ``mmap_mode="r"`` — the arrays then live in the page cache and are
-    paged in on demand, bounding heap use for paper-scale graphs.
+    Each edge array lands in its own ``.npy`` file, which
+    :func:`read_graph_memmap` can open with ``mmap_mode="r"`` — the
+    arrays then live in the page cache and are paged in on demand,
+    bounding heap use for paper-scale graphs.
     """
     snapshot = _as_snapshot(graph)
     directory = Path(directory)

@@ -332,21 +332,20 @@ class DetectionAPI:
         )
 
     def status(self) -> StatusResponse:
-        """Service, graph and store vitals."""
-        snapshot = self.service.snapshot()
-        graph = self.service.online.graph
-        store = self.service.store
+        """Service, graph and store vitals, read in one locked call."""
+        snapshot, versions, (num_users, num_items, num_edges) = self.service.vitals()
         return StatusResponse(
             level=snapshot.level,
             queue_depth=snapshot.queue.depth,
             applied=snapshot.applied,
             rechecks=snapshot.rechecks,
             degraded=snapshot.degraded,
-            store_version=self.service.store_version,
-            store_versions=tuple(store.versions()) if store is not None else (),
-            num_users=graph.num_users,
-            num_items=graph.num_items,
-            num_edges=graph.num_edges,
+            # The head is the newest committed version.
+            store_version=versions[-1] if versions else None,
+            store_versions=versions,
+            num_users=num_users,
+            num_items=num_items,
+            num_edges=num_edges,
             provenance=snapshot.provenance,
         )
 

@@ -542,6 +542,23 @@ class DetectionService:
                 recheck_lag=self._last_recheck_lag,
             )
 
+    def vitals(self) -> "tuple[ServiceSnapshot, tuple[int, ...], tuple[int, int, int]]":
+        """``(snapshot, store_versions, (users, items, edges))`` in one read.
+
+        The status route's view: the pump thread grows the live graph and
+        the store catalog, so both are read here under the service lock.
+        :meth:`snapshot` leaves them out because an eager graph's
+        ``num_edges`` is O(users) and every verdict calls it.
+        """
+        with self._lock:
+            store = self.online.store
+            graph = self.online.graph
+            return (
+                self.snapshot(),
+                () if store is None else tuple(store.versions()),
+                (graph.num_users, graph.num_items, graph.num_edges),
+            )
+
     def _emit_gauges(self, depth: int) -> None:
         obs.gauge("serve.queue_depth", depth)
         obs.gauge("serve.dirty_region", self.online.dirty_size)

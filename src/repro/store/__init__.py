@@ -3,12 +3,11 @@
 The package turns the invocation-shaped stack into a deployable one:
 :class:`DetectionStore` persists graph snapshots, click-record deltas,
 resolved thresholds and :class:`~repro.core.groups.DetectionResult`
-payloads under monotone store versions, and every warm-start consumer —
-:meth:`repro.graph.indexed.IndexedGraph.from_store`,
-:meth:`repro.core.incremental.IncrementalRICD.from_store`,
-:meth:`repro.serve.DetectionService.from_store` — resumes from it with
-its caches pre-seeded, producing canonically identical output to a cold
-run on the same click table.
+payloads under monotone store versions, and both warm-start consumers —
+:meth:`repro.core.incremental.IncrementalRICD.from_store` and
+:meth:`repro.serve.DetectionService.from_store` — resume from it with
+their caches pre-seeded, producing canonically identical output to a
+cold run on the same click table.
 """
 
 from .serialization import (

@@ -51,8 +51,6 @@ import os
 import zlib
 from pathlib import Path
 
-import numpy as np
-
 from .. import obs
 from ..config import RICDParams, ScreeningParams
 from ..core.groups import DetectionResult
@@ -349,10 +347,13 @@ class DetectionStore:
     def load_snapshot(self, version: int | None = None) -> IndexedGraph:
         """The graph at ``version`` (default head) as a canonical snapshot.
 
-        Loads the nearest persisted base snapshot and replays the delta
-        chain forward, so the result is byte-identical to a cold build of
-        the same records.  ``snapshot.version`` is set to the *store*
-        version, which is what every warm cache re-keys on.
+        Loads the nearest persisted base snapshot and hands each delta's
+        ``(user, item, clicks)`` records, as stored, to
+        :meth:`~repro.graph.indexed.IndexedGraph.apply_delta`, which
+        registers unseen nodes and tells increments from new edges
+        itself.  The result holds exactly the edges and clicks of a cold
+        build of the same records.  ``snapshot.version`` is set to the
+        *store* version, which is what every warm cache re-keys on.
         """
         version = self._resolve_version(version)
         base, chain = self._base_and_chain(version)
@@ -361,8 +362,7 @@ class DetectionStore:
             snapshot.version = base
             for delta_version in chain:
                 records = self.load_delta_records(delta_version)
-                events = _records_to_events(snapshot, records)
-                snapshot = snapshot.apply_delta(events, delta_version)
+                snapshot = snapshot.apply_delta(records, delta_version)
         obs.count("store.snapshot_loads")
         self._rehydrate_memos(snapshot, version)
         return snapshot
@@ -551,39 +551,3 @@ class DetectionStore:
     def __repr__(self) -> str:
         return f"DetectionStore(root={str(self.root)!r}, head={self.head})"
 
-
-def _records_to_events(snapshot: IndexedGraph, records) -> list:
-    """Convert stored click records into an ``apply_delta`` event batch.
-
-    Mirrors :meth:`BipartiteGraph.add_click` semantics: unknown users and
-    items are registered first, and each edge event carries whether the
-    edge is new *to the base snapshot* — the first event of a coalesced
-    group decides, exactly the contract ``apply_delta`` groups by.
-    """
-    events: list = []
-    new_users: set = set()
-    new_items: set = set()
-    seen_edges: set = set()
-    indptr, cols = snapshot.csr_arrays()
-    for user, item, clicks in records:
-        if user not in snapshot.user_index and user not in new_users:
-            new_users.add(user)
-            events.append(("user", user))
-        if item not in snapshot.item_index and item not in new_items:
-            new_items.add(item)
-            events.append(("item", item))
-        edge = (user, item)
-        if edge in seen_edges:
-            is_new = False  # coalesced away; the group's first event decides
-        else:
-            seen_edges.add(edge)
-            row = snapshot.user_index.get(user)
-            column = snapshot.item_index.get(item)
-            if row is None or column is None:
-                is_new = True
-            else:
-                lo, hi = int(indptr[row]), int(indptr[row + 1])
-                position = int(np.searchsorted(cols[lo:hi], column))
-                is_new = not (position < hi - lo and int(cols[lo + position]) == column)
-        events.append(("edge", user, item, int(clicks), is_new))
-    return events

@@ -30,7 +30,7 @@ from repro.core.framework import RICDDetector
 from repro.datagen import clean_marketplace, family_names, plan_family
 from repro.graph import BipartiteGraph, from_click_records
 
-from ..shard.canon import canonical_groups, canonical_result
+from ..canon import canonical_groups, canonical_result
 
 # ----------------------------------------------------------------------
 # Property-based relabeling / edge-order relations

@@ -17,7 +17,7 @@ from repro.core.framework import RICDDetector
 from repro.core.incremental import ClickBatch, IncrementalRICD
 from repro.graph import BipartiteGraph
 
-from ..shard.canon import canonical_result
+from ..canon import canonical_result
 from .scenarios import SCENARIO_GRID, build_scenario
 
 pytestmark = pytest.mark.difftest

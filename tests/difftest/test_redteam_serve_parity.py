@@ -21,7 +21,7 @@ from repro.core.framework import RICDDetector
 from repro.datagen import clean_marketplace, family_names, plan_family
 from repro.serve import drip_campaign
 
-from ..shard.canon import canonical_result
+from ..canon import canonical_result
 
 pytestmark = pytest.mark.difftest
 

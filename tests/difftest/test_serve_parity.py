@@ -18,7 +18,7 @@ from repro.core.framework import RICDDetector
 from repro.graph import BipartiteGraph
 from repro.serve import DetectionService, ServeConfig, SimulatedClock, StalenessPolicy
 
-from ..shard.canon import canonical_result
+from ..canon import canonical_result
 from .scenarios import SCENARIO_GRID, build_scenario
 from .test_incremental_parity import click_records
 

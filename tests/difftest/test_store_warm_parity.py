@@ -15,7 +15,7 @@ from repro.core.incremental import ClickBatch, IncrementalRICD
 from repro.graph import BipartiteGraph
 from repro.store import DetectionStore, memos_to_json
 
-from ..shard.canon import canonical_result
+from ..canon import canonical_result
 from .scenarios import SCENARIO_GRID, build_scenario
 
 pytestmark = pytest.mark.difftest

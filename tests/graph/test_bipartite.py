@@ -215,8 +215,9 @@ class TestSetClickInvalidation:
 
 
 class TestDeltaEventFlags:
-    """The `previous == 0` new-edge flag must hold whenever the edge is
-    new — including when both endpoints already existed."""
+    """A click buffers one plain ``(user, item, clicks)`` record whether
+    the edge is new or not — including when both endpoints already
+    existed — and the merged snapshot equals a rebuild."""
 
     @staticmethod
     def _snapshots_equal(graph):
@@ -243,19 +244,19 @@ class TestDeltaEventFlags:
     def test_add_click_new_edge_existing_endpoints(self, simple_graph):
         simple_graph.indexed()  # arm the delta buffer
         simple_graph.add_click("u1", "i3", 2)  # endpoints exist, edge is new
-        assert simple_graph._delta[-1] == ("edge", "u1", "i3", 2, True)
+        assert simple_graph._delta[-1] == ("u1", "i3", 2)
         self._snapshots_equal(simple_graph)
 
     def test_add_click_existing_edge_is_not_flagged_new(self, simple_graph):
         simple_graph.indexed()
         simple_graph.add_click("u1", "i1", 2)
-        assert simple_graph._delta[-1] == ("edge", "u1", "i1", 2, False)
+        assert simple_graph._delta[-1] == ("u1", "i1", 2)
         self._snapshots_equal(simple_graph)
 
     def test_set_click_increase_on_new_edge_existing_endpoints(self, simple_graph):
         simple_graph.indexed()
         simple_graph.set_click("u2", "i2", 4)  # endpoints exist, edge is new
-        assert simple_graph._delta[-1] == ("edge", "u2", "i2", 4, True)
+        assert simple_graph._delta[-1] == ("u2", "i2", 4)
         self._snapshots_equal(simple_graph)
 
     def test_mixed_delta_burst_matches_rebuild(self, simple_graph):

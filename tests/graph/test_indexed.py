@@ -189,10 +189,10 @@ class TestIncrementalMaintenance:
     def test_buffer_within_scaled_backstop_merges(self, simple_graph, monkeypatch):
         simple_graph.indexed()
         monkeypatch.setattr(type(simple_graph), "_DELTA_LIMIT", 3)
-        # Two clicks by new users buffer 4 events: more than the limit,
+        # Four clicks by new users buffer 4 events: more than the limit,
         # but within the limit plus the snapshot's 6 edges.
-        simple_graph.add_click("late0", "i1", 1)
-        simple_graph.add_click("late1", "i2", 1)
+        for step in range(4):
+            simple_graph.add_click(f"late{step}", f"i{step % 2 + 1}", 1)
         with obs.recording(obs.Recorder()) as recorder:
             simple_graph.indexed()
         assert recorder.counters["graph.indexed.delta_builds"] == 1
@@ -203,10 +203,68 @@ class TestIncrementalMaintenance:
         original_limit = type(simple_graph)._DELTA_LIMIT
         try:
             type(simple_graph)._DELTA_LIMIT = 3
-            for step in range(6):
+            # Ten clicks buffer 10 events, past the limit plus 6 edges.
+            for step in range(10):
                 simple_graph.add_click(f"flood{step}", "hot", 1)
             with obs.recording(obs.Recorder()) as recorder:
                 simple_graph.indexed()
             assert recorder.counters["graph.indexed.misses"] == 1
         finally:
             type(simple_graph)._DELTA_LIMIT = original_limit
+
+
+class TestRecordDelta:
+    """``apply_delta`` reads plain ``(user, item, clicks)`` records."""
+
+    @staticmethod
+    def _keys(snapshot):
+        return snapshot.user_idx * max(snapshot.num_items, 1) + snapshot.item_idx
+
+    @staticmethod
+    def _content(snapshot):
+        edges = {
+            (snapshot.users[row], snapshot.items[column], weight)
+            for row, column, weight in zip(
+                snapshot.user_idx.tolist(),
+                snapshot.item_idx.tolist(),
+                snapshot.clicks.tolist(),
+            )
+        }
+        return sorted(snapshot.users), sorted(snapshot.items), edges
+
+    def test_reclick_patches_the_existing_edge(self, simple_graph):
+        base = IndexedGraph.from_graph(simple_graph)
+        merged = base.apply_delta([("u1", "i1", 2), ("u1", "i1", 1)], base.version + 1)
+        assert merged.num_edges == base.num_edges
+        keys = self._keys(merged)
+        assert (keys[1:] > keys[:-1]).all()
+        row, column = merged.user_index["u1"], merged.item_index["i1"]
+        assert merged.edge_weight(row, column) == simple_graph.get_click("u1", "i1") + 3
+        assert merged.total_clicks == base.total_clicks + 3
+
+    def test_unseen_nodes_register_user_then_item(self, simple_graph):
+        base = IndexedGraph.from_graph(simple_graph)
+        merged = base.apply_delta([("nu", "ni", 4)], base.version + 1)
+        registered = base.apply_delta(
+            [("user", "nu"), ("item", "ni"), ("nu", "ni", 4)], base.version + 1
+        )
+        assert merged.users == base.users + ["nu"]
+        assert merged.items == base.items + ["ni"]
+        for name in ("user_idx", "item_idx", "clicks"):
+            assert (getattr(merged, name) == getattr(registered, name)).all()
+        assert merged.edge_weight(base.num_users, base.num_items) == 4
+
+    def test_mixed_burst_equals_rebuild(self, simple_graph):
+        simple_graph.indexed()
+        simple_graph.add_click("u1", "i1", 2)  # re-click
+        simple_graph.add_click("u9", "i9", 1)  # two unseen nodes
+        simple_graph.add_user("idle")  # idle registration
+        simple_graph.add_click("u9", "i1", 3)  # new edge, one old endpoint
+        assert simple_graph._delta == [
+            ("u1", "i1", 2),
+            ("u9", "i9", 1),
+            ("user", "idle"),
+            ("u9", "i1", 3),
+        ]
+        rebuilt = IndexedGraph.from_graph(simple_graph)
+        assert self._content(simple_graph.indexed()) == self._content(rebuilt)

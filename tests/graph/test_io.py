@@ -108,9 +108,7 @@ from repro.graph.io import (
     _sniff_delimiter,
     read_click_table_indexed,
     read_graph_memmap,
-    read_graph_npz,
     write_graph_memmap,
-    write_graph_npz,
 )
 
 
@@ -205,15 +203,6 @@ class TestIndexedIngestion:
 
 
 class TestArrayPersistence:
-    def test_npz_round_trip(self, tmp_path, simple_graph):
-        path = write_graph_npz(simple_graph, tmp_path / "graph.npz")
-        loaded = read_graph_npz(path)
-        assert edge_table(loaded) == graph_table(simple_graph)
-
-    def test_npz_suffix_added(self, tmp_path, simple_graph):
-        path = write_graph_npz(simple_graph, tmp_path / "graph")
-        assert path.suffix == ".npz" and path.exists()
-
     def test_memmap_round_trip(self, tmp_path, simple_graph):
         directory = write_graph_memmap(simple_graph, tmp_path / "graph_dir")
         loaded = read_graph_memmap(directory)
@@ -254,38 +243,7 @@ class TestArrayPersistence:
 
 
 class TestSchemaVersioning:
-    """Unknown schema revisions raise a typed error on both array paths."""
-
-    def test_npz_embeds_the_current_schema_version(self, tmp_path, simple_graph):
-        path = write_graph_npz(simple_graph, tmp_path / "graph.npz")
-        with np.load(path, allow_pickle=True) as archive:
-            assert int(archive["schema_version"]) == 1
-
-    def test_npz_unknown_schema_raises_typed_error(self, tmp_path, simple_graph):
-        from repro.errors import SchemaVersionError
-
-        path = write_graph_npz(simple_graph, tmp_path / "graph.npz")
-        with np.load(path, allow_pickle=True) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["schema_version"] = np.int64(99)
-        np.savez(path, **arrays)
-        with pytest.raises(SchemaVersionError) as excinfo:
-            read_graph_npz(path)
-        assert excinfo.value.found == 99
-        assert 1 in excinfo.value.supported
-        assert isinstance(excinfo.value, ClickTableError)
-
-    def test_npz_without_schema_field_reads_as_legacy(self, tmp_path, simple_graph):
-        path = write_graph_npz(simple_graph, tmp_path / "graph.npz")
-        with np.load(path, allow_pickle=True) as archive:
-            arrays = {
-                name: archive[name]
-                for name in archive.files
-                if name != "schema_version"
-            }
-        np.savez(path, **arrays)
-        loaded = read_graph_npz(path)
-        assert edge_table(loaded) == graph_table(simple_graph)
+    """Unknown schema revisions of a memmap directory raise a typed error."""
 
     def test_memmap_unknown_schema_raises_typed_error(self, tmp_path, simple_graph):
         import json
@@ -314,6 +272,16 @@ class TestSchemaVersioning:
         with pytest.raises(SchemaVersionError):
             read_graph_memmap(directory)
 
+    def test_memmap_without_version_reads_as_legacy(self, tmp_path, simple_graph):
+        import json
+
+        directory = write_graph_memmap(simple_graph, tmp_path / "graph_dir")
+        meta_path = directory / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["version"]
+        meta_path.write_text(json.dumps(meta))
+        assert edge_table(read_graph_memmap(directory)) == graph_table(simple_graph)
+
 
 click_records_strategy = st.lists(
     st.tuples(
@@ -328,7 +296,7 @@ click_records_strategy = st.lists(
 @given(click_records_strategy)
 @settings(max_examples=40, deadline=None)
 def test_property_text_and_array_round_trips_agree(tmp_path_factory, records):
-    """write → read agrees across the dict, chunked and npz paths."""
+    """write → read agrees across the dict, chunked and memmap paths."""
     graph = BipartiteGraph()
     for user, item, clicks in records:
         graph.add_click(user, item, clicks)
@@ -339,5 +307,5 @@ def test_property_text_and_array_round_trips_agree(tmp_path_factory, records):
     via_arrays = read_click_table_indexed(table, chunk_records=7)
     assert via_dict == graph
     assert edge_table(via_arrays) == graph_table(graph)
-    npz = write_graph_npz(graph, tmp_path / "graph.npz")
-    assert edge_table(read_graph_npz(npz)) == graph_table(graph)
+    directory = write_graph_memmap(graph, tmp_path / "graph_dir")
+    assert edge_table(read_graph_memmap(directory)) == graph_table(graph)

@@ -4,7 +4,7 @@ from repro import obs
 from repro.config import FeedbackPolicy, RICDParams
 from repro.core.framework import RICDDetector
 
-from ..shard.canon import canonical_result
+from ..canon import canonical_result
 
 
 def detector(**overrides):

@@ -9,6 +9,8 @@ version.
 """
 
 import json
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -16,6 +18,7 @@ import pytest
 
 from repro.config import RICDParams
 from repro.datagen import tiny_scenario
+from repro.graph import BipartiteGraph
 from repro.serve import (
     ApiError,
     DetectionAPI,
@@ -154,6 +157,76 @@ class TestTypedCore:
         assert status.store_version in status.store_versions
         assert status.num_users > 0 and status.num_edges > 0
         assert status.level == "normal"
+
+    def test_status_reads_store_and_graph_under_the_service_lock(self, api, monkeypatch):
+        # The pump thread grows the store catalog and the live graph while
+        # it holds the lock; a status read outside it can hit "dictionary
+        # changed size during iteration".
+        service = api.service
+        held = []
+
+        def probed(read):
+            def locked_read(*args):
+                held.append(service._lock._is_owned())
+                return read(*args)
+
+            return locked_read
+
+        monkeypatch.setattr(service.store, "versions", probed(service.store.versions))
+        graph_type = type(service.online.graph)
+        for name in ("num_users", "num_items", "num_edges"):
+            count = getattr(graph_type, name)
+            monkeypatch.setattr(graph_type, name, property(probed(count.fget)))
+        api.status()
+        assert held == [True] * 4
+
+
+class TestStatusUnderLoad:
+    def test_status_polls_race_the_pump_thread(self):
+        # An eager graph's num_edges iterates the user dict that ingest
+        # grows, so a status read outside the service lock can raise
+        # "dictionary changed size during iteration".
+        users = 20_000
+        service = DetectionService.over_graph(
+            BipartiteGraph(),
+            config=ServeConfig(
+                queue_capacity=users,
+                max_batch=200,
+                staleness=StalenessPolicy(max_dirty=None, max_batches=10**9, max_age=None),
+            ),
+        )
+        api = DetectionAPI(service)
+        errors = []
+        done = threading.Event()
+
+        def poll():
+            while not done.is_set():
+                try:
+                    api.status()
+                except RuntimeError as error:
+                    errors.append(error)
+                    return
+
+        pollers = [threading.Thread(target=poll) for _ in range(3)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            service.start()
+            for poller in pollers:
+                poller.start()
+            for n in range(users):
+                service.submit(f"u{n}", f"i{n % 50}", 1)
+            service.stop(drain=False)
+            service.pump_until_idle()
+        finally:
+            done.set()
+            for poller in pollers:
+                poller.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not any(poller.is_alive() for poller in pollers)
+        assert errors == []
+        status = api.status()
+        assert (status.num_users, status.num_edges, status.applied) == (users, users, users)
 
 
 class TestHTTPServer:

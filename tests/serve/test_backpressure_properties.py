@@ -21,7 +21,7 @@ from repro.core.framework import RICDDetector
 from repro.graph import BipartiteGraph
 from repro.serve import DetectionService, ServeConfig, SimulatedClock, StalenessPolicy
 
-from ..shard.canon import canonical_result
+from ..canon import canonical_result
 
 pytestmark = pytest.mark.servetest
 

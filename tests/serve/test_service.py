@@ -19,7 +19,7 @@ from repro.serve import (
     StalenessPolicy,
 )
 
-from ..shard.canon import canonical_result
+from ..canon import canonical_result
 
 pytestmark = pytest.mark.servetest
 

@@ -20,7 +20,7 @@ from repro.graph import BipartiteGraph
 from repro.resilience import faults
 from repro.serve import DetectionService, ServeConfig, SimulatedClock, StalenessPolicy
 
-from ..shard.canon import canonical_result
+from ..canon import canonical_result
 
 pytestmark = pytest.mark.servetest
 

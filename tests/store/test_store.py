@@ -24,7 +24,7 @@ from repro.graph import BipartiteGraph
 from repro.resilience.faults import injecting
 from repro.store import CATALOG_SCHEMA, DetectionStore
 
-from ..shard.canon import canonical_result
+from ..canon import canonical_result
 
 pytestmark = pytest.mark.servertest
 

@@ -19,7 +19,7 @@ from repro.resilience.faults import injecting
 from repro.serve import DetectionService, ServeConfig, SimulatedClock, StalenessPolicy
 from repro.store import DetectionStore
 
-from ..shard.canon import canonical_result
+from ..canon import canonical_result
 
 pytestmark = pytest.mark.servertest
 

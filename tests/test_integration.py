@@ -39,7 +39,6 @@ class TestDependencies:
 
             import repro
             import repro.serve
-            import repro.shard
             import repro.store
             from repro.datagen import small_scenario
 
