@@ -1,15 +1,13 @@
-"""Native-speed mask/CSR implementation of Algorithm 3's pruning.
+"""Native-speed mask/CSR/Gram implementation of Algorithm 3's pruning.
 
 This is the production extraction engine (``engine="bitset"``; the name
 is kept because stores persist its ``prune_fixpoint_bitset`` memo tag).
 The reference engine (:mod:`repro.core.extraction`) walks dicts vertex by
-vertex; a matrix formulation (Gram products of the biadjacency) would
-*copy* the whole working matrix every round and multiply full matrices
-even when a round only perturbed a handful of vertices.  This module
-touches the full vertex axes exactly once — a vectorized CorePruning floor pass straight
-off the CSR ``indptr`` degrees that mass-kills the casual majority — and
-then compacts the survivors into a rank-compressed working subgraph where
-everything else happens:
+vertex.  This module touches the full vertex axes exactly once — a
+vectorized CorePruning floor pass straight off the CSR ``indptr``
+degrees that mass-kills the casual majority — and then compacts the
+survivors into a rank-compressed working subgraph where everything else
+happens:
 
 * **membership** is one boolean mask per side, so kills are mask clears,
   membership tests over big gathered index arrays are one fancy-index,
@@ -18,20 +16,24 @@ everything else happens:
 * **degree/click recomputation** is segment arithmetic over CSR
   ``indptr`` slices (``np.diff`` at each compaction, ``np.add.reduceat``
   in the property-test cross-check, bincount deltas in the cascade);
-* **SquarePruning** evaluates only *dirty* vertices (those whose two-hop
-  neighbourhood lost a member since their last evaluation) by expanding
-  their alive wedges and bin-counting common-neighbour multiplicities in
-  bounded-memory blocks, on a freshly re-compacted subgraph each round so
-  wedges never cross dead hot-vertex fan-out.
+* **SquarePruning** is a threshold on the rows of the biadjacency Gram
+  matrix: each round the re-compacted core becomes a dense float32 0/1
+  matrix ``A``, and ``A @ A.T`` / ``A.T @ A`` count every pair's common
+  neighbours in row blocks through numpy's BLAS.  The floor cascade has
+  already shrunk the graph to its core (thousands of vertices per side
+  at paper scale), so the dense matrix stays small, and recomputing both
+  products over every alive vertex each round needs no record of which
+  rows changed.
 
 The fixpoint is identical to the reference engine's: the pruning
 conditions are monotone (a removal never makes another vertex *more*
 viable), so any evaluation order converges to the same unique fixpoint;
-the differential suite pins the equivalence on the shared scenario grid.  The kernel itself is array-native —
-:func:`prune_fixpoint_arrays` needs nothing but CSR/CSC index arrays —
-which is what lets paper-scale graphs stream from disk (memory-mapped
-arrays, see :mod:`repro.graph.io`) without ever materialising a
-dict-of-dict :class:`~repro.graph.bipartite.BipartiteGraph`.
+the differential suite pins the equivalence on the shared scenario grid.
+The kernel itself is array-native — :func:`prune_fixpoint_arrays` needs
+nothing but CSR/CSC index arrays — which is what lets paper-scale graphs
+stream from disk (memory-mapped arrays, see :mod:`repro.graph.io`)
+without ever materialising a dict-of-dict
+:class:`~repro.graph.bipartite.BipartiteGraph`.
 """
 
 from __future__ import annotations
@@ -55,11 +57,9 @@ __all__ = [
 
 Node = Hashable
 
-#: Upper bound on the cells of one SquarePruning bincount block
-#: (``block_vertices x alive_vertices``); 4M int64 cells = 32 MiB.
+#: Upper bound on the cells of one SquarePruning Gram row block
+#: (``block_vertices x alive_vertices``); 4M float32 cells = 16 MiB.
 _TARGET_CELLS = 1 << 22
-#: Upper bound on one wedge-expansion chunk (two-hop gather entries).
-_WEDGE_LIMIT = 1 << 23
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +130,8 @@ def prune_fixpoint_arrays(
         Extraction parameters (``k1``, ``k2``, ``alpha``).
     stats:
         Optional list; when given, one dict per fixpoint round is appended
-        (kills, wedge/edge traffic, elapsed seconds) — the roofline
-        benchmark's per-round bandwidth accounting.
+        (kills, gathered adjacency entries, elapsed seconds) — the
+        roofline benchmark's per-round bandwidth accounting.
 
     Returns
     -------
@@ -158,7 +158,7 @@ def prune_fixpoint_arrays(
     # Working-space state.  After the initial floor pass the kernel never
     # touches the full vertex axes again: the surviving subgraph is
     # compacted into rank-compressed CSR/CSC arrays and every later
-    # cascade, square pass and dirty walk runs in that compact space
+    # cascade and square pass runs in that compact space
     # (re-compacted each round as it shrinks).  ``g_users``/``g_items``
     # map working ids back to the caller's indices; ``live_u``/``live_i``
     # are the boolean membership masks.
@@ -227,14 +227,14 @@ def prune_fixpoint_arrays(
         """The live subgraph of the current space, rank-compressed.
 
         The input adjacency keeps every edge of the space it was built
-        in, so SquarePruning wedges expanded through it would mostly
-        visit dead vertices (a hot item retains its millions of pruned
-        casual users).  One compaction per round — gathering only the
-        *live users'* rows, which are short by the time any square pass
-        runs — bounds all square work by the live edge count, the same
-        shrinkage the reference engine gets from physically deleting
-        vertices.  Returns the kept vertices (ids in the *input* space)
-        plus fresh CSR + CSC arrays over their ranks.
+        in, so a square pass over it would mostly count dead vertices (a
+        hot item retains its millions of pruned casual users).  One
+        compaction per round — gathering only the *live users'* rows,
+        which are short by the time any square pass runs — sizes the
+        dense Gram core by the live vertices alone, the same shrinkage
+        the reference engine gets from physically deleting vertices.
+        Returns the kept vertices (ids in the *input* space) plus fresh
+        CSR + CSC arrays over their ranks.
         """
         alive_su = np.flatnonzero(live_su)
         alive_si = np.flatnonzero(live_si)
@@ -254,59 +254,25 @@ def prune_fixpoint_arrays(
             c_user_indptr, cols, c_item_indptr, rows[order],
         )
 
-    def square_bad(dirty, indptr, indices, other_indptr, other_indices,
-                   n_self, common_floor, k_needed):
-        """Compact-space vertices failing Lemma 2 on the alive subgraph.
+    def square_bad(core, common_floor, k_needed):
+        """Rows of the dense 0/1 ``core`` failing Lemma 2.
 
-        Strong-partner counts come from expanding each dirty vertex's
-        two-hop wedges and bin-counting co-vertex multiplicities; the
-        diagonal self term (``count == degree``) falls out of the wedges
-        through the vertex's own edges, matching the reference engine's
-        self-included count (Definition 4) exactly.  Work is blocked two ways: the counts
-        matrix at ``_TARGET_CELLS`` cells, wedge expansion at
-        ``_WEDGE_LIMIT`` entries.
+        Row ``v`` of ``core @ core.T`` counts each partner's common
+        neighbours with ``v``; its diagonal is ``v``'s own degree, the
+        self-included count of Definition 4, so the strong-partner count
+        matches the reference engine exactly.  The products run in row
+        blocks of at most ``_TARGET_CELLS`` cells.  float32 sums of 0/1
+        products are exact while a count stays below 2^24, which any core
+        narrower than 2^24 columns guarantees.
         """
-        if len(dirty) == 0:
-            return empty
-        block = max(1, _TARGET_CELLS // max(n_self, 1))
+        n_rows = core.shape[0]
+        block = max(1, _TARGET_CELLS // n_rows)
         bad_chunks = []
-        for start in range(0, len(dirty), block):
-            blk = dirty[start : start + block]
-            mid, lens, _ = gather(blk, indptr, indices)
-            seg = np.repeat(np.arange(len(blk), dtype=np.int64), lens)
-            counts = np.zeros(len(blk) * n_self, dtype=np.int64)
-            mid_lens = other_indptr[mid + 1] - other_indptr[mid]
-            total_wedges = int(mid_lens.sum())
-            if total_wedges:
-                boundaries = np.searchsorted(
-                    np.cumsum(mid_lens),
-                    np.arange(
-                        _WEDGE_LIMIT, total_wedges + _WEDGE_LIMIT, _WEDGE_LIMIT
-                    ),
-                )
-                pieces = np.unique(np.concatenate(([0], boundaries, [len(mid)])))
-                for lo, hi in zip(pieces[:-1], pieces[1:]):
-                    if lo == hi:
-                        continue
-                    co, co_lens, _ = gather(mid[lo:hi], other_indptr, other_indices)
-                    counts += np.bincount(
-                        np.repeat(seg[lo:hi], co_lens) * n_self + co,
-                        minlength=len(blk) * n_self,
-                    )
-            strong = (counts.reshape(len(blk), n_self) >= common_floor).sum(axis=1)
-            bad_chunks.append(blk[strong < k_needed])
+        for start in range(0, n_rows, block):
+            gram = core[start : start + block] @ core.T
+            strong = (gram >= common_floor).sum(axis=1)
+            bad_chunks.append(start + np.flatnonzero(strong < k_needed))
         return np.concatenate(bad_chunks)
-
-    def c_neighbors(vertices, indptr, indices, n_other):
-        """Unique neighbours in the compact graph (mask dedup)."""
-        if len(vertices) == 0:
-            return empty
-        neighbors, _, _ = gather(vertices, indptr, indices)
-        if len(neighbors) == 0:
-            return empty
-        mask = np.zeros(n_other, dtype=bool)
-        mask[neighbors] = True
-        return np.flatnonzero(mask)
 
     # ------------------------------------------------------------------
     # Round 0: one vectorized CorePruning floor pass over the full axes.
@@ -356,65 +322,29 @@ def prune_fixpoint_arrays(
             }
         )
     # Alternate SquarePruning + CorePruning rounds to the fixpoint, each
-    # round's square pass limited to the dirty vertices on a freshly
-    # re-compacted alive subgraph.
-    dirty_u = None  # None = every alive vertex (the first square round)
-    dirty_i = None
+    # on a freshly re-compacted alive subgraph.
     rounds = 0
     while live_u.any() and live_i.any():
         rounds += 1
         round_start = time.perf_counter()
         traffic[0] = 0
-        sel_u, sel_i, c_user_indptr, c_user_items, c_item_indptr, c_item_users = (
+        sel_u, sel_i, w_user_indptr, w_user_items, w_item_indptr, w_item_users = (
             compact(live_u, live_i, w_user_indptr, w_user_items)
         )
-        if dirty_u is None:
-            dirty_cu = np.arange(len(sel_u), dtype=np.int64)
-            dirty_ci = np.arange(len(sel_i), dtype=np.int64)
-        else:
-            # Remap last round's dirty ids (previous working space) into
-            # the new ranks; vertices killed since drop out here.
-            rank_old_u = np.full(n_wu, -1, dtype=np.int64)
-            rank_old_u[sel_u] = np.arange(len(sel_u), dtype=np.int64)
-            rank_old_i = np.full(n_wi, -1, dtype=np.int64)
-            rank_old_i[sel_i] = np.arange(len(sel_i), dtype=np.int64)
-            dirty_cu = rank_old_u[dirty_u[live_u[dirty_u]]]
-            dirty_ci = rank_old_i[dirty_i[live_i[dirty_i]]]
         g_users = g_users[sel_u]
         g_items = g_items[sel_i]
         n_wu = len(sel_u)
         n_wi = len(sel_i)
-        w_user_indptr, w_user_items = c_user_indptr, c_user_items
-        w_item_indptr, w_item_users = c_item_indptr, c_item_users
         live_u = np.ones(n_wu, dtype=bool)
         live_i = np.ones(n_wi, dtype=bool)
         deg_u = np.diff(w_user_indptr)
         deg_i = np.diff(w_item_indptr)
+        core = np.zeros((n_wu, n_wi), dtype=np.float32)
+        core[np.repeat(np.arange(n_wu), deg_u), w_user_items] = 1
         # Both sides evaluate on the same alive state (simultaneous
         # SquarePruning; the fixpoint is order-independent).
-        bad_cu = square_bad(
-            dirty_cu, w_user_indptr, w_user_items, w_item_indptr, w_item_users,
-            n_wu, user_common_floor, params.k1,
-        )
-        bad_ci = square_bad(
-            dirty_ci, w_item_indptr, w_item_users, w_user_indptr, w_user_items,
-            n_wi, item_common_floor, params.k2,
-        )
-        if len(bad_cu) == 0 and len(bad_ci) == 0:
-            if stats is not None:
-                stats.append(
-                    {
-                        "round": rounds,
-                        "users_killed": 0,
-                        "items_killed": 0,
-                        "alive_users": n_wu,
-                        "alive_items": n_wi,
-                        "alive_edges": int(w_user_indptr[-1]),
-                        "gathered_entries": traffic[0],
-                        "seconds": time.perf_counter() - round_start,
-                    }
-                )
-            break
+        bad_cu = square_bad(core, user_common_floor, params.k1)
+        bad_ci = square_bad(core.T, item_common_floor, params.k2)
         # Both kill sets were computed on the same alive state; killing
         # them now (and decrementing degrees) cannot disturb the other
         # side's already-taken decisions.
@@ -435,34 +365,12 @@ def prune_fixpoint_arrays(
             else empty
         )
         core_cascade(touched_u, touched_i)
-        # Dirty sets for the next round: everything whose alive Gram row
-        # lost a member — neighbours of killed vertices (degree change)
-        # plus co-vertices of killed vertices (common-count change).  The
-        # two-hop walks run on THIS round's working graph (a superset of
-        # what is alive now, so the dirty sets are conservative), never
-        # an adjacency with dead hot-vertex fan-out.  The round began
-        # with everything alive, so this round's kills are exactly the
-        # now-dead working ids.
-        killed_cu = np.flatnonzero(~live_u)
-        killed_ci = np.flatnonzero(~live_i)
-        items_of_killed_u = c_neighbors(
-            killed_cu, w_user_indptr, w_user_items, n_wi
-        )
-        users_of_killed_i = c_neighbors(
-            killed_ci, w_item_indptr, w_item_users, n_wu
-        )
-        co_users = c_neighbors(items_of_killed_u, w_item_indptr, w_item_users, n_wu)
-        co_items = c_neighbors(users_of_killed_i, w_user_indptr, w_user_items, n_wi)
-        dirty_u = np.union1d(users_of_killed_i, co_users)
-        dirty_u = dirty_u[live_u[dirty_u]]
-        dirty_i = np.union1d(items_of_killed_u, co_items)
-        dirty_i = dirty_i[live_i[dirty_i]]
         if stats is not None:
             stats.append(
                 {
                     "round": rounds,
-                    "users_killed": len(killed_cu),
-                    "items_killed": len(killed_ci),
+                    "users_killed": int(n_wu - live_u.sum()),
+                    "items_killed": int(n_wi - live_i.sum()),
                     "alive_users": n_wu,
                     "alive_items": n_wi,
                     "alive_edges": int(w_user_indptr[-1]),
@@ -470,6 +378,8 @@ def prune_fixpoint_arrays(
                     "seconds": time.perf_counter() - round_start,
                 }
             )
+        if len(bad_cu) == 0 and len(bad_ci) == 0:
+            break
     obs.count("extract.fixpoint_rounds", max(rounds, 1))
     if not live_u.any() or not live_i.any():
         return empty, empty

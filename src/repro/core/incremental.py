@@ -86,23 +86,20 @@ class IncrementalRICD:
         screening: ScreeningParams | None = None,
         recheck_batches: int | None = 10,
         max_group_users: int | None = 18,
-        traverse_degree_cap: int | None = None,
         engine: str = "bitset",
         time_source: Callable[[], float] | None = None,
         *,
         adopt_graph: bool = False,
         initial_result: DetectionResult | None = None,
     ):
-        """``traverse_degree_cap`` bounds the dirty-region expansion: the
-        BFS does not traverse *through* nodes above the cap (hub items
-        would otherwise drag their whole clicker set into every recheck;
-        attack cores survive because co-workers always share low-degree
-        target items).  ``None`` re-derives 10x the mean item degree from
-        the *live* graph at every recheck — a long-lived stream can grow
-        an order of magnitude past its bootstrap, and a cap frozen at
-        ``t=0`` would silently shrink the dirty region relative to the
-        marketplace.  An explicit cap stays fixed forever; pass a huge
-        value to disable the cap.
+        """The dirty-region expansion does not traverse *through* nodes
+        above :attr:`traverse_degree_cap` (hub items would otherwise drag
+        their whole clicker set into every recheck; attack cores survive
+        because co-workers always share low-degree target items).  The
+        cap is re-derived from the *live* graph at every recheck — a
+        long-lived stream can grow an order of magnitude past its
+        bootstrap, and a cap frozen at ``t=0`` would silently shrink the
+        dirty region relative to the marketplace.
 
         ``engine`` selects the extraction engine of the bootstrap pass
         and every recheck: ``"bitset"`` by default, ``"reference"`` for
@@ -128,10 +125,7 @@ class IncrementalRICD:
         starting state; the caller asserts it matches the graph."""
         if recheck_batches is not None and recheck_batches < 1:
             raise ValueError(f"recheck_batches must be >= 1, got {recheck_batches}")
-        self._explicit_traverse_cap = traverse_degree_cap is not None
-        if traverse_degree_cap is None:
-            traverse_degree_cap = self._derive_traverse_cap(initial_graph)
-        self._traverse_degree_cap = traverse_degree_cap
+        self._traverse_degree_cap = self._derive_traverse_cap(initial_graph)
         self._graph = initial_graph if adopt_graph else initial_graph.copy()
         self._detector = RICDDetector(
             params=params or RICDParams(),
@@ -163,7 +157,6 @@ class IncrementalRICD:
         screening: ScreeningParams | None = None,
         recheck_batches: int | None = None,
         max_group_users: int | None = 18,
-        traverse_degree_cap: int | None = None,
         engine: str = "bitset",
         time_source: Callable[[], float] | None = None,
     ) -> "IncrementalRICD":
@@ -206,7 +199,6 @@ class IncrementalRICD:
             screening=screening,
             recheck_batches=recheck_batches,
             max_group_users=max_group_users,
-            traverse_degree_cap=traverse_degree_cap,
             engine=engine,
             time_source=time_source,
             adopt_graph=True,
@@ -315,7 +307,7 @@ class IncrementalRICD:
 
     @property
     def traverse_degree_cap(self) -> int:
-        """The dirty-region BFS cap currently in force."""
+        """The dirty-region BFS cap: 10x the live mean item degree, floored at 50."""
         return self._traverse_degree_cap
 
     @property
@@ -478,12 +470,10 @@ class IncrementalRICD:
 
     def _recheck_dirty_region(self) -> DetectionResult:
         """The recheck body: regional pass + merge, no state mutation."""
-        if not self._explicit_traverse_cap:
-            # The marketplace grows under the stream; a derived cap must
-            # track the live mean degree or the dirty region quietly
-            # shrinks relative to it.  Explicit caps are user policy and
-            # stay fixed.
-            self._traverse_degree_cap = self._derive_traverse_cap(self._graph)
+        # The marketplace grows under the stream; the cap must track the
+        # live mean degree or the dirty region quietly shrinks relative
+        # to it.
+        self._traverse_degree_cap = self._derive_traverse_cap(self._graph)
         all_dirty = (
             len(self._dirty_users) >= self._graph.num_users
             and len(self._dirty_items) >= self._graph.num_items

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.config import RICDParams
+from repro.core import extraction_bitset
 from repro.core.extraction import extract_groups, prune_to_fixpoint
 from repro.core.extraction_bitset import (
     _gather,
@@ -161,7 +162,7 @@ class TestFixpointEdgeCases:
 
 
 class TestGroups:
-    def test_groups_match_reference(self, small):
+    def test_groups_match_reference(self, small, monkeypatch):
         params = RICDParams(k1=5, k2=5)
         reference = {
             (frozenset(g.users), frozenset(g.items))
@@ -172,6 +173,16 @@ class TestGroups:
             for g in extract_groups_bitset(small.graph, params)
         }
         assert bitset == reference
+        # Gram row blocks of a few rows.  The square rounds' cores are
+        # 975x158, 778x133 and 778x129, so every product spans several
+        # blocks and ends in a partial one.  The copy has a fresh
+        # snapshot, so the memoized fixpoint cannot stand in for the run.
+        monkeypatch.setattr(extraction_bitset, "_TARGET_CELLS", 6000)
+        blocked = {
+            (frozenset(g.users), frozenset(g.items))
+            for g in extract_groups_bitset(small.graph.copy(), params)
+        }
+        assert blocked == reference
 
     def test_size_caps_respected(self, small):
         params = RICDParams(k1=5, k2=5)

@@ -260,15 +260,3 @@ class TestTraverseCap:
         # Mean item degree grew by an order of magnitude; a cap frozen at
         # bootstrap would now silently shrink the dirty region.
         assert online.traverse_degree_cap > initial
-
-    def test_explicit_cap_stays_fixed(self, tiny):
-        online = IncrementalRICD(
-            tiny.graph,
-            params=params(),
-            screening=ScreeningParams(min_users=2, min_items=2),
-            recheck_batches=100,
-            traverse_degree_cap=77,
-        )
-        online.ingest(self._growth_batch(online.graph))
-        online.recheck()
-        assert online.traverse_degree_cap == 77
