@@ -116,6 +116,7 @@ def prune_fixpoint_arrays(
     item_users,
     params: RICDParams,
     stats: list | None = None,
+    region: "tuple[np.ndarray, np.ndarray] | None" = None,
 ):
     """CorePruning/SquarePruning fixpoint on raw CSR/CSC index arrays.
 
@@ -125,13 +126,21 @@ def prune_fixpoint_arrays(
         User-major CSR adjacency (row ``u``'s distinct items are
         ``user_items[user_indptr[u]:user_indptr[u + 1]]``).
     item_indptr, item_users:
-        Item-major CSC adjacency, mirrored.
+        Item-major CSC adjacency, mirrored.  The kernel reads only the
+        item degrees ``np.diff(item_indptr)``; ``item_users`` may be
+        ``None``.
     params:
         Extraction parameters (``k1``, ``k2``, ``alpha``).
     stats:
         Optional list; when given, one dict per fixpoint round is appended
         (kills, gathered adjacency entries, elapsed seconds) — the
         roofline benchmark's per-round bandwidth accounting.
+    region:
+        Optional ``(user_mask, item_mask)`` boolean pair: the fixpoint of
+        the subgraph the masks induce.  Only masked vertices start alive;
+        the floors are monotone, so the first cascade on induced degrees
+        reaches the same fixpoint as the kernel run on the induced
+        subgraph's own arrays, without building them.
 
     Returns
     -------
@@ -286,6 +295,9 @@ def prune_fixpoint_arrays(
     setup_start = time.perf_counter()
     mask_u = np.diff(user_indptr) >= user_floor
     mask_i = np.diff(item_indptr) >= item_floor
+    if region is not None:
+        mask_u &= region[0]
+        mask_i &= region[1]
     # The floor pass streams both indptr axes; count it as traffic so the
     # roofline report's round 0 reflects the work actually done.
     traffic[0] += n_users + n_items
@@ -390,7 +402,9 @@ def prune_fixpoint_arrays(
 # Graph-level wrappers (drop-ins for the reference engine's entry points)
 # ----------------------------------------------------------------------
 def prune_to_fixpoint_bitset(
-    graph: BipartiteGraph, params: RICDParams
+    graph: BipartiteGraph,
+    params: RICDParams,
+    region: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> tuple[set[Node], set[Node]]:
     """Bitset fixpoint pruning; returns the surviving (users, items).
 
@@ -398,29 +412,40 @@ def prune_to_fixpoint_bitset(
     snapshot's derived-results cache (keyed by the pruning floors), so
     feedback rounds and suites re-extracting the same graph version pay
     the kernel once.
+
+    ``region`` is a ``(user_mask, item_mask)`` pair over
+    ``graph.indexed()``'s rows and columns (see
+    :func:`~repro.graph.builders.seed_expansion_masks`); the survivors
+    are then those of the subgraph the masks induce.  A masked run
+    neither reads nor writes the memo: the memo holds the whole graph's
+    fixpoint, which the store persists with the snapshot.
     """
     if graph.num_users == 0 or graph.num_items == 0:
         return set(), set()
     snapshot = graph.indexed()
     cache_key = ("prune_fixpoint_bitset", params.k1, params.k2, round(params.alpha, 9))
-    cached = snapshot.derived.get(cache_key)
-    if cached is not None:
-        obs.count("extract.bitset.fixpoint_cache_hits")
-        return set(cached[0]), set(cached[1])
-    obs.count("extract.bitset.fixpoint_cache_misses")
+    if region is None:
+        cached = snapshot.derived.get(cache_key)
+        if cached is not None:
+            obs.count("extract.bitset.fixpoint_cache_hits")
+            return set(cached[0]), set(cached[1])
+        obs.count("extract.bitset.fixpoint_cache_misses")
     user_indptr, user_items = snapshot.csr_arrays()
-    item_indptr, item_users = snapshot.csc_arrays()
+    # The kernel reads only the item degrees, so no CSC sort is needed.
+    item_indptr = np.zeros(snapshot.num_items + 1, dtype=np.int64)
+    np.cumsum(snapshot.item_degrees(), out=item_indptr[1:])
     with obs.span("prune"):
         alive_users, alive_items = prune_fixpoint_arrays(
-            user_indptr, user_items, item_indptr, item_users, params
+            user_indptr, user_items, item_indptr, None, params, region=region
         )
     obs.gauge("extract.peak_rss_mb", round(peak_rss_mb(), 1))
     surviving_users = {snapshot.users[int(index)] for index in alive_users}
     surviving_items = {snapshot.items[int(index)] for index in alive_items}
-    snapshot.derived[cache_key] = (
-        frozenset(surviving_users),
-        frozenset(surviving_items),
-    )
+    if region is None:
+        snapshot.derived[cache_key] = (
+            frozenset(surviving_users),
+            frozenset(surviving_items),
+        )
     return surviving_users, surviving_items
 
 
@@ -429,9 +454,14 @@ def extract_groups_bitset(
     params: RICDParams,
     max_users: int | None = None,
     max_items: int | None = None,
+    region: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> list[SuspiciousGroup]:
-    """Drop-in bitset variant of :func:`repro.core.extraction.extract_groups`."""
-    surviving_users, surviving_items = prune_to_fixpoint_bitset(graph, params)
+    """Drop-in bitset variant of :func:`repro.core.extraction.extract_groups`.
+
+    ``region`` restricts extraction to the subgraph induced by a
+    ``(user_mask, item_mask)`` pair, as in :func:`prune_to_fixpoint_bitset`.
+    """
+    surviving_users, surviving_items = prune_to_fixpoint_bitset(graph, params, region)
     survivors = graph.subgraph(surviving_users, surviving_items)
     groups: list[SuspiciousGroup] = []
     dropped = 0

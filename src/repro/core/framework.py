@@ -237,14 +237,19 @@ class RICDDetector:
         params: RICDParams,
         screening: ScreeningParams,
         timer: Stopwatch,
+        region: "tuple | None" = None,
     ) -> list[SuspiciousGroup]:
         """Modules 1 + 2 with the given (possibly relaxed) parameters.
 
         The unit of work each pipeline round runs and the seam the
         incremental layer's dirty-region recheck reuses, so subclass
-        overrides apply on both paths.
+        overrides apply on both paths.  ``region`` is the recheck's
+        ``(user_mask, item_mask)`` over ``graph.indexed()`` (see
+        :attr:`~repro.pipeline.context.PipelineContext.region`).
         """
-        ctx = PipelineContext(graph=graph, params=params, screening=screening, timer=timer)
+        ctx = PipelineContext(
+            graph=graph, params=params, screening=screening, timer=timer, region=region
+        )
         run_stages(ctx, self._module_stages())
         return ctx.groups
 

@@ -12,11 +12,17 @@ strategy:
 2. every user/item touched by a batch is marked dirty;
 3. on demand (or automatically every ``recheck_batches`` batches), the
    detector re-runs — not on the whole graph, but on the two-hop
-   neighbourhood of the dirty region (the same seed-expansion primitive
-   Algorithm 2 uses for business-department seeds), since an
-   ``(alpha, k1, k2)``-extension biclique gaining an edge must contain a
-   dirty node, and every node of a group containing a dirty node lies
-   within two hops of it;
+   neighbourhood of the dirty region (Algorithm 2's seed-expansion rule
+   for business-department seeds), since an ``(alpha, k1, k2)``-extension
+   biclique gaining an edge must contain a dirty node, and every node of
+   a group containing a dirty node lies within two hops of it.  With the
+   bitset engine the neighbourhood is a pair of boolean masks over the
+   live graph's delta-maintained index
+   (:func:`~repro.graph.builders.seed_expansion_masks`), and the modules
+   run on the live graph under them: no subgraph copy, no index build.
+   The reference engine copies the neighbourhood out with
+   :func:`~repro.graph.builders.seed_expansion` and runs on the copy,
+   the oracle the masked path is tested against;
 4. newly found groups are merged into the running result; groups whose
    nodes were untouched since the last full pass stay valid.
 
@@ -36,7 +42,7 @@ from .._util import Stopwatch
 from ..config import RICDParams, ScreeningParams
 from ..errors import ReproError
 from ..graph.bipartite import BipartiteGraph
-from ..graph.builders import seed_expansion
+from ..graph.builders import seed_expansion, seed_expansion_masks
 from ..pipeline import Identification, PipelineContext
 from ..resilience.faults import inject
 from .framework import RICDDetector
@@ -125,7 +131,9 @@ class IncrementalRICD:
         starting state; the caller asserts it matches the graph."""
         if recheck_batches is not None and recheck_batches < 1:
             raise ValueError(f"recheck_batches must be >= 1, got {recheck_batches}")
-        self._traverse_degree_cap = self._derive_traverse_cap(initial_graph)
+        self._traverse_degree_cap = self._derive_traverse_cap(
+            initial_graph.num_edges, initial_graph.num_items
+        )
         self._graph = initial_graph if adopt_graph else initial_graph.copy()
         self._detector = RICDDetector(
             params=params or RICDParams(),
@@ -294,11 +302,9 @@ class IncrementalRICD:
         return version
 
     @staticmethod
-    def _derive_traverse_cap(graph: BipartiteGraph) -> int:
-        """10x the mean item degree of ``graph``, floored at 50."""
-        n_items = max(1, graph.num_items)
-        mean_degree = graph.num_edges / n_items
-        return max(50, int(10 * mean_degree))
+    def _derive_traverse_cap(num_edges: int, num_items: int) -> int:
+        """10x the mean item degree, floored at 50."""
+        return max(50, int(10 * num_edges / max(1, num_items)))
 
     @property
     def graph(self) -> BipartiteGraph:
@@ -470,10 +476,14 @@ class IncrementalRICD:
 
     def _recheck_dirty_region(self) -> DetectionResult:
         """The recheck body: regional pass + merge, no state mutation."""
+        live = self._graph.indexed()
         # The marketplace grows under the stream; the cap must track the
         # live mean degree or the dirty region quietly shrinks relative
-        # to it.
-        self._traverse_degree_cap = self._derive_traverse_cap(self._graph)
+        # to it.  The live index's counts are O(1); an eager graph's
+        # ``num_edges`` walks every user.
+        self._traverse_degree_cap = self._derive_traverse_cap(
+            live.num_edges, live.num_items
+        )
         all_dirty = (
             len(self._dirty_users) >= self._graph.num_users
             and len(self._dirty_items) >= self._graph.num_items
@@ -483,13 +493,30 @@ class IncrementalRICD:
             and all(user in self._dirty_users for user in self._graph.users())
             and all(item in self._dirty_items for item in self._graph.items())
         )
-        if all_dirty:
-            # Everything is dirty (bootstrap replays, checkpoint syncs):
-            # the region IS the graph, so skip the O(E) expansion copy.
-            # The detector never mutates its input, so sharing is safe.
-            region = self._graph
-        else:
-            region = seed_expansion(
+        # Everything dirty (bootstrap replays, checkpoint syncs): the
+        # region IS the graph, so the pass runs on the live graph
+        # unmasked.  The detector never mutates its input, so sharing is
+        # safe.
+        region_graph, region = self._graph, None
+        if not all_dirty and self._detector.engine == "bitset":
+            # The region as masks over the live index: no subgraph copy
+            # and no index build.  A lazily backed graph hydrates only
+            # the vertices the extracted groups touch.
+            with obs.span("region_masks"):
+                region = seed_expansion_masks(
+                    live,
+                    seed_users=self._dirty_users,
+                    seed_items=self._dirty_items,
+                    hops=2,
+                    max_traverse_degree=self._traverse_degree_cap,
+                )
+            user_mask, item_mask = region
+            region_edges = int((user_mask[live.user_idx] & item_mask[live.item_idx]).sum())
+            obs.gauge("incremental.region_share", region_edges / max(1, live.num_edges))
+        elif not all_dirty:
+            # The reference engine keeps the region copy: it is the oracle
+            # the masked path is tested against.
+            region_graph = seed_expansion(
                 self._graph,
                 seed_users=sorted(self._dirty_users, key=str),
                 seed_items=sorted(self._dirty_items, key=str),
@@ -504,7 +531,7 @@ class IncrementalRICD:
         timer = Stopwatch()
         resolved = self._detector.resolve_thresholds(self._graph)
         regional = self._detector._run_modules(
-            region, resolved, self._detector.screening, timer
+            region_graph, resolved, self._detector.screening, timer, region=region
         )
 
         kept: list[SuspiciousGroup] = [

@@ -16,6 +16,7 @@ from .builders import (
     from_click_records,
     from_edge_list,
     seed_expansion,
+    seed_expansion_masks,
 )
 from .indexed import IndexedGraph
 from .io import read_click_table, write_click_table
@@ -42,6 +43,7 @@ __all__ = [
     "from_click_records",
     "from_edge_list",
     "seed_expansion",
+    "seed_expansion_masks",
     "read_click_table",
     "write_click_table",
     "GraphScale",

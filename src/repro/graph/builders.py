@@ -10,12 +10,17 @@ prunes the 90M-edge production graph before extraction.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
+
+import numpy as np
 
 from ..errors import ClickTableError
 from .bipartite import BipartiteGraph
 
-__all__ = ["from_click_records", "from_edge_list", "seed_expansion"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .indexed import IndexedGraph
+
+__all__ = ["from_click_records", "from_edge_list", "seed_expansion", "seed_expansion_masks"]
 
 Node = Hashable
 
@@ -128,3 +133,55 @@ def seed_expansion(
                     frontier.append(("user", user, depth + 1))
 
     return graph.subgraph(seen_users, seen_items)
+
+
+def seed_expansion_masks(
+    snapshot: "IndexedGraph",
+    seed_users: Iterable[Node] = (),
+    seed_items: Iterable[Node] = (),
+    hops: int = 2,
+    max_traverse_degree: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`seed_expansion`'s node sets as boolean masks over ``snapshot``.
+
+    The same rule — seeds are depth 0 and always expand, a node at depth
+    >= 1 expands only if its degree is at most ``max_traverse_degree``,
+    unknown seed ids are skipped — run as a level-synchronous frontier
+    over the snapshot's edge arrays: each level is one boolean gather per
+    side, so the region costs O(hops * edges) array work and copies no
+    graph.  An incremental recheck hands the masks to the extraction
+    kernel instead of building the region subgraph and its index.
+
+    Returns
+    -------
+    (numpy.ndarray, numpy.ndarray)
+        ``bool[num_users]`` and ``bool[num_items]``, true on the region's
+        rows and columns.
+    """
+    if hops < 0:
+        raise ValueError(f"hops must be >= 0, got {hops}")
+    user_mask = np.zeros(snapshot.num_users, dtype=bool)
+    item_mask = np.zeros(snapshot.num_items, dtype=bool)
+    for mask, index, seeds in (
+        (user_mask, snapshot.user_index, seed_users),
+        (item_mask, snapshot.item_index, seed_items),
+    ):
+        rows = [index[node] for node in seeds if node in index]
+        mask[np.asarray(rows, dtype=np.int64)] = True
+    user_idx, item_idx = snapshot.user_idx, snapshot.item_idx
+    frontier_u, frontier_i = user_mask.copy(), item_mask.copy()
+    for depth in range(hops):
+        if depth > 0 and max_traverse_degree is not None:
+            frontier_u &= snapshot.user_degrees() <= max_traverse_degree
+            frontier_i &= snapshot.item_degrees() <= max_traverse_degree
+        reached_i = np.zeros_like(item_mask)
+        reached_i[item_idx[frontier_u[user_idx]]] = True
+        reached_u = np.zeros_like(user_mask)
+        reached_u[user_idx[frontier_i[item_idx]]] = True
+        frontier_u = reached_u & ~user_mask
+        frontier_i = reached_i & ~item_mask
+        if not frontier_u.any() and not frontier_i.any():
+            break
+        user_mask |= frontier_u
+        item_mask |= frontier_i
+    return user_mask, item_mask

@@ -19,6 +19,8 @@ from .. import obs
 from .._util import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from ..config import RICDParams, ScreeningParams
     from ..core.groups import DetectionResult, SuspiciousGroup
     from ..graph.bipartite import BipartiteGraph
@@ -42,8 +44,17 @@ class PipelineContext:
         modules run on a pruned ``working`` graph.
     working:
         The graph modules 1 + 2 actually run on: the seed-expanded
-        neighbourhood when business seeds were given, the dirty region
-        during an incremental recheck, or ``graph`` itself.
+        neighbourhood when business seeds were given, the dirty region's
+        copy during a reference-engine incremental recheck, or ``graph``
+        itself.
+    region:
+        ``(user_mask, item_mask)`` over ``graph.indexed()``'s rows and
+        columns, or ``None``.  Set by a bitset incremental recheck: the
+        modules then run on ``graph`` as if on the subgraph the masks
+        induce, which is never built.  Extraction hands the masks to the
+        kernel, and screening splits hot from ordinary items by their
+        in-region click volume; every other screening read is filtered
+        to group members, which lie inside the region.
     params, screening:
         The current parameter pair.  The feedback driver replaces these
         with relaxed copies between rounds; stages must read them from
@@ -78,6 +89,7 @@ class PipelineContext:
     seed_users: tuple[Node, ...] = ()
     seed_items: tuple[Node, ...] = ()
     working: "BipartiteGraph | None" = None
+    region: "tuple[np.ndarray, np.ndarray] | None" = None
     groups: "list[SuspiciousGroup]" = field(default_factory=list)
     result: "DetectionResult | None" = None
     feedback_rounds: int = 0

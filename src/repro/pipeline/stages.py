@@ -31,6 +31,8 @@ from ..resilience.faults import inject
 from .context import PipelineContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from ..config import RICDParams
     from ..core.groups import SuspiciousGroup
     from ..graph.bipartite import BipartiteGraph
@@ -216,22 +218,27 @@ class Extraction:
     name = "extraction"
 
     def extract(
-        self, graph: "BipartiteGraph", params: "RICDParams"
+        self,
+        graph: "BipartiteGraph",
+        params: "RICDParams",
+        region: "tuple[np.ndarray, np.ndarray] | None" = None,
     ) -> "list[SuspiciousGroup]":
-        """Run the selected engine on ``graph``."""
+        """Run the selected engine on ``graph`` (masked to ``region``, if given)."""
         # Late imports keep the engines patchable.
         from ..core.extraction import extract_groups
         from ..core.extraction_bitset import extract_groups_bitset
 
         obs.gauge("detect.engine", self.engine)
         if self.engine == "bitset":
-            return extract_groups_bitset(graph, params)
+            return extract_groups_bitset(graph, params, region=region)
+        if region is not None:
+            raise ValueError("region masks need the bitset engine")
         return extract_groups(graph, params)
 
     def run(self, ctx: PipelineContext) -> None:
         with ctx.timer.measure("detection"), obs.span("extraction"):
             inject("extraction")
-            ctx.groups = self.extract(ctx.working_graph(), ctx.params)
+            ctx.groups = self.extract(ctx.working_graph(), ctx.params, ctx.region)
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +270,7 @@ class Screening:
                     t_click=ctx.params.t_click,
                     params=ctx.screening,
                     do_item_verification=self.item_verification,
+                    region_users=None if ctx.region is None else ctx.region[0],
                 )
 
 

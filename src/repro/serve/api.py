@@ -224,7 +224,7 @@ class DetectionAPI:
             accepted=len(request.records),
             applied=snapshot.applied - applied_before,
             queue_depth=snapshot.queue.depth,
-            store_version=service.store_version,
+            store_version=snapshot.store_version,
         )
 
     def pump(self) -> SubmitClicksResponse:
@@ -236,7 +236,7 @@ class DetectionAPI:
             accepted=0,
             applied=snapshot.applied - before,
             queue_depth=snapshot.queue.depth,
-            store_version=self.service.store_version,
+            store_version=snapshot.store_version,
         )
 
     def checkpoint(self) -> CheckpointResponse:
@@ -278,7 +278,7 @@ class DetectionAPI:
             suspicious=suspicious,
             score=score,
             groups=groups,
-            store_version=self.service.store_version,
+            store_version=snapshot.store_version,
             degraded=snapshot.degraded,
             stale=result.stale,
             level=snapshot.level,
@@ -296,7 +296,7 @@ class DetectionAPI:
             users=tuple(sorted(str(node) for node in group.users)),
             items=tuple(sorted(str(node) for node in group.items)),
             hot_items=tuple(sorted(str(node) for node in group.hot_items)),
-            store_version=self.service.store_version,
+            store_version=snapshot.store_version,
             degraded=snapshot.degraded,
             stale=snapshot.result.stale,
         )
@@ -306,7 +306,7 @@ class DetectionAPI:
         if request.version is None:
             snapshot = self.service.snapshot()
             return ResultResponse(
-                store_version=self.service.store_version,
+                store_version=snapshot.store_version,
                 live=True,
                 result=result_to_json(snapshot.result),
                 degraded=snapshot.degraded,
@@ -340,8 +340,7 @@ class DetectionAPI:
             applied=snapshot.applied,
             rechecks=snapshot.rechecks,
             degraded=snapshot.degraded,
-            # The head is the newest committed version.
-            store_version=versions[-1] if versions else None,
+            store_version=snapshot.store_version,
             store_versions=versions,
             num_users=num_users,
             num_items=num_items,

@@ -133,6 +133,11 @@ class ServiceSnapshot:
     fault-free detection state: the ladder sits above normal, events were
     shed since the last recheck, or the underlying result is stale
     (recheck failure) / carries its own degradation provenance.
+
+    ``store_version`` is the store head (``None`` storeless), read in the
+    same locked call as ``result``.  The pump thread commits the next
+    version as soon as the lock is free, so a route stamps its answer
+    with this field, never with a later read of the store.
     """
 
     result: DetectionResult
@@ -144,6 +149,7 @@ class ServiceSnapshot:
     rechecks: int
     dirty_region: int
     recheck_lag: float
+    store_version: int | None
 
 
 class DetectionService:
@@ -540,6 +546,7 @@ class DetectionService:
                 rechecks=self._rechecks,
                 dirty_region=self.online.dirty_size,
                 recheck_lag=self._last_recheck_lag,
+                store_version=self.store_version,
             )
 
     def vitals(self) -> "tuple[ServiceSnapshot, tuple[int, ...], tuple[int, int, int]]":

@@ -118,6 +118,41 @@ def test_array_kernel_degrees_consistent_at_fixpoint(rows, values):
     assert (deg[alive_users] >= params.user_degree_floor).all()
 
 
+@given(records, param_values, st.data())
+@settings(max_examples=80, deadline=None)
+def test_masked_fixpoint_is_the_induced_subgraphs(rows, values, data):
+    """A region-masked run equals the kernel on the region subgraph's own index."""
+    k1, k2, alpha = values
+    params = RICDParams(k1=k1, k2=k2, alpha=alpha)
+    graph = from_click_records(rows)
+    if graph.num_users == 0 or graph.num_items == 0:
+        return
+    snapshot = graph.indexed()
+    region = tuple(
+        np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        for size in (snapshot.num_users, snapshot.num_items)
+    )
+    masked = prune_to_fixpoint_bitset(graph, params, region)
+    # The memo holds whole-graph fixpoints only: a masked run writes none
+    # and reads none.
+    assert not any(key[0] == "prune_fixpoint_bitset" for key in snapshot.derived)
+    prune_to_fixpoint_bitset(graph, params)
+    assert prune_to_fixpoint_bitset(graph, params, region) == masked
+
+    subgraph = graph.subgraph(
+        [snapshot.users[row] for row in np.flatnonzero(region[0])],
+        [snapshot.items[column] for column in np.flatnonzero(region[1])],
+    )
+    sub, user_indptr, user_items, item_indptr, item_users = graph_arrays(subgraph)
+    alive_users, alive_items = prune_fixpoint_arrays(
+        user_indptr, user_items, item_indptr, item_users, params
+    )
+    assert masked == (
+        {sub.users[row] for row in alive_users},
+        {sub.items[column] for column in alive_items},
+    )
+
+
 class TestFixpointEdgeCases:
     def test_empty_graph(self):
         users, items = prune_to_fixpoint_bitset(BipartiteGraph(), RICDParams())

@@ -1,9 +1,18 @@
 """Tests for graph constructors and seed expansion."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ClickTableError
-from repro.graph import BipartiteGraph, from_click_records, from_edge_list, seed_expansion
+from repro.graph import (
+    BipartiteGraph,
+    from_click_records,
+    from_edge_list,
+    seed_expansion,
+    seed_expansion_masks,
+)
 
 
 class TestFromClickRecords:
@@ -83,3 +92,35 @@ class TestSeedExpansion:
         sub = seed_expansion(chain_graph, seed_users=["u2"], hops=2)
         assert sub.has_edge("u1", "i1")
         assert sub.has_edge("u3", "i2")
+
+
+# Ids 0-9 can appear in the graph; 10-11 never do (unknown seeds).
+users = st.integers(min_value=0, max_value=11).map(lambda n: f"u{n}")
+items = st.integers(min_value=0, max_value=11).map(lambda n: f"i{n}")
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=9).map(lambda n: f"u{n}"),
+            st.integers(min_value=0, max_value=9).map(lambda n: f"i{n}"),
+        ),
+        max_size=40,
+    ),
+    st.lists(users, max_size=3),
+    st.lists(items, max_size=3),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([None, 1, 2, 3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_masks_select_seed_expansion_nodes(edges, seed_users, seed_items, hops, cap):
+    graph = from_edge_list(edges)
+    snapshot = graph.indexed()
+    user_mask, item_mask = seed_expansion_masks(
+        snapshot, seed_users, seed_items, hops=hops, max_traverse_degree=cap
+    )
+    region = seed_expansion(
+        graph, seed_users, seed_items, hops=hops, max_traverse_degree=cap
+    )
+    assert {snapshot.users[row] for row in np.flatnonzero(user_mask)} == set(region.users())
+    assert {snapshot.items[col] for col in np.flatnonzero(item_mask)} == set(region.items())

@@ -1,5 +1,6 @@
 """Unit tests for the pipeline stage objects."""
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -136,6 +137,15 @@ class TestExtraction:
         with obs.recording(obs.Recorder()) as recorder:
             Extraction().extract(small.graph, FIXED)
         assert recorder.gauges["detect.engine"] == "bitset"
+
+    def test_region_masks_need_the_bitset_engine(self, small):
+        snapshot = small.graph.indexed()
+        region = (
+            np.ones(snapshot.num_users, dtype=bool),
+            np.ones(snapshot.num_items, dtype=bool),
+        )
+        with pytest.raises(ValueError):
+            Extraction(engine="reference").extract(small.graph, FIXED, region)
 
 
 class TestScreeningStage:

@@ -180,6 +180,26 @@ class TestTypedCore:
         api.status()
         assert held == [True] * 4
 
+    def test_routes_read_the_store_version_under_the_service_lock(self, api, monkeypatch):
+        # The pump thread commits the next version as soon as the lock is
+        # free, so a head read after the snapshot can stamp a result with
+        # a version it was not computed at.
+        service = api.service
+        store_type = type(service.store)
+        head = store_type.head
+        held = []
+
+        def locked_head(store):
+            held.append(service._lock._is_owned())
+            return head.fget(store)
+
+        monkeypatch.setattr(store_type, "head", property(locked_head))
+        api.verdict(VerdictRequest(side="user", node="nobody-here"))
+        api.group(0)
+        api.result(ResultRequest())
+        api.submit_clicks(SubmitClicksRequest(records=(("u", "i", 2),)))
+        assert held and all(held)
+
 
 class TestStatusUnderLoad:
     def test_status_polls_race_the_pump_thread(self):
