@@ -34,6 +34,7 @@ batch framework does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable
 
@@ -51,6 +52,8 @@ from .groups import DetectionResult, SuspiciousGroup
 __all__ = ["ClickBatch", "IncrementalRICD"]
 
 Node = Hashable
+
+_USER, _ITEM = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,9 @@ class IncrementalRICD:
         self._dirty_since: float | None = None
         self._dirty_users: set[Node] = set()
         self._dirty_items: set[Node] = set()
+        #: Set by :meth:`recheck_full` until a recheck succeeds: the whole
+        #: graph is dirty, without copying every node into the sets.
+        self._full_owed = False
         self._batches_since_recheck = 0
         self._store = None
         self._pending_records: list[tuple[Node, Node, int]] = []
@@ -323,8 +329,14 @@ class IncrementalRICD:
 
     @property
     def dirty_size(self) -> int:
-        """Number of nodes awaiting a recheck."""
+        """Number of nodes awaiting a recheck: every node while a full one is owed."""
+        if self._full_owed:
+            return self._graph.num_users + self._graph.num_items
         return len(self._dirty_users) + len(self._dirty_items)
+
+    def _clean(self) -> bool:
+        """Whether nothing awaits a recheck."""
+        return not (self._full_owed or self._dirty_users or self._dirty_items)
 
     @property
     def batches_since_recheck(self) -> int:
@@ -347,26 +359,25 @@ class IncrementalRICD:
             return 0.0
         return max(0.0, now - self._dirty_since)
 
-    def _mark_dirty(self, user: Node, item: Node) -> None:
-        """Mark both endpoints dirty, stamping the region's birth time."""
-        if (
-            self._dirty_since is None
-            and self._time_source is not None
-            and not self._dirty_users
-            and not self._dirty_items
-        ):
+    def _mark_dirty(self, records: tuple[tuple[Node, Node, int], ...]) -> None:
+        """Mark every record's endpoints dirty, stamping the region's birth time."""
+        if not records:
+            return
+        if self._dirty_since is None and self._time_source is not None and self._clean():
             self._dirty_since = self._time_source()
-        self._dirty_users.add(user)
-        self._dirty_items.add(item)
+        self._dirty_users.update(map(_USER, records))
+        self._dirty_items.update(map(_ITEM, records))
 
     def ingest(self, batch: ClickBatch) -> DetectionResult:
         """Apply one batch; recheck the dirty region when due.
 
-        Returns the (possibly refreshed) current result.
+        The batch lands in one :meth:`~BipartiteGraph.add_clicks` call:
+        a record with a non-positive count raises :class:`ValueError`
+        before any record is applied or marked dirty.  Returns the
+        (possibly refreshed) current result.
         """
-        for user, item, clicks in batch.records:
-            self._graph.add_click(user, item, clicks)
-            self._mark_dirty(user, item)
+        self._graph.add_clicks(batch.records)
+        self._mark_dirty(batch.records)
         if self._store is not None:
             self._pending_records.extend(batch.records)
         self._batches_since_recheck += 1
@@ -389,6 +400,7 @@ class IncrementalRICD:
         nodes are marked dirty and a recheck runs immediately, so cleaned
         groups leave the current result right away.
         """
+        edges = tuple(edges)
         for user, item, clicks in edges:
             current = self._graph.get_click(user, item)
             if current:
@@ -402,7 +414,7 @@ class IncrementalRICD:
                     # re-derived thresholds away from a freshly built
                     # graph's.  The parity test pins this.
                     self._graph.remove_edge(user, item)
-            self._mark_dirty(user, item)
+        self._mark_dirty(edges)
         if self._store is not None:
             # Deltas are append-only click records; removals force the
             # next persisted version to be a full snapshot.
@@ -422,7 +434,7 @@ class IncrementalRICD:
         recheck (or the next due batch) re-covers the same region.  A
         stream never loses its detection state to one failed pass.
         """
-        if not self._dirty_users and not self._dirty_items:
+        if self._clean():
             self._batches_since_recheck = 0
             if self._pending_records or self._snapshot_owed:
                 # A previous persist was absorbed (store fault): the
@@ -431,13 +443,15 @@ class IncrementalRICD:
                 self._persist()
             return self._result
 
+        full = self._full_owed
         try:
             inject("recheck")
             result = self._recheck_dirty_region()
         except ReproError:
             obs.count("resilience.stale_rechecks")
             self._result.stale = True
-            # Dirty sets are retained: the failed pass covered nothing.
+            # Dirty sets (and an owed full recheck) are retained: the
+            # failed pass covered nothing.
             self._batches_since_recheck = 0
             # The stale state still persists (graph advanced, result kept
             # with its stale flag), so a resume reproduces exactly what
@@ -448,30 +462,35 @@ class IncrementalRICD:
         self._result.stale = False
         self._dirty_users.clear()
         self._dirty_items.clear()
+        self._full_owed = False
         self._dirty_since = None
         self._batches_since_recheck = 0
-        self._persist()
+        # A full pass has just built the live index: commit it as a
+        # snapshot, also when a failed attempt already persisted one.
+        self._persist(snapshot=full)
         return self._result
 
     def recheck_full(self) -> DetectionResult:
-        """Mark *everything* dirty and recheck — an exact synchronization.
+        """Recheck the whole graph — an exact synchronization.
 
-        With the whole graph dirty no previous group is kept and the
-        regional pass runs over the full live graph, so the refreshed
-        state equals a one-shot batch :meth:`RICDDetector.detect` on the
-        same graph (the property the checkpointed parity suite pins).
-        The streaming service calls this at checkpoints/drain; between
-        them the cheaper dirty-region rechecks serve the live result.
+        The recheck is owed until one succeeds: no previous group is kept
+        and the pass runs unmasked over the full live graph, so the
+        refreshed state equals a one-shot batch
+        :meth:`RICDDetector.detect` on the same graph (the property the
+        checkpointed parity suite pins).  A failed pass leaves it owed,
+        so the next :meth:`recheck` is full too.  The streaming service
+        calls this at checkpoints/drain; between them the cheaper
+        dirty-region rechecks serve the live result.
 
         With a store attached, the recheck commits its version as a full
         snapshot of the live index the pass has just built, not as a
         delta: the checkpoint needs no compaction reload afterwards.  A
         graph with nothing to recheck commits nothing.
         """
-        self._dirty_users.update(self._graph.users())
-        self._dirty_items.update(self._graph.items())
-        if self._store is not None and (self._dirty_users or self._dirty_items):
-            self._snapshot_owed = True
+        if len(self._graph) or not self._clean():
+            self._full_owed = True
+            if self._store is not None:
+                self._snapshot_owed = True
         return self.recheck()
 
     def _recheck_dirty_region(self) -> DetectionResult:
@@ -484,7 +503,7 @@ class IncrementalRICD:
         self._traverse_degree_cap = self._derive_traverse_cap(
             live.num_edges, live.num_items
         )
-        all_dirty = (
+        all_dirty = self._full_owed or (
             len(self._dirty_users) >= self._graph.num_users
             and len(self._dirty_items) >= self._graph.num_items
             # Length alone can lie when cleanup removed nodes that are
@@ -537,7 +556,8 @@ class IncrementalRICD:
         kept: list[SuspiciousGroup] = [
             group
             for group in self._result.groups
-            if not (group.users & self._dirty_users)
+            if not self._full_owed
+            and not (group.users & self._dirty_users)
             and not (group.items & self._dirty_items)
         ]
         ctx = PipelineContext(

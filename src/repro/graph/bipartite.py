@@ -35,6 +35,7 @@ random operation interleavings.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from .. import obs
@@ -46,6 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["BipartiteGraph"]
 
 Node = Hashable
+
+_CLICKS = itemgetter(2)
 
 
 class BipartiteGraph:
@@ -288,26 +291,27 @@ class BipartiteGraph:
         self._indexed = None
         self._delta = None
 
-    def _appended(self, event: tuple) -> None:
-        """Record one append-only mutation as an ``apply_delta`` event.
+    def _appended(self, events: tuple) -> None:
+        """Record append-only mutations as ``apply_delta`` events.
 
-        ``event`` is a click record ``(user, item, clicks)`` — a new edge
+        Each event is a click record ``(user, item, clicks)`` — a new edge
         or an increment, which :meth:`IndexedGraph.apply_delta` tells
         apart itself, registering unseen endpoints as it goes — or an
-        idle-node registration ``("user", node)`` / ``("item", node)``.
+        idle-node registration ``("user", node)`` / ``("item", node)``;
+        the version bumps once per event.
         Unlike :meth:`_mutated` this keeps the memoized snapshot alive and
-        buffers the event, so the next :meth:`indexed` call merges the
+        buffers the events, so the next :meth:`indexed` call merges the
         buffer incrementally instead of re-snapshotting from scratch.
         Recording only starts once a snapshot exists — with nothing to
         maintain, the buffer stays empty and the first access builds as
         usual.
         """
-        self._version += 1
+        self._version += len(events)
         if self._indexed is None:
             return
         if self._delta is None:
             self._delta = []
-        self._delta.append(event)
+        self._delta.extend(events)
         if len(self._delta) > self._DELTA_LIMIT + self._indexed.num_edges:
             self._indexed = None
             self._delta = None
@@ -353,27 +357,27 @@ class BipartiteGraph:
         """Register ``user`` with no edges.  No-op if already present."""
         if not self.has_user(user):
             self._adj_user(user)
-            self._appended(("user", user))
+            self._appended((("user", user),))
 
     def add_item(self, item: Node) -> None:
         """Register ``item`` with no edges.  No-op if already present."""
         if not self.has_item(item):
             self._adj_item(item)
-            self._appended(("item", item))
+            self._appended((("item", item),))
 
     def add_user_strict(self, user: Node) -> None:
         """Register ``user``; raise :class:`DuplicateNodeError` if present."""
         if self.has_user(user):
             raise DuplicateNodeError(user, "user")
         self._adj_user(user)
-        self._appended(("user", user))
+        self._appended((("user", user),))
 
     def add_item_strict(self, item: Node) -> None:
         """Register ``item``; raise :class:`DuplicateNodeError` if present."""
         if self.has_item(item):
             raise DuplicateNodeError(item, "item")
         self._adj_item(item)
-        self._appended(("item", item))
+        self._appended((("item", item),))
 
     def has_user(self, user: Node) -> bool:
         """Whether ``user`` is in the user partition."""
@@ -417,18 +421,39 @@ class BipartiteGraph:
 
         Creates the endpoints if needed.  ``clicks`` must be positive.
         """
-        if clicks <= 0:
-            raise ValueError(f"clicks must be positive, got {clicks}")
-        user_adj = self._adj_user(user)
-        item_adj = self._adj_item(item)
-        previous = user_adj.get(item, 0)
-        new_count = previous + clicks
-        user_adj[item] = new_count
-        item_adj[user] = new_count
-        self._total_clicks += clicks
-        if previous == 0 and self._lazy is not None:
-            self._lazy_extra_edges += 1
-        self._appended((user, item, clicks))
+        self.add_clicks(((user, item, clicks),))
+
+    def add_clicks(self, records: Iterable[tuple[Node, Node, int]]) -> None:
+        """Apply ``(user, item, clicks)`` records in order, all or none.
+
+        The same graph, :attr:`version` and snapshot delta as one
+        :meth:`add_click` per record, in one pass: every count is checked
+        before the first write, so a record with a non-positive count
+        raises :class:`ValueError` and leaves the graph untouched.
+        """
+        records = tuple(records)
+        for _, _, clicks in records:
+            if clicks <= 0:
+                raise ValueError(f"clicks must be positive, got {clicks}")
+        users, items = self._users, self._items
+        new_edges = 0
+        for user, item, clicks in records:
+            user_adj = users.get(user)
+            if user_adj is None:
+                user_adj = self._adj_user(user)
+            item_adj = items.get(item)
+            if item_adj is None:
+                item_adj = self._adj_item(item)
+            previous = user_adj.get(item)
+            if previous is None:
+                new_edges += 1
+                user_adj[item] = item_adj[user] = clicks
+            else:
+                user_adj[item] = item_adj[user] = previous + clicks
+        self._total_clicks += sum(map(_CLICKS, records))
+        if self._lazy is not None:
+            self._lazy_extra_edges += new_edges
+        self._appended(records)
 
     def set_click(self, user: Node, item: Node, clicks: int) -> None:
         """Set the edge weight exactly; ``clicks = 0`` deletes the edge.
@@ -468,7 +493,7 @@ class BipartiteGraph:
         if current == 0 and self._lazy is not None:
             self._lazy_extra_edges += 1
         if clicks > current:
-            self._appended((user, item, clicks - current))
+            self._appended(((user, item, clicks - current),))
         else:
             # Weight decrease is destructive for the array snapshot's
             # append-only delta; fall back to full invalidation.

@@ -36,14 +36,18 @@ def from_click_records(records: Iterable[tuple[Node, Node, int]]) -> BipartiteGr
     ClickTableError
         If a record has a non-positive click count.
     """
+    records = tuple(records)
     graph = BipartiteGraph()
-    for row_number, (user, item, clicks) in enumerate(records, start=1):
-        if clicks <= 0:
-            raise ClickTableError(
-                f"click count must be positive, got {clicks} for ({user!r}, {item!r})",
-                line_number=row_number,
-            )
-        graph.add_click(user, item, clicks)
+    try:
+        graph.add_clicks(records)
+    except ValueError:
+        for row_number, (user, item, clicks) in enumerate(records, start=1):
+            if clicks <= 0:
+                raise ClickTableError(
+                    f"click count must be positive, got {clicks} for ({user!r}, {item!r})",
+                    line_number=row_number,
+                ) from None
+        raise
     return graph
 
 

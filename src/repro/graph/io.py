@@ -21,6 +21,7 @@ snapshots as numpy arrays for out-of-core work at paper scale:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from pathlib import Path
 from typing import Iterator
@@ -63,6 +64,11 @@ def _sniff_delimiter(sample_line: str) -> str:
     return ","
 
 
+def _is_content(row: list[str]) -> bool:
+    """Whether a parsed row holds data: not blank, not a ``#`` comment."""
+    return any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#")
+
+
 def iter_click_table(path: str | Path) -> Iterator[tuple[str, str, int]]:
     """Yield ``(user_id, item_id, click)`` records from a click-table file.
 
@@ -88,24 +94,28 @@ def iter_click_table(path: str | Path) -> Iterator[tuple[str, str, int]]:
                 delimiter = _sniff_delimiter(line)
                 break
         handle.seek(0)
-        reader = csv.reader(handle, delimiter=delimiter)
-        seen_content = False
-        for line_number, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
+        rows = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+        for line_number, row in rows:
+            if not _is_content(row):
                 continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if not seen_content:
-                seen_content = True
-                if any(cell.strip().lower() in _HEADER_TOKENS for cell in row):
+            if not any(cell.strip().lower() in _HEADER_TOKENS for cell in row):
+                # No header: the first content row is a record.
+                rows = itertools.chain([(line_number, row)], rows)
+            break
+        for line_number, row in rows:
+            # The common row, inlined: three cells, each stripped once.
+            if len(row) == 3:
+                user, item, raw_clicks = row[0].strip(), row[1].strip(), row[2].strip()
+                if user.startswith("#") or not (user or item or raw_clicks):
                     continue
-            if len(row) != 3:
+            elif not _is_content(row):
+                continue
+            else:
                 raise MalformedRowError(
                     f"expected 3 columns, got {len(row)}",
                     line_number=line_number,
                     row=row,
                 )
-            user, item, raw_clicks = (cell.strip() for cell in row)
             try:
                 clicks = int(raw_clicks)
             except ValueError:

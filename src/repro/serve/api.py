@@ -44,6 +44,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import ReproError, StoreError
 from ..store.serialization import result_to_json
+from .queue import ClickEvent
 
 __all__ = [
     "ApiError",
@@ -214,8 +215,10 @@ class DetectionAPI:
     def submit_clicks(self, request: SubmitClicksRequest) -> SubmitClicksResponse:
         """Enqueue records; with ``pump`` also drain them into the graph."""
         service = self.service
-        for user, item, clicks in request.records:
-            service.submit(user, item, clicks)
+        stamp = service.clock.now()
+        service.submit_events(
+            [ClickEvent(user, item, clicks, stamp) for user, item, clicks in request.records]
+        )
         applied_before = service.snapshot().applied
         if request.pump:
             service.pump_until_idle()
@@ -241,9 +244,10 @@ class DetectionAPI:
 
     def checkpoint(self) -> CheckpointResponse:
         """Exact full sync; store-backed services commit a snapshot here."""
-        result = self.service.checkpoint()
+        snapshot = self.service.checkpoint_snapshot()
+        result = snapshot.result
         return CheckpointResponse(
-            store_version=self.service.store_version,
+            store_version=snapshot.store_version,
             suspicious_users=len(result.suspicious_users),
             suspicious_items=len(result.suspicious_items),
             groups=len(result.groups),

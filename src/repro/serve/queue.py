@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from .. import obs
 from ..errors import ConfigError
@@ -30,13 +30,14 @@ __all__ = ["ClickEvent", "QueueStats", "BoundedEventQueue"]
 Node = Hashable
 
 
-@dataclass(frozen=True)
-class ClickEvent:
+class ClickEvent(NamedTuple):
     """One timestamped click record flowing through the service.
 
     ``timestamp`` is event time in clock seconds (whatever epoch the
     service's :class:`~repro.serve.clock.Clock` uses); the replay harness
-    synthesises it, production stamps it at submission.
+    synthesises it, production stamps it at submission.  A named tuple,
+    so it is immutable and cheap to build, and its first three fields
+    slice out as the ``(user, item, clicks)`` record ``ClickBatch`` holds.
     """
 
     user: Node
@@ -82,7 +83,9 @@ class BoundedEventQueue:
         if capacity < 1:
             raise ConfigError(f"queue capacity must be >= 1, got {capacity}", "capacity")
         self.capacity = capacity
-        self._events: deque[ClickEvent] = deque()
+        # A full bounded deque drops from the left as it appends on the
+        # right: oldest-first shedding without a Python loop.
+        self._events: deque[ClickEvent] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._submitted = 0
         self._drained = 0
@@ -98,24 +101,26 @@ class BoundedEventQueue:
         The new event is always admitted — under overload the queue slides
         forward over the stream rather than rejecting fresh traffic.
         """
+        return self.submit_many((event,))
+
+    def submit_many(self, events: Iterable[ClickEvent]) -> int:
+        """Enqueue every event in order; returns the total number shed.
+
+        Equivalent to submitting the events one by one — the same
+        survivors, shed count and counters — but the lock is taken once
+        and the overflow is shed in bulk, so a batch that overflows the
+        capacity sheds the oldest queued events first, then its own
+        oldest.
+        """
+        events = tuple(events)
         with self._lock:
-            self._submitted += 1
-            self._events.append(event)
-            shed = 0
-            while len(self._events) > self.capacity:
-                self._events.popleft()
-                shed += 1
+            shed = max(0, len(self._events) + len(events) - self.capacity)
+            self._events.extend(events)
+            self._submitted += len(events)
             self._shed += shed
         if shed:
             obs.count("serve.shed_events", shed)
         return shed
-
-    def submit_many(self, events: Iterable[ClickEvent]) -> int:
-        """Enqueue every event; returns the total number shed."""
-        total = 0
-        for event in events:
-            total += self.submit(event)
-        return total
 
     def drain(self, max_events: int | None = None) -> list[ClickEvent]:
         """Remove and return up to ``max_events`` events, FIFO order."""
@@ -136,12 +141,11 @@ class BoundedEventQueue:
         oldest traffic present.
         """
         with self._lock:
-            self._events.extendleft(reversed(events))
+            # Shed before requeueing: a full deque would drop from the
+            # right, the freshest traffic.
+            shed = max(0, len(self._events) + len(events) - self.capacity)
+            self._events.extendleft(reversed(events[shed:]))
             self._drained -= len(events)
-            shed = 0
-            while len(self._events) > self.capacity:
-                self._events.popleft()
-                shed += 1
             self._shed += shed
         if shed:
             obs.count("serve.shed_events", shed)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Hashable, Iterable
 
@@ -58,6 +59,9 @@ Node = Hashable
 
 #: Ladder levels, index == severity.
 _LEVELS = ("normal", "coarse", "stale")
+
+#: A :class:`ClickEvent`'s ``(user, item, clicks)`` record, sliced in C.
+_RECORD = itemgetter(slice(3))
 
 
 @dataclass(frozen=True)
@@ -338,9 +342,7 @@ class DetectionService:
                 obs.count("serve.ingest_faults")
                 fault = True
             else:
-                self.online.ingest(
-                    ClickBatch.of(event.record() for event in events)
-                )
+                self.online.ingest(ClickBatch.of(map(_RECORD, events)))
                 self._applied += len(events)
                 obs.count("serve.ingested", len(events))
         applied = 0 if fault else len(events)
@@ -480,6 +482,17 @@ class DetectionService:
             obs.count("serve.rechecks")
             self._emit_gauges(0)
             return result
+
+    def checkpoint_snapshot(self) -> ServiceSnapshot:
+        """:meth:`checkpoint`, then :meth:`snapshot` in the same lock hold.
+
+        The pump thread commits its next version as soon as the lock is
+        free, so the checkpoint's store version must be read before the
+        lock is released; the checkpoint route stamps its answer with it.
+        """
+        with self._lock:
+            self.checkpoint()
+            return self.snapshot()
 
     # ------------------------------------------------------------------
     # Thread mode

@@ -260,3 +260,36 @@ class TestTraverseCap:
         # Mean item degree grew by an order of magnitude; a cap frozen at
         # bootstrap would now silently shrink the dirty region.
         assert online.traverse_degree_cap > initial
+
+
+class TestOwedFullRecheck:
+    """A full recheck is owed until one succeeds, without filling the dirty sets."""
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_failed_full_recheck_stays_owed(self, tiny, tmp_path, with_store):
+        from repro.resilience.faults import injecting
+        from repro.store import DetectionStore
+
+        from ..canon import canonical_result
+
+        online = make_online(tiny.graph, recheck=100)
+        if with_store:
+            online.attach_store(DetectionStore.open_or_create(tmp_path / "store"))
+        online.ingest(ClickBatch.of([("new_account", "i0", 5)]))
+        with injecting("error=1.0,sites=recheck,max=1"):
+            assert online.recheck_full().stale
+        graph = online.graph
+        assert online.dirty_size == graph.num_users + graph.num_items
+
+        result = online.recheck()
+        assert not result.stale
+        assert online.dirty_size == 0
+        expected = RICDDetector(
+            params=params(),
+            screening=ScreeningParams(min_users=2, min_items=2),
+            max_group_users=18,
+        ).detect(graph.copy())
+        assert canonical_result(result) == canonical_result(expected)
+        if with_store:
+            store = online.store
+            assert "snapshot" in store.entry(store.head)

@@ -1,9 +1,12 @@
 """Unit tests for the BipartiteGraph core container."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DuplicateNodeError, NodeNotFoundError
-from repro.graph import BipartiteGraph
+from repro.graph import BipartiteGraph, from_click_records
 
 
 class TestNodeManagement:
@@ -267,3 +270,74 @@ class TestDeltaEventFlags:
         simple_graph.add_user("u10")               # idle node
         simple_graph.set_click("u10", "i9", 2)     # new edge from idle node
         self._snapshots_equal(simple_graph)
+
+
+# ----------------------------------------------------------------------
+# add_clicks: one bulk write, the same graph as one add_click per record
+# ----------------------------------------------------------------------
+_users = st.integers(min_value=0, max_value=9).map(lambda n: f"u{n}")
+_items = st.integers(min_value=0, max_value=9).map(lambda n: f"i{n}")
+_records = st.lists(st.tuples(_users, _items, st.integers(min_value=1, max_value=5)), max_size=20)
+
+
+def _graph(kind, seed):
+    """A graph of ``kind`` holding ``seed``: fresh, eager or lazy over a snapshot."""
+    if kind == "fresh":
+        graph = BipartiteGraph()
+        for record in seed:
+            graph.add_click(*record)
+        return graph
+    snapshot = from_click_records(seed).indexed()
+    return BipartiteGraph.from_indexed(snapshot, lazy=kind == "lazy")
+
+
+def _counts(graph):
+    return graph.version, graph.total_clicks, graph.num_users, graph.num_items, graph.num_edges
+
+
+def _state(graph):
+    """Counts plus adjacency (which hydrates every vertex of a lazy graph)."""
+    return (
+        _counts(graph),
+        {user: dict(graph.user_neighbors(user)) for user in graph.users()},
+        {item: dict(graph.item_neighbors(item)) for item in graph.items()},
+    )
+
+
+class TestAddClicks:
+    @given(
+        kind=st.sampled_from(["fresh", "eager", "lazy"]),
+        seed=_records.filter(bool),
+        batches=st.lists(st.tuples(_records, st.booleans()), max_size=4),
+        limit=st.sampled_from([0, 2, BipartiteGraph._DELTA_LIMIT]),
+    )
+    @example(kind="eager", seed=[("u0", "i0", 1)], batches=[([("u1", "i1", 1)] * 4, False)], limit=0)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_repeated_add_click(self, kind, seed, batches, limit):
+        # A small _DELTA_LIMIT makes the delta buffer's rebuild fallback
+        # fire part-way through a batch of add_click calls.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BipartiteGraph, "_DELTA_LIMIT", limit)
+            bulk, single = _graph(kind, seed), _graph(kind, seed)
+            for records, read_index in batches:
+                bulk.add_clicks(records)
+                for record in records:
+                    single.add_click(*record)
+                assert _counts(bulk) == _counts(single)
+                if read_index:
+                    bulk.indexed()
+                    single.indexed()
+            assert _state(bulk) == _state(single)
+            a, b = bulk.indexed(), single.indexed()
+        assert a.version == b.version == bulk.version
+        assert a.users == b.users and a.items == b.items
+        for name in ("user_idx", "item_idx", "clicks"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("kind", ["fresh", "eager", "lazy"])
+    def test_a_non_positive_count_applies_nothing(self, kind):
+        seed = [("u0", "i0", 2), ("u1", "i0", 1)]
+        graph, untouched = _graph(kind, seed), _graph(kind, seed)
+        with pytest.raises(ValueError, match="clicks must be positive, got 0"):
+            graph.add_clicks([("u0", "i1", 3), ("u9", "i9", 0), ("u1", "i0", 4)])
+        assert _state(graph) == _state(untouched)

@@ -1,5 +1,7 @@
 """Tests for click-table file I/O."""
 
+import csv
+
 import pytest
 
 from repro.errors import ClickTableError
@@ -105,6 +107,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MalformedRowError
 from repro.graph.io import (
+    _HEADER_TOKENS,
     _sniff_delimiter,
     read_click_table_indexed,
     read_graph_memmap,
@@ -309,3 +312,112 @@ def test_property_text_and_array_round_trips_agree(tmp_path_factory, records):
     assert edge_table(via_arrays) == graph_table(graph)
     directory = write_graph_memmap(graph, tmp_path / "graph_dir")
     assert edge_table(read_graph_memmap(directory)) == graph_table(graph)
+
+
+# ----------------------------------------------------------------------
+# The table reader inlines its common row; the loop it replaced stays
+# here as the reference every generated table must agree with.
+# ----------------------------------------------------------------------
+def reference_iter_click_table(path):
+    """``iter_click_table`` as it was written before the common-row path."""
+    with open(path, newline="") as handle:
+        delimiter = ","
+        for line in handle:
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                delimiter = _sniff_delimiter(line)
+                break
+        handle.seek(0)
+        reader = csv.reader(handle, delimiter=delimiter)
+        seen_content = False
+        for line_number, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if row[0].lstrip().startswith("#"):
+                continue
+            if not seen_content:
+                seen_content = True
+                if any(cell.strip().lower() in _HEADER_TOKENS for cell in row):
+                    continue
+            if len(row) != 3:
+                raise MalformedRowError(
+                    f"expected 3 columns, got {len(row)}",
+                    line_number=line_number,
+                    row=row,
+                )
+            user, item, raw_clicks = (cell.strip() for cell in row)
+            try:
+                clicks = int(raw_clicks)
+            except ValueError:
+                raise MalformedRowError(
+                    f"click column {raw_clicks!r} is not an integer",
+                    line_number=line_number,
+                    row=row,
+                ) from None
+            if clicks <= 0:
+                raise MalformedRowError(
+                    f"click count must be positive, got {clicks}",
+                    line_number=line_number,
+                    row=row,
+                )
+            yield user, item, clicks
+
+
+def read_outcome(reader, path):
+    """The records a reader yields, then the error it stops on (if any)."""
+    records = []
+    try:
+        for record in reader(path):
+            records.append(record)
+    except Exception as error:  # noqa: BLE001 - the failure itself is compared
+        failure = (
+            type(error),
+            getattr(error, "line_number", None),
+            getattr(error, "row", None),
+            str(error),
+        )
+        return records, failure
+    return records, None
+
+
+_good_ids = st.sampled_from(["u1", "i2", " u3 ", "i4\t", '"u,6"', '"i\t7"', "user"])
+_good_clicks = st.sampled_from(["1", " 7 ", "12", "+2", '"9"', '" 3 "'])
+_any_cells = st.sampled_from(["", "  ", "#u5", "Item", "0", "-3", "many", "1.5", '"u,6"', "4"])
+_headers = st.lists(
+    st.sampled_from(["User_ID", "user_id", "ITEM_ID", "Item", "click", "CLICKS", "ts"]),
+    min_size=2,
+    max_size=4,
+)
+_good_rows = st.tuples(st.just("cells"), st.tuples(_good_ids, _good_ids, _good_clicks).map(list))
+_lines = st.one_of(
+    st.tuples(st.just("blank"), st.sampled_from(["", " ", "\t", "  \t "])),
+    st.tuples(st.just("comment"), st.sampled_from(["# note", "  # indented", "#a,b\tc"])),
+    st.tuples(st.just("cells"), _headers),
+    _good_rows,
+    _good_rows,
+    _good_rows,
+    # Blank cells, comments in the first cell, and bad or missing clicks.
+    st.tuples(st.just("cells"), st.lists(_any_cells, min_size=3, max_size=3)),
+    st.tuples(st.just("cells"), st.lists(_any_cells, min_size=2, max_size=4)),
+)
+
+
+@st.composite
+def click_tables(draw):
+    """Table text mixing every row kind the reader tells apart."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    parts = []
+    for kind, payload in draw(st.lists(_lines, max_size=12)):
+        if kind == "cells":
+            # Mostly the table's delimiter; sometimes the other one.
+            payload = draw(st.sampled_from([delimiter] * 6 + [",", "\t"])).join(payload)
+        parts.append(payload + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(parts)
+
+
+@given(click_tables())
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_the_reference_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("table") / "clicks.csv"
+    path.write_bytes(text.encode())
+    assert read_outcome(iter_click_table, path) == read_outcome(reference_iter_click_table, path)

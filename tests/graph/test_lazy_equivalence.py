@@ -36,6 +36,11 @@ seed_records = st.lists(
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("add_click"), any_user, any_item, st.integers(1, 5)),
+        # A zero count makes the whole batch fail before any write.
+        st.tuples(
+            st.just("add_clicks"),
+            st.lists(st.tuples(any_user, any_item, st.integers(0, 5)), max_size=4),
+        ),
         st.tuples(st.just("set_click"), any_user, any_item, st.integers(0, 5)),
         st.tuples(st.just("remove_edge"), any_user, any_item),
         st.tuples(st.just("add_user"), any_user),
@@ -76,7 +81,7 @@ def apply(graph, op):
     """Run one operation; returns (outcome, payload) for comparison."""
     name, *args = op
     try:
-        if name in ("add_click", "set_click"):
+        if name in ("add_click", "add_clicks", "set_click"):
             getattr(graph, name)(*args)
             return ("ok", None)
         if name in ("remove_edge", "add_user", "add_item", "remove_user", "remove_item"):
@@ -108,6 +113,8 @@ def apply(graph, op):
         return ("value", getattr(graph, name)(*args))
     except NodeNotFoundError as error:
         return ("not_found", (error.args[0] if error.args else None,))
+    except ValueError as error:
+        return ("value_error", str(error))
 
 
 @given(seed_records, operations)

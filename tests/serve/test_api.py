@@ -198,6 +198,7 @@ class TestTypedCore:
         api.group(0)
         api.result(ResultRequest())
         api.submit_clicks(SubmitClicksRequest(records=(("u", "i", 2),)))
+        api.checkpoint()
         assert held and all(held)
 
 
