@@ -41,6 +41,10 @@ def score_groups(
       all groups);
     * ``item_scores[i]`` — mean risk score of the suspicious users who
       clicked ``i``.
+
+    Both come from the suspicious users' rows alone, in O(sum of their
+    degrees): no item's clicker column is read.  The risk sums add
+    integer-valued floats, so they are exact in any order.
     """
     suspicious_items: set[Node] = set()
     suspicious_users: set[Node] = set()
@@ -49,28 +53,22 @@ def score_groups(
         suspicious_users |= group.users
 
     user_scores: dict[Node, float] = {}
+    risk_sums: dict[Node, float] = {}
+    risk_counts: dict[Node, int] = {}
     for user in suspicious_users:
         if not graph.has_user(user):
             user_scores[user] = 0.0
             continue
-        clicked = sum(
-            1 for item in graph.user_neighbors(user) if item in suspicious_items
-        )
-        user_scores[user] = float(clicked)
+        clicked = [item for item in graph.user_neighbors(user) if item in suspicious_items]
+        score = user_scores[user] = float(len(clicked))
+        for item in clicked:
+            risk_sums[item] = risk_sums.get(item, 0.0) + score
+            risk_counts[item] = risk_counts.get(item, 0) + 1
 
     item_scores: dict[Node, float] = {}
     for item in suspicious_items:
-        if not graph.has_item(item):
-            item_scores[item] = 0.0
-            continue
-        clicker_risks = [
-            user_scores[user]
-            for user in graph.item_neighbors(item)
-            if user in user_scores
-        ]
-        item_scores[item] = (
-            sum(clicker_risks) / len(clicker_risks) if clicker_risks else 0.0
-        )
+        clickers = risk_counts.get(item)
+        item_scores[item] = risk_sums[item] / clickers if clickers else 0.0
     return user_scores, item_scores
 
 

@@ -8,18 +8,23 @@ detected in real time, the more losses can be reduced."
 :class:`IncrementalRICD` implements that module with a *dirty-region*
 strategy:
 
-1. click batches are applied to a live copy of the graph;
+1. click batches are applied to a live, array-backed graph: the initial
+   graph's index plus a tail of interned ``(row, column, clicks)``
+   columns (see :mod:`repro.graph.bipartite`), so ingest interns each
+   batch's ids once and writes no adjacency dict;
 2. every user/item touched by a batch is marked dirty;
 3. on demand (or automatically every ``recheck_batches`` batches), the
    detector re-runs — not on the whole graph, but on the two-hop
    neighbourhood of the dirty region (Algorithm 2's seed-expansion rule
    for business-department seeds), since an ``(alpha, k1, k2)``-extension
    biclique gaining an edge must contain a dirty node, and every node of
-   a group containing a dirty node lies within two hops of it.  With the
-   bitset engine the neighbourhood is a pair of boolean masks over the
-   live graph's delta-maintained index
+   a group containing a dirty node lies within two hops of it.  The
+   recheck first folds the tail into the live index with one numpy
+   merge.  With the bitset engine the neighbourhood is a pair of boolean
+   masks over that index
    (:func:`~repro.graph.builders.seed_expansion_masks`), and the modules
-   run on the live graph under them: no subgraph copy, no index build.
+   run on the live graph under them: no subgraph copy, no index build,
+   and screening and identification read only the group members' rows.
    The reference engine copies the neighbourhood out with
    :func:`~repro.graph.builders.seed_expansion` and runs on the copy,
    the oracle the masked path is tested against;
@@ -98,7 +103,6 @@ class IncrementalRICD:
         engine: str = "bitset",
         time_source: Callable[[], float] | None = None,
         *,
-        adopt_graph: bool = False,
         initial_result: DetectionResult | None = None,
     ):
         """The dirty-region expansion does not traverse *through* nodes
@@ -126,18 +130,19 @@ class IncrementalRICD:
         scheduler's ``max_age`` staleness bound.  Without one, ages read
         as zero and only size/batch bounds can fire.
 
-        ``adopt_graph`` takes ownership of ``initial_graph`` instead of
-        copying it — the warm-start path, where the graph arrived from a
-        store with its memoized array snapshot installed and a defensive
-        copy would throw that warmth away.  ``initial_result`` skips the
-        bootstrap full pass by installing a (persisted) result as the
-        starting state; the caller asserts it matches the graph."""
+        The live graph is ``initial_graph.indexed()`` wrapped by
+        :meth:`~repro.graph.bipartite.BipartiteGraph.from_indexed`: array
+        backed from the start, and a different object from
+        ``initial_graph``, which is never mutated.  ``initial_result``
+        skips the bootstrap full pass by installing a (persisted) result
+        as the starting state; the caller asserts it matches the graph."""
         if recheck_batches is not None and recheck_batches < 1:
             raise ValueError(f"recheck_batches must be >= 1, got {recheck_batches}")
+        snapshot = initial_graph.indexed()
         self._traverse_degree_cap = self._derive_traverse_cap(
-            initial_graph.num_edges, initial_graph.num_items
+            snapshot.num_edges, snapshot.num_items
         )
-        self._graph = initial_graph if adopt_graph else initial_graph.copy()
+        self._graph = BipartiteGraph.from_indexed(snapshot)
         self._detector = RICDDetector(
             params=params or RICDParams(),
             screening=screening or ScreeningParams(),
@@ -177,17 +182,13 @@ class IncrementalRICD:
         """Resume from the latest checkpoint of a detection store.
 
         ``store`` is an open :class:`~repro.store.DetectionStore` (or a
-        path to one).  The head graph loads warm *and lazy*: the array
-        snapshot installs as the mutable graph's backing truth in O(1) —
-        no per-edge rebuild loop — and per-vertex adjacency materializes
-        only where the stream actually writes (ingested clicks hydrate
-        their two endpoints; destructive cleanup hydrates per edge it
-        deletes), so resume latency is independent of graph size.  The
-        snapshot doubles as the memoized array view, so the first
-        ``indexed()`` access is a cache hit.  The
-        persisted result becomes the starting state — degraded/stale
-        provenance intact, no bootstrap pass — and persisted thresholds
-        are rehydrated into the detector's memo so the first resolution
+        path to one).  The head snapshot becomes the base of the live
+        array-backed graph in O(1) — no per-edge rebuild loop, so resume
+        latency is independent of graph size — and the first
+        ``indexed()`` access is a cache hit.  The persisted result
+        becomes the starting state — degraded/stale provenance intact, no
+        bootstrap pass — and persisted thresholds are rehydrated into the
+        detector's memo against the live graph, so the first resolution
         is a ``detect.threshold_cache_hits``.  Parameters default to the
         values persisted with the head version, so a resumed stream keeps
         detecting with the configuration it was persisted under.  The
@@ -206,20 +207,21 @@ class IncrementalRICD:
             params = stored_input
         if screening is None:
             screening = stored_screening
-        graph = store.load_graph()
         online = cls(
-            graph,
+            store.load_graph(),
             params=params,
             screening=screening,
             recheck_batches=recheck_batches,
             max_group_users=max_group_users,
             engine=engine,
             time_source=time_source,
-            adopt_graph=True,
             initial_result=store.load_result(),
         )
         if stored_resolved is not None and online._detector.params == stored_input:
-            online._detector._thresholds().rehydrate(graph, stored_input, stored_resolved)
+            # The resolver's memo is keyed by graph identity and version.
+            online._detector._thresholds().rehydrate(
+                online.graph, stored_input, stored_resolved
+            )
         online.attach_store(store)
         return online
 
@@ -348,8 +350,9 @@ class IncrementalRICD:
         """Clock time the dirty region started accumulating, or ``None``.
 
         Stamped from ``time_source`` when the dirty region transitions
-        from empty to non-empty; cleared when a recheck covers it.  Always
-        ``None`` without a time source.
+        from empty to non-empty, or when a full recheck becomes owed;
+        cleared when a recheck covers it.  Always ``None`` without a time
+        source.
         """
         return self._dirty_since
 
@@ -488,6 +491,10 @@ class IncrementalRICD:
         graph with nothing to recheck commits nothing.
         """
         if len(self._graph) or not self._clean():
+            if self._dirty_since is None and self._time_source is not None:
+                # An owed recheck ages like a dirty region, so a failed
+                # one is rescheduled by the scheduler's max_age bound.
+                self._dirty_since = self._time_source()
             self._full_owed = True
             if self._store is not None:
                 self._snapshot_owed = True
@@ -519,8 +526,8 @@ class IncrementalRICD:
         region_graph, region = self._graph, None
         if not all_dirty and self._detector.engine == "bitset":
             # The region as masks over the live index: no subgraph copy
-            # and no index build.  A lazily backed graph hydrates only
-            # the vertices the extracted groups touch.
+            # and no index build.  The stages read only the rows of the
+            # users the extracted groups hold.
             with obs.span("region_masks"):
                 region = seed_expansion_masks(
                     live,

@@ -34,6 +34,7 @@ because their clicker sets barely overlap.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -162,16 +163,23 @@ def item_behavior_verification(
     (union-find) and each cluster plus its heavy clickers, filtered by the
     group-size floors, becomes one final attack group.  ``item_clicks`` is
     the hot/ordinary volume, as in :func:`_split_items`.
+
+    Every item-side read inverts the rows of a known user set — the
+    group's users, then each cluster's — in O(sum of their degrees), so
+    no item's full clicker column is read.
     """
     hot, ordinary = _split_items(graph, group.items, t_hot, item_clicks)
 
+    found: dict[Node, set[Node]] = {}
+    for user in group.users:
+        if not graph.has_user(user):
+            continue
+        for item, clicks in graph.user_neighbors(user).items():
+            if clicks >= t_click and item in ordinary:
+                found.setdefault(item, set()).add(user)
     heavy_clickers: dict[Node, set[Node]] = {}
     for item in ordinary:
-        clickers = {
-            user
-            for user, clicks in graph.item_neighbors(item).items()
-            if user in group.users and clicks >= t_click
-        }
+        clickers = found.get(item, set())
         if len(clickers) >= params.min_users:
             heavy_clickers[item] = clickers
 
@@ -218,12 +226,13 @@ def item_behavior_verification(
     # private organic history touches a hot item only individually.
     for cluster in clusters.values():
         quorum = max(2, len(cluster.users) // 2)
-        cluster.hot_items = {
+        riders = Counter(
             item
-            for item in hot
-            if sum(1 for user in graph.item_neighbors(item) if user in cluster.users)
-            >= quorum
-        }
+            for user in cluster.users
+            for item in graph.user_neighbors(user)
+            if item in hot
+        )
+        cluster.hot_items = {item for item, count in riders.items() if count >= quorum}
     groups = [
         cluster
         for cluster in clusters.values()

@@ -1,48 +1,59 @@
 """The weighted user-item bipartite click graph.
 
-:class:`BipartiteGraph` stores the paper's ``TaoBao_UI_Clicks`` relation as
-two mirrored dict-of-dict adjacency maps, one per partition.  The
-representation was chosen over a matrix because every detection algorithm
-in the paper *mutates* the graph by deleting nodes (CorePruning and
-SquarePruning both "remove a vertex and all its adjacent edges"), and hash
-maps give O(degree) deletion, O(1) edge lookup and cheap neighbour-set
-intersection — the three operations Algorithm 3 is built from.
+:class:`BipartiteGraph` stores the paper's ``TaoBao_UI_Clicks`` relation.
+A graph built node by node (``BipartiteGraph()`` plus :meth:`add_click`)
+is *eager*: two mirrored dict-of-dict adjacency maps, one per partition.
+That representation was chosen over a matrix because every detection
+algorithm in the paper *mutates* the graph by deleting nodes (CorePruning
+and SquarePruning both "remove a vertex and all its adjacent edges"), and
+hash maps give O(degree) deletion, O(1) edge lookup and cheap
+neighbour-set intersection — the three operations Algorithm 3 is built
+from.
 
 Users and items live in separate namespaces: the same identifier may appear
 on both sides without clashing, as in the paper's tables where user ids and
 item ids are independent integer sequences.
 
-**Lazy array backing (warm start).**  A graph rebuilt from a frozen
-:class:`~repro.graph.indexed.IndexedGraph` snapshot via :meth:`from_indexed`
-does *not* loop over the edge arrays: the snapshot installs as the backing
-truth, and per-vertex dict adjacency materializes on demand
-(copy-on-write per vertex).  The invariant every read path rests on:
+**Array-backed graphs (store loads, the live incremental graph).**  A graph
+made by :meth:`from_indexed` keeps no adjacency dicts as its truth.  Its
+truth is the last merged :class:`~repro.graph.indexed.IndexedGraph`
+snapshot plus a tail of interned ``(row, column, clicks)`` columns (an
+:class:`~repro.graph.indexed.InternedDelta`):
 
-    a vertex without a materialized dict has **all** of its incident
-    edges exactly as the backing snapshot recorded them,
+* appends — :meth:`add_clicks`, idle :meth:`add_user`/:meth:`add_item`,
+  and the increment of a :meth:`set_click` that raises a count — intern
+  their ids and extend the tail; they never write a dict;
+* ``has_user``/``has_item``, the node counts and ``users()``/``items()``
+  read the tail's id tables, and ``num_edges`` counts the tail's record
+  pairs the base lacks
+  (:meth:`~repro.graph.indexed.InternedDelta.merged_num_edges`), so
+  status polls between merges stay O(tail);
+* every other read merges the tail into a fresh snapshot first
+  (:meth:`~repro.graph.indexed.IndexedGraph.apply_delta`, counted as
+  ``graph.indexed.delta_builds``) and serves the snapshot: degrees and
+  totals from its cached aggregates, ``get_click`` by a binary search in
+  the user's row, ``edges()`` in canonical order (rows in interning
+  order, columns ascending), and the neighbour maps from per-vertex dicts
+  that are a read cache of the current snapshot, dropped at each merge;
+* destructive writes — a :meth:`set_click` that lowers a count, edge and
+  node removal — merge and then flatten the snapshot into the eager
+  dicts (:meth:`_flatten`); so do pickling and ``==``.  The graph is
+  eager from then on.
 
-because every mutation first hydrates the vertices it touches.  Reads on
-unmaterialized vertices (``get_click``, degrees, totals, ``edges()``)
-are served straight from the snapshot's CSR/CSC slices; ``user_neighbors``
-/ ``item_neighbors`` hydrate the one vertex they're asked about.  Node
-*removal* — which would otherwise need per-vertex tombstones — flattens
-the whole backing first (:meth:`_materialize`), after which the graph is
-an ordinary eager dict graph.  Hydration and materialization are pure
-cache moves: they never bump :attr:`version` and never change any
-observable value, which the lazy-vs-eager equivalence suite pins under
-random operation interleavings.
+Merging, read caching and flattening never bump :attr:`version` or
+change an observable value, which the equivalence suites (against a
+plain dict-of-dicts model and an eager twin) pin under random operation
+interleavings.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .. import obs
 from ..errors import DuplicateNodeError, NodeNotFoundError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .indexed import IndexedGraph
+from .indexed import IndexedGraph, InternedDelta
 
 __all__ = ["BipartiteGraph"]
 
@@ -51,13 +62,27 @@ Node = Hashable
 _CLICKS = itemgetter(2)
 
 
+def _row(snapshot: IndexedGraph, user: Node) -> int:
+    row = snapshot.user_index.get(user)
+    if row is None:
+        raise NodeNotFoundError(user, "user")
+    return row
+
+
+def _column(snapshot: IndexedGraph, item: Node) -> int:
+    column = snapshot.item_index.get(item)
+    if column is None:
+        raise NodeNotFoundError(item, "item")
+    return column
+
+
 class BipartiteGraph:
     """A mutable weighted bipartite graph of user→item click counts.
 
     Edges carry a positive integer click count ``p``; adding clicks to an
-    existing edge accumulates.  All mutation keeps the two adjacency maps
-    mirrored, so ``user_neighbors``/``item_neighbors`` are always
-    consistent views of the same edge set.
+    existing edge accumulates.  All mutation keeps the two partitions
+    consistent, so ``user_neighbors``/``item_neighbors`` are always
+    views of the same edge set.
 
     Examples
     --------
@@ -78,199 +103,110 @@ class BipartiteGraph:
         "_version",
         "_indexed",
         "_delta",
-        "_lazy",
-        "_lazy_extra_users",
-        "_lazy_extra_items",
-        "_lazy_extra_edges",
+        "_tail",
         "__weakref__",
     )
 
-    #: Delta-buffer backstop: once the buffer holds more than this many
-    #: events (one per click, one per idle-node registration) beyond the
-    #: memoized snapshot's edge count, the graph falls back to plain
-    #: invalidation (full rebuild on next :meth:`indexed` call), so an
-    #: append burst with no snapshot reader keeps the buffer O(graph).
-    #: Scaling with the snapshot keeps a merge wherever it is the cheaper
-    #: path: ``apply_delta`` walks only the buffer in Python, while a
-    #: rebuild walks every edge's dict entry.
+    #: Delta-buffer backstop of an eager graph: once the buffer holds more
+    #: than this many events (one per click, one per idle-node
+    #: registration) beyond the memoized snapshot's edge count, the graph
+    #: falls back to plain invalidation (full rebuild on next
+    #: :meth:`indexed` call), so an append burst with no snapshot reader
+    #: keeps the buffer O(graph).  Scaling with the snapshot keeps a merge
+    #: wherever it is the cheaper path: ``apply_delta`` interns only the
+    #: buffer, while a rebuild walks every edge's dict entry.
     _DELTA_LIMIT = 100_000
 
     def __init__(self) -> None:
+        #: Eager graph: the adjacency truth.  Array-backed graph: a read
+        #: cache of the current snapshot's neighbour maps.
         self._users: dict[Node, dict[Node, int]] = {}
         self._items: dict[Node, dict[Node, int]] = {}
         self._total_clicks: int = 0
         self._version: int = 0
-        self._indexed: "IndexedGraph | None" = None
+        #: Eager graph: the memoized snapshot.  Array-backed graph: the
+        #: last merged snapshot, the base of the tail.
+        self._indexed: IndexedGraph | None = None
+        #: Eager graph: events buffered since the memoized snapshot.
         self._delta: list | None = None
-        #: Frozen backing snapshot while in lazy mode; ``None`` means the
-        #: dict adjacency is the complete truth (eager mode).
-        self._lazy: "IndexedGraph | None" = None
-        #: Net node/edge counts added on top of the backing snapshot, so
-        #: ``num_users``/``num_edges`` stay O(1) without scanning dicts.
-        self._lazy_extra_users: int = 0
-        self._lazy_extra_items: int = 0
-        self._lazy_extra_edges: int = 0
+        #: Array-backed graph: the interned appends since ``_indexed``;
+        #: ``None`` on an eager graph.
+        self._tail: InternedDelta | None = None
 
     @classmethod
-    def from_indexed(
-        cls, snapshot: "IndexedGraph", lazy: bool = True
-    ) -> "BipartiteGraph":
-        """Rebuild a mutable graph around a frozen snapshot (warm start).
+    def from_indexed(cls, snapshot: IndexedGraph) -> "BipartiteGraph":
+        """An array-backed mutable graph over a frozen snapshot (warm start).
 
-        The inverse of :meth:`indexed`: the mutation version is pinned to
-        ``snapshot.version`` and the snapshot itself is installed as the
-        memoized array view — so the first :meth:`indexed` call after a
-        store load is a cache *hit* (no ``graph.indexed.misses``), keeping
-        every version-keyed consumer cache (thresholds, fixpoint memos)
-        attachable to the restored state.
-
-        With ``lazy=True`` (the default) this returns in O(1): the
-        snapshot arrays become the backing truth and per-vertex dict
-        adjacency materializes copy-on-write as vertices are read through
-        the dict API or written (see the module docstring for the
-        invariant).  ``lazy=False`` fills both adjacency maps eagerly from
-        the edge arrays — the historical behavior, and the twin the
-        equivalence suite compares against.
+        The inverse of :meth:`indexed`, in O(1) graph work: the snapshot
+        becomes the base of an empty tail (see the module docstring), the
+        mutation version is pinned to ``snapshot.version``, and the first
+        :meth:`indexed` call returns the snapshot itself as a cache *hit*
+        (no ``graph.indexed.misses``), keeping every version-keyed
+        consumer cache (thresholds, fixpoint memos) attachable to the
+        restored state.
         """
         graph = cls()
         graph._version = snapshot.version
         graph._indexed = snapshot
-        if lazy:
-            graph._lazy = snapshot
-            graph._total_clicks = snapshot.total_clicks
-            return graph
-        graph._users = {user: {} for user in snapshot.users}
-        graph._items = {item: {} for item in snapshot.items}
+        graph._tail = InternedDelta(snapshot)
+        graph._total_clicks = snapshot.total_clicks
+        return graph
+
+    # ------------------------------------------------------------------
+    # Array backing: merge, read cache, flatten
+    # ------------------------------------------------------------------
+    def _current(self) -> IndexedGraph | None:
+        """An array-backed graph's snapshot with the tail merged in.
+
+        ``None`` on an eager graph.  A merge replaces the base and the
+        tail and drops the neighbour read cache; it never bumps the
+        version.
+        """
+        if self._tail is None:
+            return None
+        snapshot = self._indexed
+        if snapshot.version != self._version:
+            snapshot = self._merge(self._tail)
+            self._tail = InternedDelta(snapshot)
+            self._users = {}
+            self._items = {}
+        return snapshot
+
+    def _merge(self, delta) -> IndexedGraph:
+        """Replace the snapshot with ``delta`` merged in at the current version."""
+        obs.count("graph.indexed.delta_builds")
+        with obs.span("indexed_delta"):
+            self._indexed = self._indexed.apply_delta(delta, self._version)
+        return self._indexed
+
+    def _flatten(self) -> None:
+        """Turn an array-backed graph into an eager one; a no-op when eager.
+
+        Merges the tail, then fills both adjacency maps from the snapshot
+        in canonical order: users in row order with their items by
+        ascending column, items in column order with their users by
+        ascending row.  A pure representation change — no observable
+        value changes, the version does not bump, and the snapshot stays
+        memoized.  Destructive writes, pickling and ``==`` call this.
+        """
+        snapshot = self._current()
+        if snapshot is None:
+            return
+        obs.count("graph.lazy.materializations")
         users, items = snapshot.users, snapshot.items
-        total = 0
+        users_map: dict[Node, dict[Node, int]] = {user: {} for user in users}
+        items_map: dict[Node, dict[Node, int]] = {item: {} for item in items}
         for row, column, weight in zip(
             snapshot.user_idx.tolist(),
             snapshot.item_idx.tolist(),
             snapshot.clicks.tolist(),
         ):
             user, item = users[row], items[column]
-            graph._users[user][item] = weight
-            graph._items[item][user] = weight
-            total += weight
-        graph._total_clicks = total
-        return graph
-
-    # ------------------------------------------------------------------
-    # Lazy backing: hydration and materialization
-    # ------------------------------------------------------------------
-    def _hydrate_user(self, user: Node, row: int) -> dict[Node, int]:
-        """Materialize one user's adjacency dict from the backing arrays."""
-        snapshot = self._lazy
-        columns, weights = snapshot.row_slice(row)
-        items = snapshot.items
-        adjacency = {
-            items[column]: weight
-            for column, weight in zip(columns.tolist(), weights.tolist())
-        }
-        self._users[user] = adjacency
-        obs.count("graph.lazy.user_hydrations")
-        return adjacency
-
-    def _hydrate_item(self, item: Node, column: int) -> dict[Node, int]:
-        """Materialize one item's adjacency dict from the backing arrays."""
-        snapshot = self._lazy
-        rows, weights = snapshot.column_slice(column)
-        users = snapshot.users
-        adjacency = {
-            users[row]: weight for row, weight in zip(rows.tolist(), weights.tolist())
-        }
-        self._items[item] = adjacency
-        obs.count("graph.lazy.item_hydrations")
-        return adjacency
-
-    def _adj_user(self, user: Node) -> dict[Node, int]:
-        """The materialized adjacency dict for ``user``, creating it if new.
-
-        Every write path funnels through here (and :meth:`_adj_item`), so
-        any edge whose weight diverges from the backing snapshot has both
-        endpoints materialized — the invariant that keeps CSR/CSC reads
-        on unmaterialized vertices exact.
-        """
-        adjacency = self._users.get(user)
-        if adjacency is not None:
-            return adjacency
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                return self._hydrate_user(user, row)
-            self._lazy_extra_users += 1
-        adjacency = self._users[user] = {}
-        return adjacency
-
-    def _adj_item(self, item: Node) -> dict[Node, int]:
-        """The materialized adjacency dict for ``item``, creating it if new."""
-        adjacency = self._items.get(item)
-        if adjacency is not None:
-            return adjacency
-        if self._lazy is not None:
-            column = self._lazy.item_index.get(item)
-            if column is not None:
-                return self._hydrate_item(item, column)
-            self._lazy_extra_items += 1
-        adjacency = self._items[item] = {}
-        return adjacency
-
-    def _materialize(self) -> None:
-        """Flatten the lazy backing into complete dict adjacency.
-
-        A pure cache move — no observable value changes, the version does
-        not bump — that re-establishes eager mode.  Node removal calls
-        this (per-vertex tombstones would tax every subsequent read);
-        pickling and equality comparison call it for simplicity.  Dict
-        iteration order is rebuilt canonically: snapshot nodes in array
-        order first, then nodes appended after the warm start in their
-        insertion order — exactly the order an eagerly-built twin has.
-        """
-        snapshot = self._lazy
-        if snapshot is None:
-            return
-        obs.count("graph.lazy.materializations")
-        users_map: dict[Node, dict[Node, int]] = {}
-        items_map: dict[Node, dict[Node, int]] = {}
-        appended_users = self._users
-        appended_items = self._items
-        hydrated_users: set[Node] = set()
-        hydrated_items: set[Node] = set()
-        for user in snapshot.users:
-            adjacency = appended_users.pop(user, None)
-            if adjacency is None:
-                adjacency = {}
-            else:
-                hydrated_users.add(user)
-            users_map[user] = adjacency
-        for item in snapshot.items:
-            adjacency = appended_items.pop(item, None)
-            if adjacency is None:
-                adjacency = {}
-            else:
-                hydrated_items.add(item)
-            items_map[item] = adjacency
-        users_list, items_list = snapshot.users, snapshot.items
-        for row, column, weight in zip(
-            snapshot.user_idx.tolist(),
-            snapshot.item_idx.tolist(),
-            snapshot.clicks.tolist(),
-        ):
-            user, item = users_list[row], items_list[column]
-            # Hydrated dicts are already the truth for their vertex (they
-            # may carry newer weights and edges); only fill the rest.
-            if user not in hydrated_users:
-                users_map[user][item] = weight
-            if item not in hydrated_items:
-                items_map[item][user] = weight
-        users_map.update(appended_users)
-        items_map.update(appended_items)
+            users_map[user][item] = weight
+            items_map[item][user] = weight
         self._users = users_map
         self._items = items_map
-        self._lazy = None
-        self._lazy_extra_users = 0
-        self._lazy_extra_items = 0
-        self._lazy_extra_edges = 0
+        self._tail = None
 
     # ------------------------------------------------------------------
     # Snapshot bookkeeping
@@ -292,7 +228,7 @@ class BipartiteGraph:
         self._delta = None
 
     def _appended(self, events: tuple) -> None:
-        """Record append-only mutations as ``apply_delta`` events.
+        """Record an eager graph's append-only mutations as ``apply_delta`` events.
 
         Each event is a click record ``(user, item, clicks)`` — a new edge
         or an increment, which :meth:`IndexedGraph.apply_delta` tells
@@ -316,31 +252,31 @@ class BipartiteGraph:
             self._indexed = None
             self._delta = None
 
-    def indexed(self) -> "IndexedGraph":
+    def indexed(self) -> IndexedGraph:
         """The memoized :class:`~repro.graph.indexed.IndexedGraph` snapshot.
 
-        The snapshot is built on first access and reused until the graph
-        mutates.  Append-only mutation (new nodes, new edges, click
-        increments) is *maintained incrementally*: the buffered events are
-        merged into the previous snapshot with numpy array merges —
-        counted as a cache hit plus ``graph.indexed.delta_builds``, never
-        as a from-scratch miss — so append-mostly workloads (stream
-        ingestion, incremental rechecks) keep their array views warm.
-        Destructive mutation (removals, click decreases) still invalidates
-        and rebuilds.
+        An array-backed graph returns its base with the tail merged in —
+        a cache hit, plus ``graph.indexed.delta_builds`` when the tail was
+        not empty.  An eager graph builds the snapshot on first access
+        and reuses it until the graph mutates.  Its append-only mutation
+        (new nodes, new edges, click increments) is *maintained
+        incrementally*: the buffered events are merged into the previous
+        snapshot with numpy array merges — counted as a cache hit plus
+        ``graph.indexed.delta_builds``, never as a from-scratch miss — so
+        append-mostly workloads keep their array views warm.  Destructive
+        mutation (removals, click decreases) still invalidates and
+        rebuilds.
         """
-        from .indexed import IndexedGraph
-
+        if self._tail is not None:
+            obs.count("graph.indexed.hits")
+            return self._current()
         snapshot = self._indexed
         if snapshot is not None and snapshot.version == self._version:
             obs.count("graph.indexed.hits")
             return snapshot
         if snapshot is not None and self._delta is not None:
             obs.count("graph.indexed.hits")
-            obs.count("graph.indexed.delta_builds")
-            with obs.span("indexed_delta"):
-                snapshot = snapshot.apply_delta(self._delta, self._version)
-            self._indexed = snapshot
+            snapshot = self._merge(self._delta)
             self._delta = None
             return snapshot
         obs.count("graph.indexed.misses")
@@ -353,49 +289,55 @@ class BipartiteGraph:
     # ------------------------------------------------------------------
     # Node management
     # ------------------------------------------------------------------
+    def _register(self, kind: str, node: Node) -> None:
+        """Add an idle node known to be absent (``kind`` is its side)."""
+        event = ((kind, node),)
+        if self._tail is not None:
+            self._tail.add(event)
+            self._version += 1
+            return
+        (self._users if kind == "user" else self._items)[node] = {}
+        self._appended(event)
+
     def add_user(self, user: Node) -> None:
         """Register ``user`` with no edges.  No-op if already present."""
         if not self.has_user(user):
-            self._adj_user(user)
-            self._appended((("user", user),))
+            self._register("user", user)
 
     def add_item(self, item: Node) -> None:
         """Register ``item`` with no edges.  No-op if already present."""
         if not self.has_item(item):
-            self._adj_item(item)
-            self._appended((("item", item),))
+            self._register("item", item)
 
     def add_user_strict(self, user: Node) -> None:
         """Register ``user``; raise :class:`DuplicateNodeError` if present."""
         if self.has_user(user):
             raise DuplicateNodeError(user, "user")
-        self._adj_user(user)
-        self._appended((("user", user),))
+        self._register("user", user)
 
     def add_item_strict(self, item: Node) -> None:
         """Register ``item``; raise :class:`DuplicateNodeError` if present."""
         if self.has_item(item):
             raise DuplicateNodeError(item, "item")
-        self._adj_item(item)
-        self._appended((("item", item),))
+        self._register("item", item)
 
     def has_user(self, user: Node) -> bool:
         """Whether ``user`` is in the user partition."""
-        if user in self._users:
-            return True
-        return self._lazy is not None and user in self._lazy.user_index
+        if self._tail is not None:
+            return user in self._tail.user_index
+        return user in self._users
 
     def has_item(self, item: Node) -> bool:
         """Whether ``item`` is in the item partition."""
-        if item in self._items:
-            return True
-        return self._lazy is not None and item in self._lazy.item_index
+        if self._tail is not None:
+            return item in self._tail.item_index
+        return item in self._items
 
     def remove_user(self, user: Node) -> None:
         """Delete ``user`` and all its incident edges."""
         if not self.has_user(user):
             raise NodeNotFoundError(user, "user")
-        self._materialize()
+        self._flatten()
         adjacency = self._users.pop(user)
         for item, clicks in adjacency.items():
             del self._items[item][user]
@@ -406,7 +348,7 @@ class BipartiteGraph:
         """Delete ``item`` and all its incident edges."""
         if not self.has_item(item):
             raise NodeNotFoundError(item, "item")
-        self._materialize()
+        self._flatten()
         adjacency = self._items.pop(item)
         for user, clicks in adjacency.items():
             del self._users[user][item]
@@ -429,30 +371,39 @@ class BipartiteGraph:
         The same graph, :attr:`version` and snapshot delta as one
         :meth:`add_click` per record, in one pass: every count is checked
         before the first write, so a record with a non-positive count
-        raises :class:`ValueError` and leaves the graph untouched.
+        raises :class:`ValueError` and leaves the graph untouched, as
+        does a record without exactly three fields.  An array-backed
+        graph interns the batch into its tail; an eager graph writes both
+        adjacency maps.
         """
         records = tuple(records)
-        for _, _, clicks in records:
-            if clicks <= 0:
-                raise ValueError(f"clicks must be positive, got {clicks}")
+        if not records:
+            return
+        if set(map(len, records)) != {3} or min(map(_CLICKS, records)) <= 0:
+            # Unpacking also rejects a record without exactly three fields.
+            for _, _, clicks in records:
+                if clicks <= 0:
+                    raise ValueError(f"clicks must be positive, got {clicks}")
+        total = sum(map(_CLICKS, records))
+        if self._tail is not None:
+            self._tail.add(records)
+            self._version += len(records)
+            self._total_clicks += total
+            return
         users, items = self._users, self._items
-        new_edges = 0
         for user, item, clicks in records:
             user_adj = users.get(user)
             if user_adj is None:
-                user_adj = self._adj_user(user)
+                user_adj = users[user] = {}
             item_adj = items.get(item)
             if item_adj is None:
-                item_adj = self._adj_item(item)
+                item_adj = items[item] = {}
             previous = user_adj.get(item)
             if previous is None:
-                new_edges += 1
                 user_adj[item] = item_adj[user] = clicks
             else:
                 user_adj[item] = item_adj[user] = previous + clicks
-        self._total_clicks += sum(map(_CLICKS, records))
-        if self._lazy is not None:
-            self._lazy_extra_edges += new_edges
+        self._total_clicks += total
         self._appended(records)
 
     def set_click(self, user: Node, item: Node, clicks: int) -> None:
@@ -466,7 +417,7 @@ class BipartiteGraph:
         edge is nothing happening, not a node registration; use
         :meth:`add_user`/:meth:`add_item` to register idle nodes.  A
         *positive* set on a missing edge creates the endpoints, exactly
-        like :meth:`add_click`.
+        like :meth:`add_click`, and any raise appends the increment.
         """
         if clicks < 0:
             raise ValueError(f"clicks must be >= 0, got {clicks}")
@@ -475,29 +426,19 @@ class BipartiteGraph:
             # No-op write: nothing changed, so memoized snapshots and
             # every version-keyed consumer cache stay valid.
             return
-        if clicks == 0:
-            # current > 0 here, so both endpoints exist; hydrate them and
-            # drop the edge from both mirrors.
-            del self._adj_user(user)[item]
-            del self._adj_item(item)[user]
-            self._total_clicks -= current
-            if self._lazy is not None:
-                self._lazy_extra_edges -= 1
-            self._mutated()
-            return
-        user_adj = self._adj_user(user)
-        item_adj = self._adj_item(item)
-        user_adj[item] = clicks
-        item_adj[user] = clicks
-        self._total_clicks += clicks - current
-        if current == 0 and self._lazy is not None:
-            self._lazy_extra_edges += 1
         if clicks > current:
-            self._appended(((user, item, clicks - current),))
+            self.add_clicks(((user, item, clicks - current),))
+            return
+        # A decrease is destructive for the append-only snapshot delta.
+        # current > 0 here, so both endpoints and the edge exist.
+        self._flatten()
+        if clicks == 0:
+            del self._users[user][item]
+            del self._items[item][user]
         else:
-            # Weight decrease is destructive for the array snapshot's
-            # append-only delta; fall back to full invalidation.
-            self._mutated()
+            self._users[user][item] = self._items[item][user] = clicks
+        self._total_clicks += clicks - current
+        self._mutated()
 
     def remove_edge(self, user: Node, item: Node) -> None:
         """Delete the edge between ``user`` and ``item`` if present."""
@@ -505,175 +446,149 @@ class BipartiteGraph:
 
     def has_edge(self, user: Node, item: Node) -> bool:
         """Whether ``user`` has clicked ``item`` at least once."""
-        adjacency = self._users.get(user)
-        if adjacency is not None:
-            return item in adjacency
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                column = self._lazy.item_index.get(item)
-                return column is not None and self._lazy.edge_weight(row, column) > 0
-        return False
+        return self.get_click(user, item) > 0
 
     def get_click(self, user: Node, item: Node, default: int = 0) -> int:
         """Click count on edge ``(user, item)``, or ``default`` if absent."""
-        adjacency = self._users.get(user)
-        if adjacency is not None:
-            return adjacency.get(item, default)
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                column = self._lazy.item_index.get(item)
-                if column is not None:
-                    weight = self._lazy.edge_weight(row, column)
-                    if weight:
-                        return weight
+        snapshot = self._current()
+        if snapshot is None:
+            adjacency = self._users.get(user)
+            return default if adjacency is None else adjacency.get(item, default)
+        row = snapshot.user_index.get(user)
+        column = snapshot.item_index.get(item)
+        if row is not None and column is not None:
+            weight = snapshot.edge_weight(row, column)
+            if weight:
+                return weight
         return default
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
     def users(self) -> Iterator[Node]:
-        """Iterate over user ids."""
-        if self._lazy is None:
-            return iter(self._users)
-        return self._iter_lazy_nodes(self._lazy.users, self._lazy.user_index, self._users)
+        """Iterate over user ids (an array-backed graph: in row order)."""
+        if self._tail is not None:
+            return iter(self._tail.users)
+        return iter(self._users)
 
     def items(self) -> Iterator[Node]:
-        """Iterate over item ids."""
-        if self._lazy is None:
-            return iter(self._items)
-        return self._iter_lazy_nodes(self._lazy.items, self._lazy.item_index, self._items)
-
-    @staticmethod
-    def _iter_lazy_nodes(base: list, index: dict, materialized: dict) -> Iterator[Node]:
-        """Snapshot nodes in array order, then appended nodes in insertion
-        order — the same order an eagerly-built twin iterates."""
-        yield from base
-        # Materialize the appended-node list up front: hydration during
-        # consumption grows the dict, which must not invalidate a pure
-        # read iterator.
-        appended = [node for node in materialized if node not in index]
-        yield from appended
+        """Iterate over item ids (an array-backed graph: in column order)."""
+        if self._tail is not None:
+            return iter(self._tail.items)
+        return iter(self._items)
 
     def edges(self) -> Iterator[tuple[Node, Node, int]]:
-        """Iterate over ``(user, item, clicks)`` triples."""
-        if self._lazy is None:
+        """Iterate over ``(user, item, clicks)`` triples.
+
+        An array-backed graph yields them in canonical snapshot order:
+        users in row order, each user's items by ascending column.
+        """
+        snapshot = self._current()
+        if snapshot is None:
             for user, adjacency in self._users.items():
                 for item, clicks in adjacency.items():
                     yield user, item, clicks
             return
-        snapshot = self._lazy
-        items = snapshot.items
-        for row, user in enumerate(snapshot.users):
-            adjacency = self._users.get(user)
-            if adjacency is not None:
-                for item, clicks in adjacency.items():
-                    yield user, item, clicks
-            else:
-                columns, weights = snapshot.row_slice(row)
-                for column, weight in zip(columns.tolist(), weights.tolist()):
-                    yield user, items[column], weight
-        index = snapshot.user_index
-        appended = [user for user in self._users if user not in index]
-        for user in appended:
-            for item, clicks in self._users[user].items():
-                yield user, item, clicks
+        users, items = snapshot.users, snapshot.items
+        for row, column, clicks in zip(
+            snapshot.user_idx.tolist(),
+            snapshot.item_idx.tolist(),
+            snapshot.clicks.tolist(),
+        ):
+            yield users[row], items[column], clicks
 
     def user_neighbors(self, user: Node) -> Mapping[Node, int]:
         """Read-only view of ``{item: clicks}`` for ``user``.
 
-        On a lazily-backed graph this materializes the one requested
-        vertex (copy-on-read) so repeated neighbourhood scans pay the
-        array→dict conversion once.
+        An array-backed graph builds the dict from the user's snapshot
+        row on first read and caches it until the next merge.
         """
+        snapshot = self._current()
         adjacency = self._users.get(user)
         if adjacency is not None:
             return adjacency
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                return self._hydrate_user(user, row)
-        raise NodeNotFoundError(user, "user")
+        if snapshot is None:
+            raise NodeNotFoundError(user, "user")
+        columns, weights = snapshot.row_slice(_row(snapshot, user))
+        items = snapshot.items
+        adjacency = self._users[user] = {
+            items[column]: weight
+            for column, weight in zip(columns.tolist(), weights.tolist())
+        }
+        obs.count("graph.lazy.user_hydrations")
+        return adjacency
 
     def item_neighbors(self, item: Node) -> Mapping[Node, int]:
-        """Read-only view of ``{user: clicks}`` for ``item``."""
+        """Read-only view of ``{user: clicks}`` for ``item``.
+
+        An array-backed graph builds the dict from the item's snapshot
+        column on first read (the first such read of a snapshot builds
+        its CSC arrays) and caches it until the next merge.
+        """
+        snapshot = self._current()
         adjacency = self._items.get(item)
         if adjacency is not None:
             return adjacency
-        if self._lazy is not None:
-            column = self._lazy.item_index.get(item)
-            if column is not None:
-                return self._hydrate_item(item, column)
-        raise NodeNotFoundError(item, "item")
+        if snapshot is None:
+            raise NodeNotFoundError(item, "item")
+        rows, weights = snapshot.column_slice(_column(snapshot, item))
+        users = snapshot.users
+        adjacency = self._items[item] = {
+            users[row]: weight for row, weight in zip(rows.tolist(), weights.tolist())
+        }
+        obs.count("graph.lazy.item_hydrations")
+        return adjacency
 
     def user_degree(self, user: Node) -> int:
         """Number of distinct items clicked by ``user``."""
-        adjacency = self._users.get(user)
-        if adjacency is not None:
-            return len(adjacency)
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                columns, _ = self._lazy.row_slice(row)
-                return len(columns)
-        raise NodeNotFoundError(user, "user")
+        snapshot = self._current()
+        if snapshot is None:
+            return len(self.user_neighbors(user))
+        return int(snapshot.user_degrees()[_row(snapshot, user)])
 
     def item_degree(self, item: Node) -> int:
         """Number of distinct users who clicked ``item``."""
-        adjacency = self._items.get(item)
-        if adjacency is not None:
-            return len(adjacency)
-        if self._lazy is not None:
-            column = self._lazy.item_index.get(item)
-            if column is not None:
-                rows, _ = self._lazy.column_slice(column)
-                return len(rows)
-        raise NodeNotFoundError(item, "item")
+        snapshot = self._current()
+        if snapshot is None:
+            return len(self.item_neighbors(item))
+        return int(snapshot.item_degrees()[_column(snapshot, item)])
 
     def user_total_clicks(self, user: Node) -> int:
         """Sum of click counts on all of ``user``'s edges."""
-        adjacency = self._users.get(user)
-        if adjacency is not None:
-            return sum(adjacency.values())
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                _, weights = self._lazy.row_slice(row)
-                return int(weights.sum())
-        raise NodeNotFoundError(user, "user")
+        snapshot = self._current()
+        if snapshot is None:
+            return sum(self.user_neighbors(user).values())
+        return int(snapshot.user_total_clicks()[_row(snapshot, user)])
 
     def item_total_clicks(self, item: Node) -> int:
         """Sum of click counts on all of ``item``'s edges (Table III's *Total_click*)."""
-        adjacency = self._items.get(item)
-        if adjacency is not None:
-            return sum(adjacency.values())
-        if self._lazy is not None:
-            column = self._lazy.item_index.get(item)
-            if column is not None:
-                _, weights = self._lazy.column_slice(column)
-                return int(weights.sum())
-        raise NodeNotFoundError(item, "item")
+        snapshot = self._current()
+        if snapshot is None:
+            return sum(self.item_neighbors(item).values())
+        return int(snapshot.item_total_clicks()[_column(snapshot, item)])
 
     @property
     def num_users(self) -> int:
         """Number of user nodes."""
-        if self._lazy is not None:
-            return self._lazy.num_users + self._lazy_extra_users
+        if self._tail is not None:
+            return len(self._tail.users)
         return len(self._users)
 
     @property
     def num_items(self) -> int:
         """Number of item nodes."""
-        if self._lazy is not None:
-            return self._lazy.num_items + self._lazy_extra_items
+        if self._tail is not None:
+            return len(self._tail.items)
         return len(self._items)
 
     @property
     def num_edges(self) -> int:
-        """Number of (user, item) click records — *Edge* in Table I."""
-        if self._lazy is not None:
-            return self._lazy.num_edges + self._lazy_extra_edges
+        """Number of (user, item) click records — *Edge* in Table I.
+
+        An array-backed graph counts without merging its tail.
+        """
+        if self._tail is not None:
+            return self._tail.merged_num_edges()
         return sum(len(adjacency) for adjacency in self._users.values())
 
     @property
@@ -687,25 +602,22 @@ class BipartiteGraph:
     def copy(self) -> "BipartiteGraph":
         """Deep copy of nodes and edges (node ids are shared, not copied).
 
-        A lazily-backed graph copies lazily: the clone shares the frozen
-        backing snapshot (it is immutable, so sharing is safe), deep-copies
-        only the materialized vertices, and keeps the pinned version plus
-        the memoized array view — so copying a warm graph does not throw
-        its warmth away.  Eager graphs copy exactly as before (fresh
-        version, no memo).
+        An array-backed graph copies in O(1) after merging its tail: the
+        clone is array-backed over the same frozen snapshot (immutable,
+        so sharing is safe) with the same version and an empty tail of
+        its own, so copying a warm graph does not throw its warmth away.
+        Eager graphs copy their dicts (fresh version, no memo).
         """
         clone = BipartiteGraph()
+        clone._total_clicks = self._total_clicks
+        snapshot = self._current()
+        if snapshot is not None:
+            clone._version = self._version
+            clone._indexed = snapshot
+            clone._tail = InternedDelta(snapshot)
+            return clone
         clone._users = {user: dict(adj) for user, adj in self._users.items()}
         clone._items = {item: dict(adj) for item, adj in self._items.items()}
-        clone._total_clicks = self._total_clicks
-        if self._lazy is not None:
-            clone._lazy = self._lazy
-            clone._lazy_extra_users = self._lazy_extra_users
-            clone._lazy_extra_items = self._lazy_extra_items
-            clone._lazy_extra_edges = self._lazy_extra_edges
-            clone._version = self._version
-            clone._indexed = self._indexed
-            clone._delta = None if self._delta is None else list(self._delta)
         return clone
 
     def subgraph(
@@ -748,12 +660,12 @@ class BipartiteGraph:
         Workers of the parallel evaluation harness rebuild (and re-memoize)
         their own :meth:`indexed` snapshot on first use, so shipping the
         numpy arrays with every scenario would only inflate the pickle.
-        A lazily-backed graph materializes first — the pickle must carry
-        the complete adjacency either way, and flattening through the
-        vectorized backing is cheaper than hydrating vertex-by-vertex on
+        An array-backed graph flattens first — the pickle must carry the
+        complete adjacency either way, and flattening through the
+        vectorized snapshot is cheaper than rebuilding vertex by vertex on
         the other side.
         """
-        self._materialize()
+        self._flatten()
         return {
             "_users": self._users,
             "_items": self._items,
@@ -768,16 +680,13 @@ class BipartiteGraph:
         self._version = state.get("_version", 0)
         self._indexed = None
         self._delta = None
-        self._lazy = None
-        self._lazy_extra_users = 0
-        self._lazy_extra_items = 0
-        self._lazy_extra_edges = 0
+        self._tail = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
-        self._materialize()
-        other._materialize()
+        self._flatten()
+        other._flatten()
         return self._users == other._users and self._items == other._items
 
     def __hash__(self) -> None:  # type: ignore[override]

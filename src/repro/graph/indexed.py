@@ -9,37 +9,47 @@ those from the dicts on every call is the hot-path tax this module
 removes.
 
 :class:`IndexedGraph` interns users and items into contiguous int ids
-(the *base* row/column order is sorted-by-``str``; nodes appended through
-:meth:`apply_delta` take the next free ids), stores the edge list as three
-parallel numpy arrays in **canonical order** — sorted by ``(row, column)``
-with no duplicate pairs — and lazily caches the derived aggregates
-(degrees, total clicks, CSR/CSC index arrays).  Snapshots are *frozen*:
-they never observe later graph mutation.  :meth:`BipartiteGraph.indexed`
-memoizes the snapshot against the graph's mutation version, so the common
-build-once/detect-many workloads (feedback rounds, suites, sweeps,
-benchmarks) pay the dict→array conversion exactly once.
+(the row/column order of :meth:`from_graph` is sorted-by-``str``; ids
+interned by :class:`InternedDelta` take the next free ids in first-seen
+order), stores the edge list as three parallel numpy arrays in
+**canonical order** — sorted by ``(row, column)`` with no duplicate
+pairs — and lazily caches the derived aggregates (degrees, total clicks,
+CSR/CSC index arrays).  Snapshots are *frozen*: they never observe later
+graph mutation.  :meth:`BipartiteGraph.indexed` memoizes the snapshot
+against the graph's mutation version, so the common build-once/detect-many
+workloads (feedback rounds, suites, sweeps, benchmarks) pay the
+dict→array conversion exactly once.
 
-Append-mostly mutation no longer forces a from-scratch rebuild:
-:meth:`apply_delta` merges a buffered batch of appended click records
-(plus idle-node registrations) into a fresh snapshot with numpy merge
-operations — O(delta log delta) sorting plus one O(edges) array merge —
-instead of the Python per-edge loop of :meth:`from_graph`.  The merge is
-the delta buffer's periodic compaction: the produced snapshot is again
-canonical, so chains of delta applications never degrade lookups.
+Appends never force a from-scratch rebuild.  :class:`InternedDelta` is the
+one interning step: it turns click records (and idle-node registrations)
+into row, column and click columns plus the ids they add.  The live
+array-backed graph interns each ingested batch into its tail as it
+arrives; an eager graph's buffered records and a store's delta records
+are interned when merged.  :meth:`IndexedGraph.apply_delta` then merges
+the columns into a fresh snapshot with numpy only — one coalescing sort,
+one ``searchsorted`` against the base keys, increments on a copy and
+``np.insert`` for new edges — so chains of merges stay canonical and
+never degrade lookups.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable
+from itertools import compress, count, repeat
+from operator import is_, itemgetter
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 import numpy as np
+
+from .. import obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .bipartite import BipartiteGraph
 
-__all__ = ["IndexedGraph"]
+__all__ = ["IndexedGraph", "InternedDelta"]
 
 Node = Hashable
+
+_USER, _ITEM, _CLICKS = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class IndexedGraph:
@@ -207,80 +217,47 @@ class IndexedGraph:
     # ------------------------------------------------------------------
     # Incremental maintenance (append-mostly mutation)
     # ------------------------------------------------------------------
-    def apply_delta(self, events: list, version: int) -> "IndexedGraph":
+    def apply_delta(
+        self, delta: "InternedDelta | Iterable[tuple]", version: int
+    ) -> "IndexedGraph":
         """A new snapshot with a batch of appended click records merged in.
 
-        ``events`` are plain click records ``(user, item, clicks)`` — the
-        form the store persists — optionally interleaved with
-        ``("user", node)`` / ``("item", node)`` registrations of idle
-        nodes.  Events replay in order: a registration, or a record's
-        unseen user and then its unseen item, takes the next free id.
+        ``delta`` is either an :class:`InternedDelta` built on this
+        snapshot (the live graph's tail) or plain events — click records
+        ``(user, item, clicks)``, the form the store persists, optionally
+        interleaved with ``("user", node)`` / ``("item", node)``
+        registrations of idle nodes — which are interned here first.
         Records on the same edge sum their clicks; one ``searchsorted``
         against the base keys then splits the edges the snapshot already
-        holds (their clicks are incremented) from the new ones (inserted
-        in canonical position), so no record can duplicate an edge.
+        holds (their clicks are incremented on a copy) from the new ones
+        (inserted in canonical position), so no record can duplicate an
+        edge.
 
-        The result is a fresh, canonical, independently cached snapshot —
-        the original is untouched (frozen-snapshot contract), and chained
-        deltas stay O(edges) per application because each merge compacts
-        the buffer back into sorted-unique form.
+        The result is a fresh, canonical, independently cached snapshot
+        that takes over the delta's id tables.  The original is untouched
+        (frozen-snapshot contract), and chained merges stay O(edges) each
+        because every merge compacts the delta into sorted-unique form.
         """
-        if not events:
-            # Version-only bump (e.g. a set_click that wrote the same
-            # weight): share every immutable part, refresh the version.
-            return IndexedGraph(
-                self.users,
-                self.items,
-                self.user_idx,
-                self.item_idx,
-                self.clicks,
-                version,
-                user_index=self.user_index,
-                item_index=self.item_index,
-            )
-        users = list(self.users)
-        items = list(self.items)
-        user_index = dict(self.user_index)
-        item_index = dict(self.item_index)
-        rows: list[int] = []
-        cols: list[int] = []
-        weights: list[int] = []
-        for event in events:
-            if len(event) == 2:
-                kind, node = event
-                if kind == "user":
-                    user_index[node] = len(users)
-                    users.append(node)
-                elif kind == "item":
-                    item_index[node] = len(items)
-                    items.append(node)
-                else:  # pragma: no cover - defensive against future event kinds
-                    raise ValueError(f"unknown delta event kind {kind!r}")
-                continue
-            user, item, delta_clicks = event
-            row = user_index.get(user)
-            if row is None:
-                row = user_index[user] = len(users)
-                users.append(user)
-            column = item_index.get(item)
-            if column is None:
-                column = item_index[item] = len(items)
-                items.append(item)
-            rows.append(row)
-            cols.append(column)
-            weights.append(delta_clicks)
-
+        if not isinstance(delta, InternedDelta):
+            events = delta
+            delta = InternedDelta(self)
+            delta.add(events)
+        elif delta.base is not self:
+            raise ValueError("the delta was interned against another snapshot")
         user_idx, item_idx, clicks = self.user_idx, self.item_idx, self.clicks
-        if rows:
-            mult = max(len(items), 1)
-            base_keys = user_idx.astype(np.int64) * mult + item_idx
-            d_keys = np.asarray(rows, dtype=np.int64) * mult + np.asarray(cols, dtype=np.int64)
+        if delta.rows:
+            mult = max(len(delta.items), 1)
+            d_keys = np.array(delta.rows, dtype=np.int64) * mult
+            d_keys += np.array(delta.columns, dtype=np.int64)
             # Coalesce repeated records on the same edge.
-            order = np.argsort(d_keys, kind="stable")
-            group_keys, starts = np.unique(d_keys[order], return_index=True)
+            order = np.argsort(d_keys)
+            d_keys = d_keys[order]
+            starts = np.flatnonzero(np.concatenate(([True], d_keys[1:] != d_keys[:-1])))
+            group_keys = d_keys[starts]
             group_weights = np.add.reduceat(
-                np.asarray(weights, dtype=np.int64)[order], starts
+                np.array(delta.clicks, dtype=np.int64)[order], starts
             )
+            base_keys = user_idx * mult + item_idx
             positions = np.searchsorted(base_keys, group_keys)
             present = np.zeros(len(group_keys), dtype=bool)
             inside = positions < len(base_keys)
@@ -296,14 +273,14 @@ class IndexedGraph:
                 item_idx = np.insert(item_idx, at, insert_keys % mult)
                 clicks = np.insert(clicks, at, group_weights[inserted])
         return IndexedGraph(
-            users,
-            items,
+            delta.users,
+            delta.items,
             user_idx,
             item_idx,
             clicks,
             version,
-            user_index=user_index,
-            item_index=item_index,
+            user_index=delta.user_index,
+            item_index=delta.item_index,
         )
 
     # ------------------------------------------------------------------
@@ -402,8 +379,18 @@ class IndexedGraph:
 
         Column ``i``'s distinct users are
         ``user_idx_by_column[indptr[i]:indptr[i + 1]]``, rows ascending.
+        The build is a stable argsort of every edge, counted as
+        ``graph.indexed.csc_builds``.  Its one reader is
+        :meth:`column_slice`, behind
+        :meth:`~repro.graph.bipartite.BipartiteGraph.item_neighbors` on an
+        array-backed graph: the reference engine, the baselines and tests
+        read item columns that way.  Detection's screening and
+        identification never do (they invert the group members' rows),
+        and item degrees and totals come from :meth:`item_degrees` and
+        :meth:`item_total_clicks`.
         """
         if self._csc_arrays is None:
+            obs.count("graph.indexed.csc_builds")
             order = np.argsort(self.item_idx, kind="stable")
             indptr = np.zeros(self.num_items + 1, dtype=np.int64)
             np.cumsum(
@@ -415,15 +402,14 @@ class IndexedGraph:
         return self._csc_arrays
 
     # ------------------------------------------------------------------
-    # Single-vertex slices (the lazy mutable graph's hydration primitives)
+    # Single-vertex slices (the array-backed graph's read primitives)
     # ------------------------------------------------------------------
     def row_slice(self, row: int):
         """``(item_columns, weights)`` for user row ``row``, columns ascending.
 
-        One CSR slice — no copies beyond the views — so
-        :meth:`~repro.graph.bipartite.BipartiteGraph.from_indexed`'s lazy
-        mode can hydrate (or directly serve) a single user's adjacency
-        without touching the rest of the edge arrays.
+        One CSR slice — no copies beyond the views — so an array-backed
+        :class:`~repro.graph.bipartite.BipartiteGraph` can serve a single
+        user's adjacency without touching the rest of the edge arrays.
         """
         indptr, cols = self.csr_arrays()
         lo, hi = int(indptr[row]), int(indptr[row + 1])
@@ -433,8 +419,8 @@ class IndexedGraph:
         """``(user_rows, weights)`` for item column ``column``, rows ascending.
 
         The CSC mirror of :meth:`row_slice`; the weight permutation is
-        cached alongside the CSC index arrays, so per-item hydration after
-        the first call is two array slices.
+        cached alongside the CSC index arrays, so every call after the
+        first is two array slices.
         """
         indptr, rows = self.csc_arrays()
         lo, hi = int(indptr[column]), int(indptr[column + 1])
@@ -444,8 +430,8 @@ class IndexedGraph:
         """Click count on edge ``(row, column)``, or 0 when absent.
 
         A binary search inside the row's canonical (ascending) column
-        slice — the O(log degree) point lookup behind the lazy graph's
-        ``get_click``/``has_edge`` on unmaterialized vertices.
+        slice — the O(log degree) point lookup behind an array-backed
+        graph's ``get_click``/``has_edge``.
         """
         cols, weights = self.row_slice(row)
         position = int(np.searchsorted(cols, column))
@@ -453,8 +439,167 @@ class IndexedGraph:
             return int(weights[position])
         return 0
 
+    def has_edges(self, rows, columns):
+        """``bool[k]`` — whether each edge ``(rows[k], columns[k])`` exists.
+
+        The batched presence test of :meth:`edge_weight`: one vectorized
+        binary search inside every row's ascending column slice,
+        O(k log max-degree) with no pass over the edge arrays.  Ids past
+        this snapshot's tables (interned after it) are absent.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        columns = np.asarray(columns, dtype=np.int64)
+        present = np.zeros(len(rows), dtype=bool)
+        known = np.flatnonzero((rows < self.num_users) & (columns < self.num_items))
+        if not len(known):
+            return present
+        indptr, cols = self.csr_arrays()
+        rows, columns = rows[known], columns[known]
+        lo, end = indptr[rows], indptr[rows + 1]
+        hi = end.copy()
+        # Bisect every open [lo, hi) to the first column >= the target.
+        open_ = np.flatnonzero(lo < hi)
+        while len(open_):
+            mid = (lo[open_] + hi[open_]) // 2
+            right = cols[mid] < columns[open_]
+            lo[open_[right]] = mid[right] + 1
+            hi[open_[~right]] = mid[~right]
+            open_ = open_[lo[open_] < hi[open_]]
+        hit = lo < end
+        hit[hit] = cols[lo[hit]] == columns[hit]
+        present[known] = hit
+        return present
+
     def __repr__(self) -> str:
         return (
             f"IndexedGraph(users={self.num_users}, items={self.num_items}, "
             f"edges={self.num_edges}, version={self.version})"
         )
+
+
+class InternedDelta:
+    """Click records interned against one snapshot's id tables.
+
+    The one interning step of the package: the live array-backed graph's
+    tail, an eager graph's buffered records and a store's delta records
+    all pass through :meth:`add` on their way into
+    :meth:`IndexedGraph.apply_delta`.
+
+    Attributes
+    ----------
+    base:
+        The snapshot the ids are numbered against.
+    users, items, user_index, item_index:
+        ``base``'s id tables extended by the ids the records add, in
+        first-seen order.  They are ``base``'s own objects until the first
+        unseen id, which copies them once, so ``base`` stays frozen; the
+        merged snapshot takes them over.
+    rows, columns, clicks:
+        The records as parallel id and click columns, in arrival order.
+    """
+
+    __slots__ = (
+        "base",
+        "users",
+        "items",
+        "user_index",
+        "item_index",
+        "rows",
+        "columns",
+        "clicks",
+    )
+
+    def __init__(self, base: IndexedGraph) -> None:
+        self.base = base
+        self.users, self.items = base.users, base.items
+        self.user_index, self.item_index = base.user_index, base.item_index
+        self.rows: list[int] = []
+        self.columns: list[int] = []
+        self.clicks: list[int] = []
+
+    def add(self, events: Iterable[tuple]) -> None:
+        """Intern ``events`` in order.
+
+        Events are click records ``(user, item, clicks)`` or
+        registrations ``("user", node)`` / ``("item", node)``.  An unseen
+        id — a registration's node, or a record's user or item — takes
+        the next free row or column of its side in first-seen order, the
+        numbering one record-at-a-time replay would give; registering a
+        known id does nothing.  Counts are taken as given.
+        """
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        lengths = set(map(len, events))
+        if lengths - {2, 3}:
+            raise ValueError(
+                f"delta events have 2 or 3 fields, got {min(lengths - {2, 3})}"
+            )
+        if 2 in lengths:
+            # Registrations interleave with records: intern each side's
+            # ids in event order first, then the records alone.
+            seen_users, seen_items, records = [], [], []
+            for event in events:
+                if len(event) == 3:
+                    seen_users.append(event[0])
+                    seen_items.append(event[1])
+                    records.append(event)
+                elif event[0] == "user":
+                    seen_users.append(event[1])
+                elif event[0] == "item":
+                    seen_items.append(event[1])
+                else:
+                    raise ValueError(f"unknown delta event kind {event[0]!r}")
+            self._ids(seen_users, True)
+            self._ids(seen_items, False)
+            events = records
+        if not events:
+            return
+        # Column-wise C loops allocate no per-record objects, which keeps
+        # the garbage collector quiet on large batches.  Both sides are
+        # interned before any column grows, so a failure leaves the
+        # columns the same length.
+        rows = self._ids(list(map(_USER, events)), True)
+        columns = self._ids(list(map(_ITEM, events)), False)
+        self.rows += rows
+        self.columns += columns
+        self.clicks += map(_CLICKS, events)
+
+    def merged_num_edges(self) -> int:
+        """The edge count :meth:`IndexedGraph.apply_delta` would give, without merging.
+
+        ``base.num_edges`` plus the distinct record pairs ``base`` lacks:
+        one sort of the records' keys and one
+        :meth:`IndexedGraph.has_edges` lookup, O(records · log) with no
+        pass over ``base``'s edges.
+        """
+        base = self.base
+        if not self.rows:
+            return base.num_edges
+        mult = max(len(self.items), 1)
+        keys = np.array(self.rows, dtype=np.int64) * mult
+        keys += np.array(self.columns, dtype=np.int64)
+        keys.sort()
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        present = base.has_edges(keys // mult, keys % mult)
+        return base.num_edges + len(keys) - int(np.count_nonzero(present))
+
+    def _ids(self, nodes: list, users: bool) -> list[int]:
+        """The ids of ``nodes`` on one side, registering unseen ones."""
+        index = self.user_index if users else self.item_index
+        ids = list(map(index.get, nodes))
+        if None not in ids:
+            return ids
+        if self.user_index is self.base.user_index:
+            # First unseen id: copy the tables so the base stays frozen.
+            self.users, self.items = list(self.users), list(self.items)
+            self.user_index, self.item_index = dict(self.user_index), dict(self.item_index)
+        index, table = (
+            (self.user_index, self.users) if users else (self.item_index, self.items)
+        )
+        unseen = list(map(is_, ids, repeat(None)))
+        fresh = dict(zip(dict.fromkeys(compress(nodes, unseen)), count(len(table))))
+        index.update(fresh)
+        table.extend(fresh)
+        # Only the unseen positions need a second lookup, in the small map.
+        fill = map(fresh.__getitem__, compress(nodes, unseen))
+        return [next(fill) if row is None else row for row in ids]

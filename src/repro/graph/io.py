@@ -31,7 +31,7 @@ import numpy as np
 from ..errors import ClickTableError, MalformedRowError, SchemaVersionError
 from .bipartite import BipartiteGraph
 from .builders import from_click_records
-from .indexed import IndexedGraph
+from .indexed import IndexedGraph, InternedDelta
 
 __all__ = [
     "read_click_table",
@@ -152,61 +152,28 @@ def read_click_table_indexed(
 ) -> IndexedGraph:
     """Stream a click table straight into an :class:`IndexedGraph`.
 
-    Records are interned and appended to integer edge arrays in chunks of
-    ``chunk_records``, so peak RSS is the id tables plus ~24 bytes per
-    edge — never the several-hundred-bytes-per-edge dict-of-dict
-    :class:`BipartiteGraph`.  Duplicate ``(user, item)`` records coalesce
-    by summing clicks, matching
-    :meth:`~repro.graph.bipartite.BipartiteGraph.add_click` accumulation,
-    so the result is edge-for-edge identical to
+    Records are interned in chunks of ``chunk_records`` into id and click
+    columns (:class:`~repro.graph.indexed.InternedDelta`), so peak RSS is
+    the id tables plus ~24 bytes per edge — never the
+    several-hundred-bytes-per-edge dict-of-dict :class:`BipartiteGraph`.
+    Duplicate ``(user, item)`` records coalesce by summing clicks,
+    matching :meth:`~repro.graph.bipartite.BipartiteGraph.add_click`
+    accumulation, so the result is edge-for-edge identical to
     ``read_click_table(path).indexed()`` (modulo id *ordering*: ids here
     appear in first-seen order, not sorted — consumers key by id, never
     by row number).
     """
-    users: list[str] = []
-    items: list[str] = []
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    chunks: list[tuple] = []
-    chunk_u: list[int] = []
-    chunk_i: list[int] = []
-    chunk_c: list[int] = []
-
-    def flush() -> None:
-        if chunk_u:
-            chunks.append(
-                (
-                    np.array(chunk_u, dtype=np.int64),
-                    np.array(chunk_i, dtype=np.int64),
-                    np.array(chunk_c, dtype=np.int64),
-                )
-            )
-            chunk_u.clear()
-            chunk_i.clear()
-            chunk_c.clear()
-
-    for user, item, clicks in iter_click_table(path):
-        row = user_index.get(user)
-        if row is None:
-            row = user_index[user] = len(users)
-            users.append(user)
-        column = item_index.get(item)
-        if column is None:
-            column = item_index[item] = len(items)
-            items.append(item)
-        chunk_u.append(row)
-        chunk_i.append(column)
-        chunk_c.append(clicks)
-        if len(chunk_u) >= chunk_records:
-            flush()
-    flush()
-    if not chunks:
-        empty = np.empty(0, dtype=np.int64)
-        return IndexedGraph.from_arrays(users, items, empty, empty, empty)
-    user_idx = np.concatenate([chunk[0] for chunk in chunks])
-    item_idx = np.concatenate([chunk[1] for chunk in chunks])
-    clicks_arr = np.concatenate([chunk[2] for chunk in chunks])
-    return IndexedGraph.from_arrays(users, items, user_idx, item_idx, clicks_arr)
+    empty = np.empty(0, dtype=np.int64)
+    base = IndexedGraph([], [], empty, empty, empty)
+    columns = InternedDelta(base)
+    chunk: list[tuple[str, str, int]] = []
+    for record in iter_click_table(path):
+        chunk.append(record)
+        if len(chunk) >= chunk_records:
+            columns.add(chunk)
+            chunk = []
+    columns.add(chunk)
+    return base.apply_delta(columns, 0)
 
 
 def write_click_table(

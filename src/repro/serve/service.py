@@ -258,9 +258,9 @@ class DetectionService:
         path.  An *empty* store bootstraps: the service detects over
         ``initial_graph`` (default: an empty graph) and commits version 1
         as a full snapshot before serving.  A *populated* store resumes
-        in O(1) graph work: the head snapshot lazily backs the mutable
-        graph (no edge-by-edge rebuild; vertices hydrate as ingest
-        touches them), the persisted result — provenance flags intact —
+        in O(1) graph work: the head snapshot is the base of the live
+        array-backed graph (no edge-by-edge rebuild; ingest appends to
+        its tail), the persisted result — provenance flags intact —
         serves immediately, and rechecks keep committing new versions.  Restarting a process on the same store therefore
         serves the same verdicts at the same store version, the contract
         the API round-trip test pins.  ``engine`` is as in
@@ -567,8 +567,12 @@ class DetectionService:
 
         The status route's view: the pump thread grows the live graph and
         the store catalog, so both are read here under the service lock.
-        :meth:`snapshot` leaves them out because an eager graph's
-        ``num_edges`` is O(users) and every verdict calls it.
+        None of the three counts merges an array-backed live graph's
+        tail: the node counts read its id tables, and ``num_edges`` looks
+        the tail's distinct pairs up in the last merged snapshot, O(tail
+        log) while the lock is held.  A live graph that a cleanup turned
+        eager sums its users' dicts instead.  :meth:`snapshot` leaves the
+        counts out, since every verdict calls it.
         """
         with self._lock:
             store = self.online.store

@@ -373,9 +373,8 @@ class DetectionStore:
         The snapshot is installed as the graph's memoized array view, so
         the first ``indexed()`` call is a hit — no
         ``graph.indexed.misses`` on the warm path.  The rebuild is O(1):
-        the snapshot arrays back the mutable graph lazily, and dict
-        adjacency materializes per vertex only when written (or read
-        through the neighbour API) — a restart does not loop over the
+        the graph is array-backed by the snapshot (see
+        :mod:`repro.graph.bipartite`) — a restart does not loop over the
         edge table.
         """
         return BipartiteGraph.from_indexed(self.load_snapshot(version))

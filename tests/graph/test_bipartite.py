@@ -281,14 +281,30 @@ _records = st.lists(st.tuples(_users, _items, st.integers(min_value=1, max_value
 
 
 def _graph(kind, seed):
-    """A graph of ``kind`` holding ``seed``: fresh, eager or lazy over a snapshot."""
+    """A graph of ``kind`` holding ``seed``.
+
+    ``fresh``: one ``add_click`` per record.  ``lazy``: array-backed over
+    the snapshot of ``seed``.  ``eager``: that snapshot's records written
+    back with one ``add_clicks``, then indexed, so later appends go
+    through the delta buffer and its ``_DELTA_LIMIT`` fallback.
+    """
     if kind == "fresh":
         graph = BipartiteGraph()
         for record in seed:
             graph.add_click(*record)
         return graph
     snapshot = from_click_records(seed).indexed()
-    return BipartiteGraph.from_indexed(snapshot, lazy=kind == "lazy")
+    if kind == "lazy":
+        return BipartiteGraph.from_indexed(snapshot)
+    graph = BipartiteGraph()
+    graph.add_clicks(
+        (snapshot.users[row], snapshot.items[column], weight)
+        for row, column, weight in zip(
+            snapshot.user_idx.tolist(), snapshot.item_idx.tolist(), snapshot.clicks.tolist()
+        )
+    )
+    graph.indexed()
+    return graph
 
 
 def _counts(graph):
@@ -296,7 +312,7 @@ def _counts(graph):
 
 
 def _state(graph):
-    """Counts plus adjacency (which hydrates every vertex of a lazy graph)."""
+    """Counts plus adjacency (read through every vertex's neighbour map)."""
     return (
         _counts(graph),
         {user: dict(graph.user_neighbors(user)) for user in graph.users()},
@@ -341,3 +357,16 @@ class TestAddClicks:
         with pytest.raises(ValueError, match="clicks must be positive, got 0"):
             graph.add_clicks([("u0", "i1", 3), ("u9", "i9", 0), ("u1", "i0", 4)])
         assert _state(graph) == _state(untouched)
+
+    @pytest.mark.parametrize("kind", ["fresh", "eager", "lazy"])
+    @pytest.mark.parametrize("bad", [("u9", "i9"), ("u9", "i9", 1, "extra")])
+    def test_a_malformed_record_applies_nothing(self, kind, bad):
+        seed = [("u0", "i0", 2), ("u1", "i0", 1)]
+        graph, untouched = _graph(kind, seed), _graph(kind, seed)
+        with pytest.raises(ValueError):
+            graph.add_clicks([("u0", "i1", 3), bad, ("u1", "i0", 4)])
+        assert _state(graph) == _state(untouched)
+        graph.add_clicks([("u0", "i1", 3)])
+        untouched.add_clicks([("u0", "i1", 3)])
+        assert _state(graph) == _state(untouched)
+        assert np.array_equal(graph.indexed().clicks, untouched.indexed().clicks)

@@ -232,6 +232,33 @@ def test_recheck_fault_serves_previous_result_marked_stale():
     assert service.online.dirty_size == 0
 
 
+def test_a_failed_checkpoint_recheck_ages_into_an_age_recheck():
+    """An owed full recheck starts the age clock, so ``max_age`` alone
+    reschedules a checkpoint recheck that failed."""
+    from repro.datagen import tiny_scenario
+
+    clock = SimulatedClock()
+    service = DetectionService.over_graph(
+        tiny_scenario().graph,
+        params=PARAMS,
+        config=ServeConfig(
+            staleness=StalenessPolicy(max_dirty=None, max_batches=None, max_age=5)
+        ),
+        clock=clock,
+    )
+    assert service.online.dirty_size == 0
+    with injecting("error=1.0,sites=recheck,max=1"):
+        assert service.checkpoint().stale
+    reasons = []
+    while not reasons or reasons[-1] is None:
+        assert len(reasons) < 3, reasons
+        clock.advance(60.0)
+        reasons.append(service.pump().recheck_reason)
+    assert reasons == ["age"]
+    assert not service.result.stale
+    assert service.online.dirty_since is None
+
+
 # ----------------------------------------------------------------------
 # Degradation ladder
 # ----------------------------------------------------------------------
