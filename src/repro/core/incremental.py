@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .. import obs
 from .._util import Stopwatch
@@ -232,8 +232,8 @@ class IncrementalRICD:
         a delta of the records ingested since the last persist, or a full
         snapshot when one is owed: after :meth:`recheck_full` (whose full
         pass has just built the live index, so the snapshot is written
-        from it without a rebuild) and after destructive cleanup (which
-        deltas cannot express) — plus the resolved thresholds, fixpoint
+        from it without a rebuild) and after a cleanup that lowered a count
+        (which deltas cannot express) — plus the resolved thresholds, fixpoint
         memos and the result with its provenance flags.  A store write
         that fails (fault injection, disk trouble) is absorbed: the
         version is aborted, the catalog stays on the previous version, and
@@ -362,8 +362,11 @@ class IncrementalRICD:
             return 0.0
         return max(0.0, now - self._dirty_since)
 
-    def _mark_dirty(self, records: tuple[tuple[Node, Node, int], ...]) -> None:
-        """Mark every record's endpoints dirty, stamping the region's birth time."""
+    def _mark_dirty(self, records: Sequence[tuple]) -> None:
+        """Mark the endpoints of every record or ``(user, item)`` pair dirty.
+
+        Stamps the region's birth time when it was clean.
+        """
         if not records:
             return
         if self._dirty_since is None and self._time_source is not None and self._clean():
@@ -399,28 +402,20 @@ class IncrementalRICD:
         The post-detection half of the online loop: once the platform
         confirms a group, its attributed fake edges (see
         :func:`repro.core.screening.collect_fake_edges`) are subtracted
-        from the live graph.  Counts are clamped at zero; the touched
-        nodes are marked dirty and a recheck runs immediately, so cleaned
-        groups leave the current result right away.
+        from the live graph with one
+        :meth:`~repro.graph.bipartite.BipartiteGraph.subtract_clicks`,
+        which keeps it array-backed.  Counts are clamped at zero, and a
+        fully cleaned edge leaves the graph.  The endpoints of the edges
+        that lost clicks are marked dirty and a recheck runs immediately,
+        so cleaned groups leave the current result right away.  A record
+        with a non-positive count raises :class:`ValueError` before
+        anything is applied, marked dirty or persisted.
         """
-        edges = tuple(edges)
-        for user, item, clicks in edges:
-            current = self._graph.get_click(user, item)
-            if current:
-                remaining = current - clicks
-                if remaining > 0:
-                    self._graph.set_click(user, item, remaining)
-                else:
-                    # A fully cleaned edge must *leave* the adjacency, not
-                    # linger at weight zero: zombie edges inflate Avg_cnt
-                    # (Eq. 4's denominator) and item degrees, skewing the
-                    # re-derived thresholds away from a freshly built
-                    # graph's.  The parity test pins this.
-                    self._graph.remove_edge(user, item)
-        self._mark_dirty(edges)
-        if self._store is not None:
-            # Deltas are append-only click records; removals force the
-            # next persisted version to be a full snapshot.
+        lowered = self._graph.subtract_clicks(edges)
+        self._mark_dirty(lowered)
+        if lowered and self._store is not None:
+            # Deltas are append-only click records; lowered counts force
+            # the next persisted version to be a full snapshot.
             self._snapshot_owed = True
         return self.recheck()
 
@@ -510,14 +505,12 @@ class IncrementalRICD:
         self._traverse_degree_cap = self._derive_traverse_cap(
             live.num_edges, live.num_items
         )
+        # The dirty sets hold only graph nodes (ingest and cleanup mark
+        # nodes the graph has, and nothing removes one), so lengths alone
+        # tell whether everything is dirty.
         all_dirty = self._full_owed or (
-            len(self._dirty_users) >= self._graph.num_users
-            and len(self._dirty_items) >= self._graph.num_items
-            # Length alone can lie when cleanup removed nodes that are
-            # still in the dirty sets; the O(U+V) membership sweep is
-            # negligible next to the O(E) expansion it avoids.
-            and all(user in self._dirty_users for user in self._graph.users())
-            and all(item in self._dirty_items for item in self._graph.items())
+            len(self._dirty_users) == self._graph.num_users
+            and len(self._dirty_items) == self._graph.num_items
         )
         # Everything dirty (bootstrap replays, checkpoint syncs): the
         # region IS the graph, so the pass runs on the live graph

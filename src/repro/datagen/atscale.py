@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..graph.indexed import coalesce
+
 __all__ = [
     "PAPER_USERS",
     "PAPER_ITEMS",
@@ -190,13 +192,8 @@ def generate_at_scale(config: AtScaleConfig) -> AtScaleArrays:
     clicks = np.concatenate([organic_clicks] + block_clicks)
 
     # Canonicalize: sort by (row, column), coalesce duplicates.
-    keys = user_idx * np.int64(n_items) + item_idx
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    unique_keys, starts = np.unique(keys, return_index=True)
-    clicks = np.add.reduceat(clicks[order], starts)
-    user_idx = (unique_keys // n_items).astype(np.int64)
-    item_idx = (unique_keys % n_items).astype(np.int64)
+    keys, clicks = coalesce(user_idx * np.int64(n_items) + item_idx, clicks)
+    user_idx, item_idx = np.divmod(keys, n_items)
 
     return AtScaleArrays(
         n_users=n_users,

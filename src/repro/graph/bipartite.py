@@ -23,6 +23,10 @@ snapshot plus a tail of interned ``(row, column, clicks)`` columns (an
 * appends — :meth:`add_clicks`, idle :meth:`add_user`/:meth:`add_item`,
   and the increment of a :meth:`set_click` that raises a count — intern
   their ids and extend the tail; they never write a dict;
+* lowered counts — :meth:`subtract_clicks`, and the :meth:`set_click` and
+  :meth:`remove_edge` built on it — merge the tail, then merge the
+  decrements at once as negative counts (an edge that reaches zero
+  leaves the snapshot), so no decrement waits in the tail;
 * ``has_user``/``has_item``, the node counts and ``users()``/``items()``
   read the tail's id tables, and ``num_edges`` counts the tail's record
   pairs the base lacks
@@ -35,10 +39,12 @@ snapshot plus a tail of interned ``(row, column, clicks)`` columns (an
   the user's row, ``edges()`` in canonical order (rows in interning
   order, columns ascending), and the neighbour maps from per-vertex dicts
   that are a read cache of the current snapshot, dropped at each merge;
-* destructive writes — a :meth:`set_click` that lowers a count, edge and
-  node removal — merge and then flatten the snapshot into the eager
+* node removal merges and then flattens the snapshot into the eager
   dicts (:meth:`_flatten`); so do pickling and ``==``.  The graph is
   eager from then on.
+
+An eager graph buffers nothing: every write drops its memoized snapshot,
+and the next :meth:`indexed` call rebuilds it.
 
 Merging, read caching and flattening never bump :attr:`version` or
 change an observable value, which the equivalence suites (against a
@@ -60,6 +66,20 @@ __all__ = ["BipartiteGraph"]
 Node = Hashable
 
 _CLICKS = itemgetter(2)
+
+
+def _checked(records: Iterable[tuple[Node, Node, int]]) -> tuple:
+    """``records`` as a tuple; raise :class:`ValueError` unless every count is positive.
+
+    A record without exactly three fields raises as well.
+    """
+    records = tuple(records)
+    if records and (set(map(len, records)) != {3} or min(map(_CLICKS, records)) <= 0):
+        # Unpacking also rejects a record without exactly three fields.
+        for _, _, clicks in records:
+            if clicks <= 0:
+                raise ValueError(f"clicks must be positive, got {clicks}")
+    return records
 
 
 def _row(snapshot: IndexedGraph, user: Node) -> int:
@@ -102,20 +122,9 @@ class BipartiteGraph:
         "_total_clicks",
         "_version",
         "_indexed",
-        "_delta",
         "_tail",
         "__weakref__",
     )
-
-    #: Delta-buffer backstop of an eager graph: once the buffer holds more
-    #: than this many events (one per click, one per idle-node
-    #: registration) beyond the memoized snapshot's edge count, the graph
-    #: falls back to plain invalidation (full rebuild on next
-    #: :meth:`indexed` call), so an append burst with no snapshot reader
-    #: keeps the buffer O(graph).  Scaling with the snapshot keeps a merge
-    #: wherever it is the cheaper path: ``apply_delta`` interns only the
-    #: buffer, while a rebuild walks every edge's dict entry.
-    _DELTA_LIMIT = 100_000
 
     def __init__(self) -> None:
         #: Eager graph: the adjacency truth.  Array-backed graph: a read
@@ -127,8 +136,6 @@ class BipartiteGraph:
         #: Eager graph: the memoized snapshot.  Array-backed graph: the
         #: last merged snapshot, the base of the tail.
         self._indexed: IndexedGraph | None = None
-        #: Eager graph: events buffered since the memoized snapshot.
-        self._delta: list | None = None
         #: Array-backed graph: the interned appends since ``_indexed``;
         #: ``None`` on an eager graph.
         self._tail: InternedDelta | None = None
@@ -166,18 +173,13 @@ class BipartiteGraph:
             return None
         snapshot = self._indexed
         if snapshot.version != self._version:
-            snapshot = self._merge(self._tail)
+            obs.count("graph.indexed.delta_builds")
+            with obs.span("indexed_delta"):
+                snapshot = self._indexed = snapshot.apply_delta(self._tail, self._version)
             self._tail = InternedDelta(snapshot)
             self._users = {}
             self._items = {}
         return snapshot
-
-    def _merge(self, delta) -> IndexedGraph:
-        """Replace the snapshot with ``delta`` merged in at the current version."""
-        obs.count("graph.indexed.delta_builds")
-        with obs.span("indexed_delta"):
-            self._indexed = self._indexed.apply_delta(delta, self._version)
-        return self._indexed
 
     def _flatten(self) -> None:
         """Turn an array-backed graph into an eager one; a no-op when eager.
@@ -187,7 +189,7 @@ class BipartiteGraph:
         ascending column, items in column order with their users by
         ascending row.  A pure representation change — no observable
         value changes, the version does not bump, and the snapshot stays
-        memoized.  Destructive writes, pickling and ``==`` call this.
+        memoized.  Node removal, pickling and ``==`` call this.
         """
         snapshot = self._current()
         if snapshot is None:
@@ -221,36 +223,10 @@ class BipartiteGraph:
         """
         return self._version
 
-    def _mutated(self) -> None:
-        """Record a destructive change, invalidating memoized snapshots."""
-        self._version += 1
+    def _mutated(self, steps: int = 1) -> None:
+        """Record an eager graph's write: ``steps`` versions, and drop the memo."""
+        self._version += steps
         self._indexed = None
-        self._delta = None
-
-    def _appended(self, events: tuple) -> None:
-        """Record an eager graph's append-only mutations as ``apply_delta`` events.
-
-        Each event is a click record ``(user, item, clicks)`` — a new edge
-        or an increment, which :meth:`IndexedGraph.apply_delta` tells
-        apart itself, registering unseen endpoints as it goes — or an
-        idle-node registration ``("user", node)`` / ``("item", node)``;
-        the version bumps once per event.
-        Unlike :meth:`_mutated` this keeps the memoized snapshot alive and
-        buffers the events, so the next :meth:`indexed` call merges the
-        buffer incrementally instead of re-snapshotting from scratch.
-        Recording only starts once a snapshot exists — with nothing to
-        maintain, the buffer stays empty and the first access builds as
-        usual.
-        """
-        self._version += len(events)
-        if self._indexed is None:
-            return
-        if self._delta is None:
-            self._delta = []
-        self._delta.extend(events)
-        if len(self._delta) > self._DELTA_LIMIT + self._indexed.num_edges:
-            self._indexed = None
-            self._delta = None
 
     def indexed(self) -> IndexedGraph:
         """The memoized :class:`~repro.graph.indexed.IndexedGraph` snapshot.
@@ -258,32 +234,18 @@ class BipartiteGraph:
         An array-backed graph returns its base with the tail merged in —
         a cache hit, plus ``graph.indexed.delta_builds`` when the tail was
         not empty.  An eager graph builds the snapshot on first access
-        and reuses it until the graph mutates.  Its append-only mutation
-        (new nodes, new edges, click increments) is *maintained
-        incrementally*: the buffered events are merged into the previous
-        snapshot with numpy array merges — counted as a cache hit plus
-        ``graph.indexed.delta_builds``, never as a from-scratch miss — so
-        append-mostly workloads keep their array views warm.  Destructive
-        mutation (removals, click decreases) still invalidates and
-        rebuilds.
+        (a ``graph.indexed.misses``) and reuses it until the next write.
         """
         if self._tail is not None:
             obs.count("graph.indexed.hits")
             return self._current()
         snapshot = self._indexed
-        if snapshot is not None and snapshot.version == self._version:
+        if snapshot is not None:
             obs.count("graph.indexed.hits")
-            return snapshot
-        if snapshot is not None and self._delta is not None:
-            obs.count("graph.indexed.hits")
-            snapshot = self._merge(self._delta)
-            self._delta = None
             return snapshot
         obs.count("graph.indexed.misses")
         with obs.span("indexed_build"):
-            snapshot = IndexedGraph.from_graph(self)
-        self._indexed = snapshot
-        self._delta = None
+            snapshot = self._indexed = IndexedGraph.from_graph(self)
         return snapshot
 
     # ------------------------------------------------------------------
@@ -291,13 +253,12 @@ class BipartiteGraph:
     # ------------------------------------------------------------------
     def _register(self, kind: str, node: Node) -> None:
         """Add an idle node known to be absent (``kind`` is its side)."""
-        event = ((kind, node),)
         if self._tail is not None:
-            self._tail.add(event)
+            self._tail.register(kind, node)
             self._version += 1
             return
         (self._users if kind == "user" else self._items)[node] = {}
-        self._appended(event)
+        self._mutated()
 
     def add_user(self, user: Node) -> None:
         """Register ``user`` with no edges.  No-op if already present."""
@@ -368,22 +329,17 @@ class BipartiteGraph:
     def add_clicks(self, records: Iterable[tuple[Node, Node, int]]) -> None:
         """Apply ``(user, item, clicks)`` records in order, all or none.
 
-        The same graph, :attr:`version` and snapshot delta as one
-        :meth:`add_click` per record, in one pass: every count is checked
-        before the first write, so a record with a non-positive count
-        raises :class:`ValueError` and leaves the graph untouched, as
-        does a record without exactly three fields.  An array-backed
+        The same graph and :attr:`version` as one :meth:`add_click` per
+        record, in one pass: every count is checked before the first
+        write, so a record with a non-positive count raises
+        :class:`ValueError` and leaves the graph untouched, as does a
+        record without exactly three fields.  An array-backed
         graph interns the batch into its tail; an eager graph writes both
         adjacency maps.
         """
-        records = tuple(records)
+        records = _checked(records)
         if not records:
             return
-        if set(map(len, records)) != {3} or min(map(_CLICKS, records)) <= 0:
-            # Unpacking also rejects a record without exactly three fields.
-            for _, _, clicks in records:
-                if clicks <= 0:
-                    raise ValueError(f"clicks must be positive, got {clicks}")
         total = sum(map(_CLICKS, records))
         if self._tail is not None:
             self._tail.add(records)
@@ -404,7 +360,56 @@ class BipartiteGraph:
             else:
                 user_adj[item] = item_adj[user] = previous + clicks
         self._total_clicks += total
-        self._appended(records)
+        self._mutated(len(records))
+
+    def subtract_clicks(
+        self, records: Iterable[tuple[Node, Node, int]]
+    ) -> list[tuple[Node, Node]]:
+        """Take ``(user, item, clicks)`` records off their edges, in order.
+
+        The same graph, :attr:`total_clicks` and :attr:`version` as one
+        ``set_click(user, item, max(0, get_click(user, item) - clicks))``
+        per record: an edge that reaches zero leaves the graph, a record
+        on an absent edge (or an unknown id) changes and registers
+        nothing, and no node is ever removed.  A non-positive count
+        raises :class:`ValueError` before the first write, as in
+        :meth:`add_clicks`.  Returns the ``(user, item)`` pairs whose
+        count fell, in first-lowered order.
+
+        An eager graph writes its dicts.  An array-backed graph reads the
+        counts from its merged snapshot and merges the decrements at once
+        with one :meth:`~repro.graph.indexed.IndexedGraph.apply_delta` of
+        negative counts, so its tail never holds one.
+        """
+        records = _checked(records)
+        taken: dict[tuple[Node, Node], int] = {}
+        steps = 0
+        for user, item, clicks in records:
+            # No write happens before the loop ends, so get_click reads
+            # the count before this call.
+            already = taken.get((user, item), 0)
+            remaining = self.get_click(user, item) - already
+            if remaining > 0:
+                taken[user, item] = already + min(clicks, remaining)
+                steps += 1
+        if not steps:
+            return []
+        self._total_clicks -= sum(taken.values())
+        if self._tail is not None:
+            # get_click merged the tail, so the decrements merge alone.
+            self._tail.add([(user, item, -clicks) for (user, item), clicks in taken.items()])
+            self._version += steps
+            self._current()
+            return list(taken)
+        users, items = self._users, self._items
+        for (user, item), clicks in taken.items():
+            remaining = users[user][item] - clicks
+            if remaining:
+                users[user][item] = items[item][user] = remaining
+            else:
+                del users[user][item], items[item][user]
+        self._mutated(steps)
+        return list(taken)
 
     def set_click(self, user: Node, item: Node, clicks: int) -> None:
         """Set the edge weight exactly; ``clicks = 0`` deletes the edge.
@@ -417,28 +422,19 @@ class BipartiteGraph:
         edge is nothing happening, not a node registration; use
         :meth:`add_user`/:meth:`add_item` to register idle nodes.  A
         *positive* set on a missing edge creates the endpoints, exactly
-        like :meth:`add_click`, and any raise appends the increment.
+        like :meth:`add_click`, and any raise appends the increment.  A
+        lower count goes through :meth:`subtract_clicks`, one merge per
+        call on an array-backed graph; batch callers call that directly.
         """
         if clicks < 0:
             raise ValueError(f"clicks must be >= 0, got {clicks}")
         current = self.get_click(user, item)
-        if clicks == current:
-            # No-op write: nothing changed, so memoized snapshots and
-            # every version-keyed consumer cache stay valid.
-            return
+        # An unchanged weight writes nothing, so memoized snapshots and
+        # every version-keyed consumer cache stay valid.
         if clicks > current:
             self.add_clicks(((user, item, clicks - current),))
-            return
-        # A decrease is destructive for the append-only snapshot delta.
-        # current > 0 here, so both endpoints and the edge exist.
-        self._flatten()
-        if clicks == 0:
-            del self._users[user][item]
-            del self._items[item][user]
-        else:
-            self._users[user][item] = self._items[item][user] = clicks
-        self._total_clicks += clicks - current
-        self._mutated()
+        elif clicks < current:
+            self.subtract_clicks(((user, item, current - clicks),))
 
     def remove_edge(self, user: Node, item: Node) -> None:
         """Delete the edge between ``user`` and ``item`` if present."""
@@ -679,7 +675,6 @@ class BipartiteGraph:
         self._total_clicks = state["_total_clicks"]
         self._version = state.get("_version", 0)
         self._indexed = None
-        self._delta = None
         self._tail = None
 
     def __eq__(self, other: object) -> bool:

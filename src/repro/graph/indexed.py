@@ -21,15 +21,16 @@ workloads (feedback rounds, suites, sweeps, benchmarks) pay the
 dict→array conversion exactly once.
 
 Appends never force a from-scratch rebuild.  :class:`InternedDelta` is the
-one interning step: it turns click records (and idle-node registrations)
-into row, column and click columns plus the ids they add.  The live
-array-backed graph interns each ingested batch into its tail as it
-arrives; an eager graph's buffered records and a store's delta records
+one interning step: it turns ``(user, item, clicks)`` records into row,
+column and click columns plus the ids they add.  An array-backed graph
+interns each write into its tail as it arrives; a store's delta records
 are interned when merged.  :meth:`IndexedGraph.apply_delta` then merges
-the columns into a fresh snapshot with numpy only — one coalescing sort,
-one ``searchsorted`` against the base keys, increments on a copy and
-``np.insert`` for new edges — so chains of merges stay canonical and
-never degrade lookups.
+the columns into a fresh snapshot with numpy only — one coalescing sort
+(:func:`coalesce`, the sort-and-coalesce step every canonicalizing build
+shares), one ``searchsorted`` against the base keys, count changes on a
+copy and ``np.insert`` for new edges — so chains of merges stay
+canonical and never degrade lookups.  A negative count lowers an edge the
+base holds, and an edge it takes to zero is dropped.
 """
 
 from __future__ import annotations
@@ -45,11 +46,32 @@ from .. import obs
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .bipartite import BipartiteGraph
 
-__all__ = ["IndexedGraph", "InternedDelta"]
+__all__ = ["IndexedGraph", "InternedDelta", "coalesce"]
 
 Node = Hashable
 
 _USER, _ITEM, _CLICKS = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def coalesce(keys, clicks):
+    """Sort edge ``keys`` and sum the ``clicks`` of equal keys.
+
+    Returns ``(unique_keys, summed_clicks)`` with the keys ascending, for
+    edge keys ``row * n_columns + column``.  The one
+    sort-and-coalesce step of the package: snapshot builds, delta merges,
+    a tail's edge count and the at-scale generator share it.  After one
+    argsort, a neighbour mask over the sorted keys marks where each run of
+    equal keys starts; ``np.unique`` would sort them again.  Integer sums
+    do not depend on the order within a run, so the sort need not be
+    stable.
+    """
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.add.reduceat(clicks[order], starts)
 
 
 class IndexedGraph:
@@ -138,18 +160,9 @@ class IndexedGraph:
         accumulation semantics — which is what chunked ingestion needs
         when one edge's records straddle a chunk boundary.
         """
-        keys = user_idx.astype(np.int64) * max(n_items, 1) + item_idx
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if len(keys) and (keys[1:] == keys[:-1]).any():
-            unique_keys, starts = np.unique(keys, return_index=True)
-            clicks = np.add.reduceat(clicks[order], starts)
-            user_idx = (unique_keys // max(n_items, 1)).astype(np.int64)
-            item_idx = (unique_keys % max(n_items, 1)).astype(np.int64)
-        else:
-            user_idx = user_idx[order]
-            item_idx = item_idx[order]
-            clicks = clicks[order]
+        mult = max(n_items, 1)
+        keys, clicks = coalesce(user_idx.astype(np.int64) * mult + item_idx, clicks)
+        user_idx, item_idx = np.divmod(keys, mult)
         return user_idx, item_idx, clicks
 
     @classmethod
@@ -220,18 +233,20 @@ class IndexedGraph:
     def apply_delta(
         self, delta: "InternedDelta | Iterable[tuple]", version: int
     ) -> "IndexedGraph":
-        """A new snapshot with a batch of appended click records merged in.
+        """A new snapshot with a batch of click records merged in.
 
         ``delta`` is either an :class:`InternedDelta` built on this
-        snapshot (the live graph's tail) or plain events — click records
-        ``(user, item, clicks)``, the form the store persists, optionally
-        interleaved with ``("user", node)`` / ``("item", node)``
-        registrations of idle nodes — which are interned here first.
-        Records on the same edge sum their clicks; one ``searchsorted``
-        against the base keys then splits the edges the snapshot already
-        holds (their clicks are incremented on a copy) from the new ones
-        (inserted in canonical position), so no record can duplicate an
-        edge.
+        snapshot (an array-backed graph's tail) or plain ``(user, item,
+        clicks)`` records, the form the store persists, which are interned
+        here first.  Records on the same edge sum their counts; one
+        ``searchsorted`` against the base keys then splits the edges the
+        snapshot already holds (their counts change on a copy) from the
+        new ones (inserted in canonical position), so no record can
+        duplicate an edge.  A negative count lowers an edge the snapshot
+        holds, and an edge whose count reaches zero is dropped; that pass
+        runs only when some edge's records sum to zero or less, so
+        append-only merges do no extra O(edges) work.  A count taken
+        below zero raises :class:`ValueError`.
 
         The result is a fresh, canonical, independently cached snapshot
         that takes over the delta's id tables.  The original is untouched
@@ -239,24 +254,14 @@ class IndexedGraph:
         because every merge compacts the delta into sorted-unique form.
         """
         if not isinstance(delta, InternedDelta):
-            events = delta
+            records = delta
             delta = InternedDelta(self)
-            delta.add(events)
+            delta.add(records)
         elif delta.base is not self:
             raise ValueError("the delta was interned against another snapshot")
         user_idx, item_idx, clicks = self.user_idx, self.item_idx, self.clicks
         if delta.rows:
-            mult = max(len(delta.items), 1)
-            d_keys = np.array(delta.rows, dtype=np.int64) * mult
-            d_keys += np.array(delta.columns, dtype=np.int64)
-            # Coalesce repeated records on the same edge.
-            order = np.argsort(d_keys)
-            d_keys = d_keys[order]
-            starts = np.flatnonzero(np.concatenate(([True], d_keys[1:] != d_keys[:-1])))
-            group_keys = d_keys[starts]
-            group_weights = np.add.reduceat(
-                np.array(delta.clicks, dtype=np.int64)[order], starts
-            )
+            mult, group_keys, group_weights = delta.coalesced()
             base_keys = user_idx * mult + item_idx
             positions = np.searchsorted(base_keys, group_keys)
             present = np.zeros(len(group_keys), dtype=bool)
@@ -272,6 +277,11 @@ class IndexedGraph:
                 user_idx = np.insert(user_idx, at, insert_keys // mult)
                 item_idx = np.insert(item_idx, at, insert_keys % mult)
                 clicks = np.insert(clicks, at, group_weights[inserted])
+            if (group_weights <= 0).any():
+                if (clicks < 0).any():
+                    raise ValueError("a delta lowered an edge below zero clicks")
+                kept = clicks > 0
+                user_idx, item_idx, clicks = user_idx[kept], item_idx[kept], clicks[kept]
         return IndexedGraph(
             delta.users,
             delta.items,
@@ -480,10 +490,15 @@ class IndexedGraph:
 class InternedDelta:
     """Click records interned against one snapshot's id tables.
 
-    The one interning step of the package: the live array-backed graph's
-    tail, an eager graph's buffered records and a store's delta records
-    all pass through :meth:`add` on their way into
-    :meth:`IndexedGraph.apply_delta`.
+    The one interning step of the package: an array-backed graph's tail,
+    a store's delta records and the chunked table reader pass through
+    :meth:`add` on their way into :meth:`IndexedGraph.apply_delta`, and
+    an array-backed graph's idle nodes through :meth:`register`.  A tail
+    only ever holds positive counts: an array-backed graph merges a
+    lowered count at once
+    (:meth:`~repro.graph.bipartite.BipartiteGraph.subtract_clicks`), so
+    reads of the tail alone, such as :meth:`merged_num_edges`, stay
+    exact.
 
     Attributes
     ----------
@@ -517,52 +532,46 @@ class InternedDelta:
         self.columns: list[int] = []
         self.clicks: list[int] = []
 
-    def add(self, events: Iterable[tuple]) -> None:
-        """Intern ``events`` in order.
+    def add(self, records: Iterable[tuple]) -> None:
+        """Intern ``(user, item, clicks)`` records in order.
 
-        Events are click records ``(user, item, clicks)`` or
-        registrations ``("user", node)`` / ``("item", node)``.  An unseen
-        id — a registration's node, or a record's user or item — takes
-        the next free row or column of its side in first-seen order, the
-        numbering one record-at-a-time replay would give; registering a
-        known id does nothing.  Counts are taken as given.
+        An unseen user or item takes the next free row or column of its
+        side in first-seen order, the numbering one record-at-a-time
+        replay would give.  Counts are taken as given.  A record without
+        exactly three fields raises :class:`ValueError` before anything
+        is interned.
         """
-        if not isinstance(events, (list, tuple)):
-            events = list(events)
-        lengths = set(map(len, events))
-        if lengths - {2, 3}:
-            raise ValueError(
-                f"delta events have 2 or 3 fields, got {min(lengths - {2, 3})}"
-            )
-        if 2 in lengths:
-            # Registrations interleave with records: intern each side's
-            # ids in event order first, then the records alone.
-            seen_users, seen_items, records = [], [], []
-            for event in events:
-                if len(event) == 3:
-                    seen_users.append(event[0])
-                    seen_items.append(event[1])
-                    records.append(event)
-                elif event[0] == "user":
-                    seen_users.append(event[1])
-                elif event[0] == "item":
-                    seen_items.append(event[1])
-                else:
-                    raise ValueError(f"unknown delta event kind {event[0]!r}")
-            self._ids(seen_users, True)
-            self._ids(seen_items, False)
-            events = records
-        if not events:
+        if not isinstance(records, (list, tuple)):
+            records = list(records)
+        if not records:
             return
+        lengths = set(map(len, records))
+        if lengths != {3}:
+            raise ValueError(f"delta records have 3 fields, got {min(lengths - {3})}")
         # Column-wise C loops allocate no per-record objects, which keeps
         # the garbage collector quiet on large batches.  Both sides are
         # interned before any column grows, so a failure leaves the
         # columns the same length.
-        rows = self._ids(list(map(_USER, events)), True)
-        columns = self._ids(list(map(_ITEM, events)), False)
+        rows = self._ids(list(map(_USER, records)), True)
+        columns = self._ids(list(map(_ITEM, records)), False)
         self.rows += rows
         self.columns += columns
-        self.clicks += map(_CLICKS, events)
+        self.clicks += map(_CLICKS, records)
+
+    def register(self, kind: str, node: Node) -> None:
+        """Intern one idle ``"user"`` or ``"item"`` id; a known id is a no-op."""
+        self._ids([node], kind == "user")
+
+    def coalesced(self):
+        """``(mult, keys, clicks)``: the records' edge keys, coalesced.
+
+        A record's key is ``row * mult + column``; :func:`coalesce` sorts
+        the keys and sums each edge's counts.
+        """
+        mult = max(len(self.items), 1)
+        keys = np.array(self.rows, dtype=np.int64) * mult
+        keys += np.array(self.columns, dtype=np.int64)
+        return (mult, *coalesce(keys, np.array(self.clicks, dtype=np.int64)))
 
     def merged_num_edges(self) -> int:
         """The edge count :meth:`IndexedGraph.apply_delta` would give, without merging.
@@ -575,11 +584,7 @@ class InternedDelta:
         base = self.base
         if not self.rows:
             return base.num_edges
-        mult = max(len(self.items), 1)
-        keys = np.array(self.rows, dtype=np.int64) * mult
-        keys += np.array(self.columns, dtype=np.int64)
-        keys.sort()
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        mult, keys, _ = self.coalesced()
         present = base.has_edges(keys // mult, keys % mult)
         return base.num_edges + len(keys) - int(np.count_nonzero(present))
 

@@ -81,11 +81,7 @@ def remove_fake_clicks(
     from cleaning click logs).
     """
     cleaned = graph.copy()
-    for group in groups:
-        for user, item, clicks in group.fake_edges:
-            current = cleaned.get_click(user, item)
-            if current:
-                cleaned.set_click(user, item, max(0, current - clicks))
+    cleaned.subtract_clicks(edge for group in groups for edge in group.fake_edges)
     return cleaned
 
 
@@ -120,11 +116,9 @@ def remove_detected_clicks(
 
     cleaned = graph.copy()
     for group in result.groups:
-        for user, item, _clicks in collect_fake_edges(
-            cleaned, group, t_click, disguise_params
-        ):
-            if cleaned.has_edge(user, item):
-                cleaned.remove_edge(user, item)
+        # Each group's edges carry their full counts in the graph cleaned
+        # so far, so subtracting them removes the edges.
+        cleaned.subtract_clicks(collect_fake_edges(cleaned, group, t_click, disguise_params))
     return cleaned
 
 

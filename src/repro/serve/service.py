@@ -570,9 +570,9 @@ class DetectionService:
         None of the three counts merges an array-backed live graph's
         tail: the node counts read its id tables, and ``num_edges`` looks
         the tail's distinct pairs up in the last merged snapshot, O(tail
-        log) while the lock is held.  A live graph that a cleanup turned
-        eager sums its users' dicts instead.  :meth:`snapshot` leaves the
-        counts out, since every verdict calls it.
+        log) while the lock is held; a cleanup keeps the live graph
+        array-backed.  :meth:`snapshot` leaves the counts out, since every
+        verdict calls it.
         """
         with self._lock:
             store = self.online.store

@@ -204,6 +204,31 @@ class TestCleanup:
         online.apply_cleanup([("ghost", "phantom", 5)])
         assert online.graph.total_clicks == before
 
+    def test_a_cleanup_that_lowers_nothing_marks_nothing(self, tiny):
+        from repro.resilience.faults import injecting
+
+        online = make_online(tiny.graph, recheck=100)
+        with injecting("error=1.0,sites=recheck"):
+            result = online.apply_cleanup([("ghost", "phantom", 5)])
+        assert online.dirty_size == 0
+        assert not result.stale
+        assert not online.graph.has_user("ghost")
+
+    def test_a_non_positive_count_applies_nothing(self, tiny, tmp_path):
+        from repro.store import DetectionStore
+
+        online = make_online(tiny.graph, recheck=100)
+        online.attach_store(DetectionStore.open_or_create(tmp_path / "store"))
+        graph = online.graph
+        user = next(iter(tiny.graph.users()))
+        item = next(iter(tiny.graph.user_neighbors(user)))
+        before = (graph.get_click(user, item), graph.total_clicks, graph.version)
+        with pytest.raises(ValueError, match="clicks must be positive, got -5"):
+            online.apply_cleanup([(user, item, 1), (user, item, -5)])
+        assert (graph.get_click(user, item), graph.total_clicks, graph.version) == before
+        assert online.dirty_size == 0
+        assert online.store.head is None
+
 
 class TestCleanupEdgeDeletion:
     def test_fully_cleaned_edge_leaves_the_adjacency(self, tiny):

@@ -210,7 +210,7 @@ class TestThresholdsMatchEdgeTable:
     )
     @settings(max_examples=80, deadline=None)
     def test_fresh_and_delta_merged_snapshots(self, first, appended, mass_fraction, t_hot):
-        graph = from_click_records(first)
+        graph = BipartiteGraph.from_indexed(from_click_records(first).indexed())
         _assert_thresholds_match(graph, mass_fraction, t_hot)
         for user, item, clicks in appended:
             graph.add_click(user, item, clicks)

@@ -2,14 +2,16 @@
 
 ``BipartiteGraph.from_indexed`` makes a graph whose truth is a snapshot
 plus an interned tail: appends intern into the tail, reads merge it
-first, destructive writes flatten to the eager dicts.  The oracle here is
-not another ``BipartiteGraph`` but :class:`Model`, a few dicts that state
-the graph's documented semantics directly.  Hypothesis interleaves writes,
-reads, merges, copies, pickling and ``==``, and every return value, error,
-end state and ``version`` must match the model.
+first, lowered counts merge at once, and node removals flatten to the
+eager dicts.  The oracle here is not another ``BipartiteGraph`` but
+:class:`Model`, a few dicts that state the graph's documented semantics
+directly.  Hypothesis interleaves writes, reads, merges, copies, pickling
+and ``==``, and every return value, error, end state and ``version`` must
+match the model.
 
 ``apply_delta`` has two inputs, plain records and an already-interned
-tail; both must give the same arrays and id tables.
+tail; both must give the same arrays and id tables, and a merge of
+lowered counts leaves its base frozen.
 """
 
 import pickle
@@ -42,9 +44,20 @@ batches = st.tuples(
     st.lists(st.tuples(any_user, any_item, st.integers(1, 5)), max_size=6),
     st.one_of(st.none(), st.integers(-2, 0)),
 )
+#: Lowering batches: the first half of the records repeated, unknown ids,
+#: counts above the weight; sometimes one bad count.
+subtractions = st.tuples(
+    st.lists(st.tuples(any_user, any_item, st.integers(1, 12)), max_size=6).map(
+        lambda records: records + records[: len(records) // 2]
+    ),
+    st.one_of(st.none(), st.integers(-2, 0)),
+)
 
-appends_and_reads = st.one_of(
+writes_and_reads = st.one_of(
     st.tuples(st.just("add_clicks"), batches),
+    st.tuples(st.just("subtract_clicks"), subtractions),
+    st.tuples(st.just("set_click"), any_user, any_item, st.integers(0, 8)),
+    st.tuples(st.just("remove_edge"), any_user, any_item),
     st.tuples(st.just("add_user"), any_user),
     st.tuples(st.just("add_item"), any_item),
     st.tuples(st.just("get_click"), any_user, any_item),
@@ -65,21 +78,19 @@ appends_and_reads = st.one_of(
     st.tuples(st.just("copy"), any_user, any_item),
     st.tuples(st.just("subgraph"),),
 )
-#: Operations that may flatten the graph to an eager one (a lowering
-#: ``set_click``, removals, pickling, ``==``).
+#: Operations that may flatten the graph to an eager one.
+FLATTENING = ("remove_user", "remove_item", "pickle", "eq")
 flattening = st.one_of(
-    st.tuples(st.just("set_click"), any_user, any_item, st.integers(0, 8)),
-    st.tuples(st.just("remove_edge"), any_user, any_item),
     st.tuples(st.just("remove_user"), any_user),
     st.tuples(st.just("remove_item"), any_item),
     st.tuples(st.just("pickle"),),
     st.tuples(st.just("eq"),),
 )
-# A run of appends and reads first, so the array-backed path gets long
+# A run of writes and reads first, so the array-backed path gets long
 # interleavings before anything flattens it, then everything mixed.
 operations = st.tuples(
-    st.lists(appends_and_reads, max_size=20),
-    st.lists(st.one_of(appends_and_reads, flattening), max_size=15),
+    st.lists(writes_and_reads, max_size=20),
+    st.lists(st.one_of(writes_and_reads, flattening), max_size=15),
 ).map(lambda parts: parts[0] + parts[1])
 
 
@@ -134,6 +145,19 @@ class Model:
 
     def remove_edge(self, user, item):
         self.set_click(user, item, 0)
+
+    def subtract_clicks(self, records):
+        for _, _, clicks in records:
+            if clicks <= 0:
+                raise ValueError(f"clicks must be positive, got {clicks}")
+        lowered = []
+        for user, item, clicks in records:
+            current = self.get_click(user, item)
+            if current:
+                self.set_click(user, item, max(0, current - clicks))
+                if (user, item) not in lowered:
+                    lowered.append((user, item))
+        return lowered
 
     def remove_user(self, user):
         if user not in self.users:
@@ -227,12 +251,11 @@ def run(target, op):
     """Run one operation on the graph or the model; (outcome, payload)."""
     name, *args = op
     try:
-        if name == "add_clicks":
+        if name in ("add_clicks", "subtract_clicks"):
             records, bad = args[0]
             if bad is not None:
                 records = records + [("u0", "i0", bad)]
-            target.add_clicks(records)
-            return ("ok", None)
+            return ("value", getattr(target, name)(records))
         if name in ("add_user", "add_item", "set_click", "remove_edge",
                     "remove_user", "remove_item"):
             getattr(target, name)(*args)
@@ -286,6 +309,7 @@ def test_array_backed_graph_matches_the_model(rows, ops):
     model = Model(snapshot)
     for op in ops:
         name = op[0]
+        array_backed = graph._tail is not None
         if name == "indexed":
             merged = graph.indexed()
             assert merged.version == model.version
@@ -313,6 +337,8 @@ def test_array_backed_graph_matches_the_model(rows, ops):
             assert graph == graph.copy()
         else:
             assert run(graph, op) == run(model, op), op
+        if name not in FLATTENING:
+            assert (graph._tail is not None) == array_backed, op
         check_state(graph, model, op)
     assert run(graph, ("neighbourhoods",)) == run(model, ("neighbourhoods",))
     assert Counter(graph.edges()) == Counter(model.edges())
@@ -322,7 +348,7 @@ def test_array_backed_graph_matches_the_model(rows, ops):
 @given(seed_records, operations)
 @settings(max_examples=80, deadline=None)
 def test_appends_iterate_in_canonical_interning_order(rows, ops):
-    """Without a destructive write, ``edges()`` is canonical: users in
+    """Without a node removal, ``edges()`` is canonical: users in
     interning order, each user's items by ascending column, where
     columns are numbered in interning order too."""
     snapshot = from_click_records(rows).indexed()
@@ -330,10 +356,7 @@ def test_appends_iterate_in_canonical_interning_order(rows, ops):
     model = Model(snapshot)
     for op in ops:
         name = op[0]
-        flattens = name in ("remove_edge", "remove_user", "remove_item", "pickle", "eq") or (
-            name == "set_click" and op[3] < model.get_click(op[1], op[2])
-        )
-        if flattens or name in ("indexed", "copy", "subgraph"):
+        if name in FLATTENING or name in ("indexed", "copy", "subgraph"):
             continue
         run(graph, op)
         run(model, op)
@@ -387,14 +410,7 @@ def test_appends_write_no_dict_and_reads_merge_once():
 # ----------------------------------------------------------------------
 # apply_delta: plain records == the same records interned first
 # ----------------------------------------------------------------------
-events = st.lists(
-    st.one_of(
-        st.tuples(any_user, any_item, st.integers(1, 6)),
-        st.tuples(st.just("user"), any_user),
-        st.tuples(st.just("item"), any_item),
-    ),
-    max_size=25,
-)
+records = st.lists(st.tuples(any_user, any_item, st.integers(1, 6)), max_size=25)
 
 
 def arrays_and_tables(snapshot):
@@ -409,7 +425,7 @@ def arrays_and_tables(snapshot):
     )
 
 
-@given(seed_records, events, st.integers(min_value=1, max_value=4))
+@given(seed_records, records, st.integers(min_value=1, max_value=4))
 @settings(max_examples=120, deadline=None)
 def test_apply_delta_of_records_equals_of_the_interned_tail(rows, delta, chunks):
     base = from_click_records(rows).indexed()
@@ -429,13 +445,8 @@ def test_apply_delta_of_records_equals_of_the_interned_tail(rows, delta, chunks)
     assert arrays_and_tables(base) == frozen
     # And the merge holds what a one-record-at-a-time replay holds.
     replay = BipartiteGraph.from_indexed(base)
-    for event in delta:
-        if len(event) == 3:
-            replay.add_click(*event)
-        elif event[0] == "user":
-            replay.add_user(event[1])
-        else:
-            replay.add_item(event[1])
+    for record in delta:
+        replay.add_click(*record)
     assert by_id(merged) == by_id(IndexedGraph.from_graph(replay))
     assert merged.users == list(replay.users()) and merged.items == list(replay.items())
 
@@ -446,12 +457,44 @@ def test_a_failed_add_leaves_the_columns_aligned():
     with pytest.raises(TypeError):
         delta.add([("u0", "i0", 1), ("u1", ["unhashable"], 1)])
     assert delta.rows == delta.columns == delta.clicks == []
-    with pytest.raises(ValueError, match="2 or 3 fields"):
+    with pytest.raises(ValueError, match="have 3 fields, got 4"):
         delta.add([("u2", "i2", 1), ("u2", "i2", 1, "extra")])
     assert delta.rows == delta.columns == delta.clicks == []
     assert "u2" not in delta.user_index
     delta.add([("u0", "i0", 2)])
     assert base.apply_delta(delta, 2).clicks.tolist() == [3]
+
+
+@given(
+    seed_records,
+    st.lists(st.tuples(st.integers(0, 29), st.integers(1, 12)), min_size=1, max_size=10),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_decrement_merge_leaves_the_base_untouched(rows, cuts):
+    base = from_click_records(rows).indexed()
+    frozen = arrays_and_tables(base)
+    graph = BipartiteGraph.from_indexed(base)
+    model = Model(base)
+    edges = model.edges()
+    lowering = [(*edges[at % len(edges)][:2], clicks) for at, clicks in cuts]
+    assert graph.subtract_clicks(lowering) == model.subtract_clicks(lowering)
+    # The decrements merged at once, against the base itself.
+    assert graph._tail.base is not base and not graph._tail.rows
+    assert arrays_and_tables(base) == frozen
+    merged = graph.indexed()
+    assert by_id(merged) == by_id(IndexedGraph.from_graph(model.as_graph()))
+    assert merged.users == base.users and merged.items == base.items
+    keys = merged.user_idx * max(merged.num_items, 1) + merged.item_idx
+    assert (keys[1:] > keys[:-1]).all() and (merged.clicks > 0).all()
+
+
+def test_a_delta_cannot_take_an_edge_below_zero():
+    base = from_click_records([("u0", "i0", 2), ("u1", "i0", 1)]).indexed()
+    with pytest.raises(ValueError, match="below zero"):
+        base.apply_delta([("u0", "i0", -3)], 2)
+    with pytest.raises(ValueError, match="below zero"):
+        base.apply_delta([("u2", "i0", -1)], 2)
+    assert base.apply_delta([("u0", "i0", -2)], 2).clicks.tolist() == [1]
 
 
 def test_the_edge_count_between_merges_does_not_merge():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DuplicateNodeError, NodeNotFoundError
@@ -218,9 +218,19 @@ class TestSetClickInvalidation:
 
 
 class TestDeltaEventFlags:
-    """A click buffers one plain ``(user, item, clicks)`` record whether
-    the edge is new or not — including when both endpoints already
-    existed — and the merged snapshot equals a rebuild."""
+    """A click appends one ``(user, item, clicks)`` record to an
+    array-backed graph's tail whether the edge is new or not — including
+    when both endpoints already existed — and the merged snapshot equals
+    a rebuild."""
+
+    @staticmethod
+    def _array_backed(graph):
+        return BipartiteGraph.from_indexed(graph.indexed())
+
+    @staticmethod
+    def _last_record(graph):
+        tail = graph._tail
+        return tail.users[tail.rows[-1]], tail.items[tail.columns[-1]], tail.clicks[-1]
 
     @staticmethod
     def _snapshots_equal(graph):
@@ -245,31 +255,31 @@ class TestDeltaEventFlags:
         assert content(delta_built) == content(rebuilt)
 
     def test_add_click_new_edge_existing_endpoints(self, simple_graph):
-        simple_graph.indexed()  # arm the delta buffer
-        simple_graph.add_click("u1", "i3", 2)  # endpoints exist, edge is new
-        assert simple_graph._delta[-1] == ("u1", "i3", 2)
-        self._snapshots_equal(simple_graph)
+        graph = self._array_backed(simple_graph)
+        graph.add_click("u1", "i3", 2)  # endpoints exist, edge is new
+        assert self._last_record(graph) == ("u1", "i3", 2)
+        self._snapshots_equal(graph)
 
     def test_add_click_existing_edge_is_not_flagged_new(self, simple_graph):
-        simple_graph.indexed()
-        simple_graph.add_click("u1", "i1", 2)
-        assert simple_graph._delta[-1] == ("u1", "i1", 2)
-        self._snapshots_equal(simple_graph)
+        graph = self._array_backed(simple_graph)
+        graph.add_click("u1", "i1", 2)
+        assert self._last_record(graph) == ("u1", "i1", 2)
+        self._snapshots_equal(graph)
 
     def test_set_click_increase_on_new_edge_existing_endpoints(self, simple_graph):
-        simple_graph.indexed()
-        simple_graph.set_click("u2", "i2", 4)  # endpoints exist, edge is new
-        assert simple_graph._delta[-1] == ("u2", "i2", 4)
-        self._snapshots_equal(simple_graph)
+        graph = self._array_backed(simple_graph)
+        graph.set_click("u2", "i2", 4)  # endpoints exist, edge is new
+        assert self._last_record(graph) == ("u2", "i2", 4)
+        self._snapshots_equal(graph)
 
     def test_mixed_delta_burst_matches_rebuild(self, simple_graph):
-        simple_graph.indexed()
-        simple_graph.add_click("u9", "i9", 1)      # both endpoints new
-        simple_graph.add_click("u9", "i1", 3)      # new edge, one old endpoint
-        simple_graph.set_click("u1", "i1", 11)     # increase on existing edge
-        simple_graph.add_user("u10")               # idle node
-        simple_graph.set_click("u10", "i9", 2)     # new edge from idle node
-        self._snapshots_equal(simple_graph)
+        graph = self._array_backed(simple_graph)
+        graph.add_click("u9", "i9", 1)      # both endpoints new
+        graph.add_click("u9", "i1", 3)      # new edge, one old endpoint
+        graph.set_click("u1", "i1", 11)     # increase on existing edge
+        graph.add_user("u10")               # idle node
+        graph.set_click("u10", "i9", 2)     # new edge from idle node
+        self._snapshots_equal(graph)
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +295,8 @@ def _graph(kind, seed):
 
     ``fresh``: one ``add_click`` per record.  ``lazy``: array-backed over
     the snapshot of ``seed``.  ``eager``: that snapshot's records written
-    back with one ``add_clicks``, then indexed, so later appends go
-    through the delta buffer and its ``_DELTA_LIMIT`` fallback.
+    back with one ``add_clicks``, then indexed, so later appends drop a
+    memoized snapshot.
     """
     if kind == "fresh":
         graph = BipartiteGraph()
@@ -325,26 +335,20 @@ class TestAddClicks:
         kind=st.sampled_from(["fresh", "eager", "lazy"]),
         seed=_records.filter(bool),
         batches=st.lists(st.tuples(_records, st.booleans()), max_size=4),
-        limit=st.sampled_from([0, 2, BipartiteGraph._DELTA_LIMIT]),
     )
-    @example(kind="eager", seed=[("u0", "i0", 1)], batches=[([("u1", "i1", 1)] * 4, False)], limit=0)
     @settings(max_examples=80, deadline=None)
-    def test_matches_repeated_add_click(self, kind, seed, batches, limit):
-        # A small _DELTA_LIMIT makes the delta buffer's rebuild fallback
-        # fire part-way through a batch of add_click calls.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(BipartiteGraph, "_DELTA_LIMIT", limit)
-            bulk, single = _graph(kind, seed), _graph(kind, seed)
-            for records, read_index in batches:
-                bulk.add_clicks(records)
-                for record in records:
-                    single.add_click(*record)
-                assert _counts(bulk) == _counts(single)
-                if read_index:
-                    bulk.indexed()
-                    single.indexed()
-            assert _state(bulk) == _state(single)
-            a, b = bulk.indexed(), single.indexed()
+    def test_matches_repeated_add_click(self, kind, seed, batches):
+        bulk, single = _graph(kind, seed), _graph(kind, seed)
+        for records, read_index in batches:
+            bulk.add_clicks(records)
+            for record in records:
+                single.add_click(*record)
+            assert _counts(bulk) == _counts(single)
+            if read_index:
+                bulk.indexed()
+                single.indexed()
+        assert _state(bulk) == _state(single)
+        a, b = bulk.indexed(), single.indexed()
         assert a.version == b.version == bulk.version
         assert a.users == b.users and a.items == b.items
         for name in ("user_idx", "item_idx", "clicks"):

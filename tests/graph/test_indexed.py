@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.graph import BipartiteGraph, IndexedGraph, from_click_records
+from repro.graph.indexed import InternedDelta, coalesce
 
 records = st.lists(
     st.tuples(
@@ -132,8 +134,31 @@ class TestHelpers:
         assert snapshot.total_clicks == 0
 
 
+class TestCoalesce:
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 40), st.integers(0, 2**40)),
+                st.integers(-5, 20),
+            ),
+            max_size=200,
+        )
+    )
+    def test_matches_the_unique_reference(self, pairs):
+        keys = np.array([key for key, _ in pairs], dtype=np.int64)
+        clicks = np.array([weight for _, weight in pairs], dtype=np.int64)
+        unique_keys, summed = coalesce(keys, clicks)
+        expected_keys, inverse = np.unique(keys, return_inverse=True)
+        expected = np.zeros(len(expected_keys), dtype=np.int64)
+        np.add.at(expected, inverse, clicks)
+        assert unique_keys.tolist() == expected_keys.tolist()
+        assert summed.tolist() == expected.tolist()
+        assert summed.dtype == np.int64
+
+
 class TestIncrementalMaintenance:
-    """Append-only mutation maintains the snapshot; it never re-snapshots."""
+    """An array-backed graph's appends maintain the snapshot; they never
+    re-snapshot.  An eager graph's writes drop it."""
 
     def _snapshot_table(self, snapshot):
         return {
@@ -144,24 +169,24 @@ class TestIncrementalMaintenance:
         }
 
     def test_appends_never_miss(self, simple_graph):
-        simple_graph.indexed()  # build once
+        graph = BipartiteGraph.from_indexed(simple_graph.indexed())
         with obs.recording(obs.Recorder()) as recorder:
             for step in range(5):
-                simple_graph.add_click(f"new_u{step}", "new_item", 2)
-                simple_graph.add_click("u1", "i1", 1)  # increment existing
-                simple_graph.indexed()
+                graph.add_click(f"new_u{step}", "new_item", 2)
+                graph.add_click("u1", "i1", 1)  # increment existing
+                graph.indexed()
         assert recorder.counters.get("graph.indexed.misses", 0) == 0
         assert recorder.counters["graph.indexed.delta_builds"] == 5
         assert recorder.counters["graph.indexed.hits"] == 5
 
     def test_delta_snapshot_equals_rebuild(self, simple_graph):
-        simple_graph.indexed()
-        simple_graph.add_click("delta_u", "delta_i", 7)
-        simple_graph.add_click("u1", "i1", 3)
-        simple_graph.add_user("idle_account")
-        maintained = simple_graph.indexed()
-        rebuilt = IndexedGraph.from_graph(simple_graph)
-        assert maintained.version == simple_graph.version
+        graph = BipartiteGraph.from_indexed(simple_graph.indexed())
+        graph.add_click("delta_u", "delta_i", 7)
+        graph.add_click("u1", "i1", 3)
+        graph.add_user("idle_account")
+        maintained = graph.indexed()
+        rebuilt = IndexedGraph.from_graph(graph)
+        assert maintained.version == graph.version
         assert set(maintained.users) == set(rebuilt.users)
         assert set(maintained.items) == set(rebuilt.items)
         assert self._snapshot_table(maintained) == self._snapshot_table(rebuilt)
@@ -174,43 +199,16 @@ class TestIncrementalMaintenance:
         assert recorder.counters["graph.indexed.misses"] == 1
 
     def test_chained_deltas_stay_canonical(self, simple_graph):
-        params_probe = simple_graph.indexed()
-        del params_probe
+        graph = BipartiteGraph.from_indexed(simple_graph.indexed())
         for step in range(4):
-            simple_graph.add_click(f"burst{step}", f"bi{step % 2}", 1)
-            snapshot = simple_graph.indexed()
+            graph.add_click(f"burst{step}", f"bi{step % 2}", 1)
+            snapshot = graph.indexed()
             # Canonical edge-array invariant after every merge.
             keys = (
                 snapshot.user_idx.astype("int64") * max(snapshot.num_items, 1)
                 + snapshot.item_idx
             )
             assert (keys[1:] > keys[:-1]).all()
-
-    def test_buffer_within_scaled_backstop_merges(self, simple_graph, monkeypatch):
-        simple_graph.indexed()
-        monkeypatch.setattr(type(simple_graph), "_DELTA_LIMIT", 3)
-        # Four clicks by new users buffer 4 events: more than the limit,
-        # but within the limit plus the snapshot's 6 edges.
-        for step in range(4):
-            simple_graph.add_click(f"late{step}", f"i{step % 2 + 1}", 1)
-        with obs.recording(obs.Recorder()) as recorder:
-            simple_graph.indexed()
-        assert recorder.counters["graph.indexed.delta_builds"] == 1
-        assert recorder.counters.get("graph.indexed.misses", 0) == 0
-
-    def test_buffer_backstop_falls_back_to_rebuild(self, simple_graph):
-        simple_graph.indexed()
-        original_limit = type(simple_graph)._DELTA_LIMIT
-        try:
-            type(simple_graph)._DELTA_LIMIT = 3
-            # Ten clicks buffer 10 events, past the limit plus 6 edges.
-            for step in range(10):
-                simple_graph.add_click(f"flood{step}", "hot", 1)
-            with obs.recording(obs.Recorder()) as recorder:
-                simple_graph.indexed()
-            assert recorder.counters["graph.indexed.misses"] == 1
-        finally:
-            type(simple_graph)._DELTA_LIMIT = original_limit
 
 
 class TestRecordDelta:
@@ -245,9 +243,12 @@ class TestRecordDelta:
     def test_unseen_nodes_register_user_then_item(self, simple_graph):
         base = IndexedGraph.from_graph(simple_graph)
         merged = base.apply_delta([("nu", "ni", 4)], base.version + 1)
-        registered = base.apply_delta(
-            [("user", "nu"), ("item", "ni"), ("nu", "ni", 4)], base.version + 1
-        )
+        interned = InternedDelta(base)
+        interned.register("user", "nu")
+        interned.register("item", "ni")
+        interned.add([("nu", "ni", 4)])
+        registered = base.apply_delta(interned, base.version + 1)
+        assert registered.users == merged.users and registered.items == merged.items
         assert merged.users == base.users + ["nu"]
         assert merged.items == base.items + ["ni"]
         for name in ("user_idx", "item_idx", "clicks"):
@@ -255,16 +256,16 @@ class TestRecordDelta:
         assert merged.edge_weight(base.num_users, base.num_items) == 4
 
     def test_mixed_burst_equals_rebuild(self, simple_graph):
-        simple_graph.indexed()
-        simple_graph.add_click("u1", "i1", 2)  # re-click
-        simple_graph.add_click("u9", "i9", 1)  # two unseen nodes
-        simple_graph.add_user("idle")  # idle registration
-        simple_graph.add_click("u9", "i1", 3)  # new edge, one old endpoint
-        assert simple_graph._delta == [
-            ("u1", "i1", 2),
-            ("u9", "i9", 1),
-            ("user", "idle"),
-            ("u9", "i1", 3),
-        ]
-        rebuilt = IndexedGraph.from_graph(simple_graph)
-        assert self._content(simple_graph.indexed()) == self._content(rebuilt)
+        graph = BipartiteGraph.from_indexed(simple_graph.indexed())
+        graph.add_click("u1", "i1", 2)  # re-click
+        graph.add_click("u9", "i9", 1)  # two unseen nodes
+        graph.add_user("idle")  # idle registration
+        graph.add_click("u9", "i1", 3)  # new edge, one old endpoint
+        tail = graph._tail
+        assert [
+            (tail.users[row], tail.items[column], clicks)
+            for row, column, clicks in zip(tail.rows, tail.columns, tail.clicks)
+        ] == [("u1", "i1", 2), ("u9", "i9", 1), ("u9", "i1", 3)]
+        assert tail.users[-2:] == ["u9", "idle"]
+        rebuilt = IndexedGraph.from_graph(graph)
+        assert self._content(graph.indexed()) == self._content(rebuilt)

@@ -4,10 +4,10 @@
 snapshot plus an interned tail) must be *observationally identical* to an
 eager twin built from the snapshot's nodes and records with ``add_user``,
 ``add_item`` and ``add_clicks``, under any interleaving of reads and
-writes — merging, read caching and flattening are representation moves,
-never semantic ones.  Hypothesis drives random operation sequences
-against both graphs simultaneously and compares every return value, every
-raised error, and the full end state.  ``users()``/``items()`` order is
+writes — merging (lowered counts included), read caching and flattening
+are representation moves, never semantic ones.  Hypothesis drives random
+operation sequences against both graphs simultaneously and compares every
+return value, every raised error, and the full end state.  ``users()``/``items()`` order is
 compared exactly; ``edges()`` and the copy/subgraph payloads as
 multisets, because an array-backed graph iterates in canonical snapshot
 order while an eager one keeps dict insertion order (the exact order is
@@ -39,6 +39,17 @@ seed_records = st.lists(
     max_size=40,
 )
 
+#: Lowering batches: the first half of the records repeated, unknown ids,
+#: counts above the weight; sometimes one bad count at the end.
+subtractions = st.tuples(
+    st.lists(st.tuples(any_user, any_item, st.integers(1, 12)), max_size=5),
+    st.one_of(st.none(), st.integers(-2, 0)),
+).map(
+    lambda parts: parts[0]
+    + parts[0][: len(parts[0]) // 2]
+    + ([] if parts[1] is None else [("u0", "i0", parts[1])])
+)
+
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("add_click"), any_user, any_item, st.integers(1, 5)),
@@ -47,6 +58,7 @@ operations = st.lists(
             st.just("add_clicks"),
             st.lists(st.tuples(any_user, any_item, st.integers(0, 5)), max_size=4),
         ),
+        st.tuples(st.just("subtract_clicks"), subtractions),
         st.tuples(st.just("set_click"), any_user, any_item, st.integers(0, 5)),
         st.tuples(st.just("remove_edge"), any_user, any_item),
         st.tuples(st.just("add_user"), any_user),
@@ -105,6 +117,8 @@ def apply(graph, op):
         if name in ("add_click", "add_clicks", "set_click"):
             getattr(graph, name)(*args)
             return ("ok", None)
+        if name == "subtract_clicks":
+            return ("value", graph.subtract_clicks(*args))
         if name in ("remove_edge", "add_user", "add_item", "remove_user", "remove_item"):
             getattr(graph, name)(*args)
             return ("ok", None)

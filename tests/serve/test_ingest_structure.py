@@ -9,13 +9,18 @@ rows.  So, counted by ``repro.obs`` on a service resumed from a store:
 * a recheck and a checkpoint build no CSC arrays, hydrate no item and
   rebuild no index;
 * each merge is exactly one ``graph.indexed.delta_builds``;
-* the status route's counts merge nothing.
+* the status route's counts merge nothing;
+* a cleanup neither flattens the live graph nor rebuilds its index, so
+  later ingest and rechecks cost what they cost before it.
 """
 
 import pytest
 
 from repro import obs
 from repro.config import RICDParams
+from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.screening import collect_fake_edges
+from repro.core.thresholds import t_click_from_graph
 from repro.datagen import tiny_scenario
 from repro.serve import (
     ClickEvent,
@@ -111,3 +116,42 @@ def test_a_status_read_between_rechecks_merges_nothing(tmp_path):
         scenario.graph.num_items + 1,
         service.online.graph.indexed().num_edges,
     )
+
+
+def test_a_cleanup_keeps_the_resumed_live_graph_array_backed(tmp_path):
+    scenario = tiny_scenario()
+    store = tmp_path / "store"
+    DetectionService.from_store(store, initial_graph=scenario.graph, params=PARAMS)
+    online = IncrementalRICD.from_store(store, params=PARAMS)
+
+    def records(start):
+        return ClickBatch.of(event.record() for event in batch_of(scenario.graph, start, 50))
+
+    def cleanup():
+        group = online.current_result.groups[0]
+        edges = collect_fake_edges(online.graph, group, t_click_from_graph(online.graph))
+        before = online.graph.total_clicks
+        online.apply_cleanup(edges)
+        assert online.graph.total_clicks == before - sum(clicks for _, _, clicks in edges)
+
+    steps = [
+        ("ingest", lambda: online.ingest(records(0))),
+        ("detect", online.recheck),
+        ("cleanup", cleanup),
+        ("later ingest", lambda: online.ingest(records(1))),
+        ("recheck", online.recheck),
+    ]
+    counted = {}
+    for name, step in steps:
+        with obs.recording(obs.Recorder()) as recorder:
+            step()
+        counted[name] = recorder.counters
+    for name, counters in counted.items():
+        assert counters.get("graph.lazy.materializations", 0) == 0, name
+        assert counters.get("graph.indexed.misses", 0) == 0, name
+    later = counted["later ingest"]
+    assert later.get("graph.lazy.user_hydrations", 0) == 0
+    assert later.get("graph.lazy.item_hydrations", 0) == 0
+    assert later.get("graph.indexed.delta_builds", 0) == 0
+    assert counted["detect"].get("graph.indexed.delta_builds", 0) == 1
+    assert counted["recheck"].get("graph.indexed.delta_builds", 0) == 1
