@@ -16,12 +16,12 @@ The detector is stateless between calls: thresholds left as ``None`` in
 the parameters are re-derived from each input graph exactly as Section IV
 prescribes (Pareto rule for ``T_hot``, Eq. 4 for ``T_click``).
 
-Since the pipeline refactor the detector no longer sequences the modules
-itself: :meth:`RICDDetector.detect` builds a
-:class:`~repro.pipeline.runner.DetectionPipeline` from shared stage
-objects and runs it.  The incremental recheck and the baselines' "+UI"
-wrapper compose the very same stages, so the framework's behaviour is
-defined in exactly one place: :mod:`repro.pipeline`.
+The detector runs the Fig. 4 sequence once, in :meth:`RICDDetector._run`,
+over the stage objects of :mod:`repro.pipeline`: modules 1 + 2 on the
+context's working graph or region, the Fig. 7 loop when a policy is set,
+then identification against the full graph.  :meth:`RICDDetector.detect`
+and every :class:`~repro.core.incremental.IncrementalRICD` recheck call
+it, and the baselines' "+UI" wrapper composes the same stages.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 from .. import obs
-from .._util import Stopwatch
 from ..config import FeedbackPolicy, RICDParams, ScreeningParams
 from ..graph.bipartite import BipartiteGraph
 from ..pipeline import (
-    DetectionPipeline,
     Extraction,
     FeedbackDriver,
     Identification,
@@ -43,8 +41,8 @@ from ..pipeline import (
     Screening,
     SeedExpansion,
     SizeCaps,
-    run_stages,
 )
+from ..resilience import Deadline
 from .groups import DetectionResult, SuspiciousGroup
 from .thresholds import pareto_hot_threshold, t_click_from_graph
 
@@ -175,7 +173,7 @@ class RICDDetector:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
 
     # ------------------------------------------------------------------
-    # Plan building: detector configuration -> pipeline stages
+    # Detector configuration -> pipeline stages
     # ------------------------------------------------------------------
     def _thresholds(self) -> ResolveThresholds:
         """This detector's memoized threshold-resolution stage.
@@ -206,21 +204,6 @@ class RICDDetector:
             ),
         )
 
-    def build_pipeline(self) -> DetectionPipeline:
-        """Assemble the detection plan this detector's ``detect`` runs."""
-        return DetectionPipeline(
-            thresholds=self._thresholds(),
-            seed=SeedExpansion(hops=2),
-            modules=self,
-            identify=Identification(),
-            feedback=(
-                FeedbackDriver(self.feedback, strict=self.strict_feedback)
-                if self.feedback is not None
-                else None
-            ),
-            deadline_seconds=self.deadline,
-        )
-
     # ------------------------------------------------------------------
     def resolve_thresholds(self, graph: BipartiteGraph) -> RICDParams:
         """Fill in data-derived ``t_hot`` / ``t_click`` (Section IV).
@@ -231,27 +214,53 @@ class RICDDetector:
         """
         return self._thresholds().resolve(graph, self.params)
 
-    def _run_modules(
-        self,
-        graph: BipartiteGraph,
-        params: RICDParams,
-        screening: ScreeningParams,
-        timer: Stopwatch,
-        region: "tuple | None" = None,
-    ) -> list[SuspiciousGroup]:
-        """Modules 1 + 2 with the given (possibly relaxed) parameters.
+    def _run_modules(self, ctx: PipelineContext) -> list[SuspiciousGroup]:
+        """Modules 1 + 2 over ``ctx``'s working graph or region.
 
-        The unit of work each pipeline round runs and the seam the
-        incremental layer's dirty-region recheck reuses, so subclass
-        overrides apply on both paths.  ``region`` is the recheck's
-        ``(user_mask, item_mask)`` over ``graph.indexed()`` (see
-        :attr:`~repro.pipeline.context.PipelineContext.region`).
+        One round under the context's current (possibly feedback-relaxed)
+        parameters: the unit :meth:`_run` and every Fig. 7 round run, so
+        subclass overrides apply on every path.  The round's groups are
+        left on ``ctx.groups`` and returned.
         """
-        ctx = PipelineContext(
-            graph=graph, params=params, screening=screening, timer=timer, region=region
-        )
-        run_stages(ctx, self._module_stages())
+        for stage in self._module_stages():
+            stage.run(ctx)
         return ctx.groups
+
+    def _run(
+        self, ctx: PipelineContext, kept: Sequence[SuspiciousGroup] = ()
+    ) -> DetectionResult:
+        """Fig. 4 from module 1 on, over a context with resolved thresholds.
+
+        Runs :meth:`_run_modules`, then the Fig. 7 loop when a policy is
+        set, and ranks ``kept`` together with the round's groups against
+        the full graph.  ``kept`` is an incremental recheck's still-valid
+        previous groups; one that the round found again (same users and
+        items) is dropped for the round's copy, so no group is served
+        twice.
+        """
+        screened = self._run_modules(ctx)
+        if self.feedback is not None:
+            screened = FeedbackDriver(self.feedback, strict=self.strict_feedback).drive(
+                ctx, screened, self._run_modules
+            )
+        obs.count("detect.feedback_rounds", ctx.feedback_rounds)
+        if kept:
+            found = {(frozenset(group.users), frozenset(group.items)) for group in screened}
+            kept = [
+                group
+                for group in kept
+                if (frozenset(group.users), frozenset(group.items)) not in found
+            ]
+        ctx.groups = [*kept, *screened]
+        Identification().run(ctx)
+        result = ctx.result
+        result.timings = dict(ctx.timer.durations)
+        result.feedback_rounds = ctx.feedback_rounds
+        if ctx.degradations:
+            result.degraded = True
+            result.degradations = tuple(ctx.degradations)
+            obs.gauge("detect.degraded", True)
+        return result
 
     def detect(
         self,
@@ -275,9 +284,17 @@ class RICDDetector:
         # Same obs namespace as the baselines' shared hook, so traces of a
         # mixed suite line up: detector.<name>.<stage>.
         with obs.span(f"detector.{self.name}"):
-            result = self.build_pipeline().run(
-                graph, self.params, self.screening, tuple(seed_users), tuple(seed_items)
+            ctx = PipelineContext(
+                graph=graph,
+                params=self.params,
+                screening=self.screening,
+                seed_users=tuple(seed_users),
+                seed_items=tuple(seed_items),
+                deadline=Deadline.start(self.deadline),
             )
+            self._thresholds().run(ctx)
+            SeedExpansion(hops=2).run(ctx)
+            result = self._run(ctx)
         obs.count(f"detector.{self.name}.groups", len(result.groups))
         obs.count(f"detector.{self.name}.users", len(result.suspicious_users))
         obs.count(f"detector.{self.name}.items", len(result.suspicious_items))

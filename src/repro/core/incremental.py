@@ -27,9 +27,15 @@ strategy:
    and screening and identification read only the group members' rows.
    The reference engine copies the neighbourhood out with
    :func:`~repro.graph.builders.seed_expansion` and runs on the copy,
-   the oracle the masked path is tested against;
-4. newly found groups are merged into the running result; groups whose
-   nodes were untouched since the last full pass stay valid.
+   the oracle the masked path is tested against.  Either way the pass
+   is the detector's own Fig. 4 sequence
+   (:meth:`~repro.core.framework.RICDDetector._run`), the one a batch
+   ``detect`` runs;
+4. that sequence ranks the newly found groups together with the previous
+   groups that hold no dirty node, which stay valid.  A kept group the
+   regional pass found again (same users and items, e.g. after a click on
+   one of its ridden hot items) gives way to the fresh copy, so no group
+   is served twice.
 
 Thresholds (``T_hot``/``T_click``) are global statistics, so they are
 re-derived from the *full* live graph at every recheck, exactly as the
@@ -44,12 +50,11 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .. import obs
-from .._util import Stopwatch
 from ..config import RICDParams, ScreeningParams
 from ..errors import ReproError
 from ..graph.bipartite import BipartiteGraph
 from ..graph.builders import seed_expansion, seed_expansion_masks
-from ..pipeline import Identification, PipelineContext
+from ..pipeline import PipelineContext
 from ..resilience.faults import inject
 from .framework import RICDDetector
 from .groups import DetectionResult, SuspiciousGroup
@@ -284,12 +289,7 @@ class IncrementalRICD:
                 if snapshot or store.head is None or self._snapshot_owed:
                     store.put_snapshot(self._graph)
                 else:
-                    store.put_delta(
-                        [
-                            (str(user), str(item), clicks)
-                            for user, item, clicks in self._pending_records
-                        ]
-                    )
+                    store.put_delta(self._pending_records)
                 resolved = self._detector.resolve_thresholds(self._graph)
                 from ..store import memos_to_json
 
@@ -516,43 +516,42 @@ class IncrementalRICD:
         # region IS the graph, so the pass runs on the live graph
         # unmasked.  The detector never mutates its input, so sharing is
         # safe.
-        region_graph, region = self._graph, None
-        if not all_dirty and self._detector.engine == "bitset":
+        detector = self._detector
+        ctx = PipelineContext(
+            graph=self._graph, params=detector.params, screening=detector.screening
+        )
+        if not all_dirty and detector.engine == "bitset":
             # The region as masks over the live index: no subgraph copy
             # and no index build.  The stages read only the rows of the
             # users the extracted groups hold.
             with obs.span("region_masks"):
-                region = seed_expansion_masks(
+                ctx.region = seed_expansion_masks(
                     live,
                     seed_users=self._dirty_users,
                     seed_items=self._dirty_items,
                     hops=2,
                     max_traverse_degree=self._traverse_degree_cap,
                 )
-            user_mask, item_mask = region
-            region_edges = int((user_mask[live.user_idx] & item_mask[live.item_idx]).sum())
-            obs.gauge("incremental.region_share", region_edges / max(1, live.num_edges))
+            if obs.current() is not None:
+                # Two full-edge gathers: paid only when a recorder reads them.
+                user_mask, item_mask = ctx.region
+                region_edges = int((user_mask[live.user_idx] & item_mask[live.item_idx]).sum())
+                obs.gauge("incremental.region_share", region_edges / max(1, live.num_edges))
         elif not all_dirty:
             # The reference engine keeps the region copy: it is the oracle
             # the masked path is tested against.
-            region_graph = seed_expansion(
+            ctx.working = seed_expansion(
                 self._graph,
                 seed_users=sorted(self._dirty_users, key=str),
                 seed_items=sorted(self._dirty_items, key=str),
                 hops=2,
                 max_traverse_degree=self._traverse_degree_cap,
             )
-        # Thresholds are global: resolve against the full live graph, then
-        # run the detector's shared module stages on the region only —
-        # the same extraction/screening/size-caps chain every other
-        # execution path composes, so regional and batch rechecks cannot
-        # drift apart.
-        timer = Stopwatch()
-        resolved = self._detector.resolve_thresholds(self._graph)
-        regional = self._detector._run_modules(
-            region_graph, resolved, self._detector.screening, timer, region=region
-        )
-
+        # Thresholds are global: resolve against the full live graph.  The
+        # detector's own Fig. 4 sequence then runs the modules on the
+        # region and ranks the kept groups with the region's against the
+        # full live graph, the same path a batch ``detect`` takes.
+        detector._thresholds().run(ctx)
         kept: list[SuspiciousGroup] = [
             group
             for group in self._result.groups
@@ -560,17 +559,4 @@ class IncrementalRICD:
             and not (group.users & self._dirty_users)
             and not (group.items & self._dirty_items)
         ]
-        ctx = PipelineContext(
-            graph=self._graph,
-            params=resolved,
-            screening=self._detector.screening,
-            timer=timer,
-            groups=kept + [group.copy() for group in regional],
-        )
-        # Identification ranks against the full live graph, like the
-        # batch pipeline's final stage.
-        Identification().run(ctx)
-        result = ctx.result
-        result.timings = dict(timer.durations)
-        return result
-
+        return detector._run(ctx, kept)

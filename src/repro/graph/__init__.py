@@ -30,12 +30,7 @@ from .stats import (
     item_click_profile,
     side_stats,
 )
-from .views import (
-    connected_components,
-    induced_subgraph,
-    two_hop_item_neighbors,
-    two_hop_user_neighbors,
-)
+from .views import connected_components
 
 __all__ = [
     "BipartiteGraph",
@@ -52,10 +47,7 @@ __all__ = [
     "side_stats",
     "click_histogram",
     "item_click_profile",
-    "induced_subgraph",
     "connected_components",
-    "two_hop_user_neighbors",
-    "two_hop_item_neighbors",
     "stratified_item_sample",
     "project_users",
     "project_items",

@@ -1,10 +1,8 @@
-"""Structural views: induced subgraphs, components, two-hop neighbourhoods.
+"""Structural views: connected components.
 
-The SquarePruning step of Algorithm 3 reasons about *two-hop* neighbours —
-users reachable through a shared item, items reachable through a shared
-user — and the group-splitting step of the framework separates pruning
-survivors into connected components.  Both primitives live here so the
-detector modules stay focused on the paper's logic.
+The group-splitting step of the framework separates pruning survivors
+into connected components; the primitive lives here so the detector
+modules stay focused on the paper's logic.
 """
 
 from __future__ import annotations
@@ -14,23 +12,9 @@ from typing import Hashable
 
 from .bipartite import BipartiteGraph
 
-__all__ = [
-    "induced_subgraph",
-    "connected_components",
-    "two_hop_user_neighbors",
-    "two_hop_item_neighbors",
-    "common_item_neighbors",
-    "common_user_neighbors",
-]
+__all__ = ["connected_components"]
 
 Node = Hashable
-
-
-def induced_subgraph(
-    graph: BipartiteGraph, users: set[Node] | None = None, items: set[Node] | None = None
-) -> BipartiteGraph:
-    """Alias of :meth:`BipartiteGraph.subgraph` kept for API symmetry."""
-    return graph.subgraph(users, items)
 
 
 def connected_components(graph: BipartiteGraph) -> list[tuple[set[Node], set[Node]]]:
@@ -81,50 +65,3 @@ def connected_components(graph: BipartiteGraph) -> list[tuple[set[Node], set[Nod
 
     components.sort(key=_sort_key)
     return components
-
-
-def two_hop_user_neighbors(graph: BipartiteGraph, user: Node) -> dict[Node, int]:
-    """Users sharing at least one item with ``user``, with shared-item counts.
-
-    Returns ``{other_user: |adj(user) ∩ adj(other_user)|}``; ``user`` itself
-    is excluded.  This is the quantity SquarePruning thresholds against
-    ``ceil(k2 * alpha)`` (Algorithm 3, line 15).
-    """
-    counts: dict[Node, int] = {}
-    for item in graph.user_neighbors(user):
-        for other in graph.item_neighbors(item):
-            if other != user:
-                counts[other] = counts.get(other, 0) + 1
-    return counts
-
-
-def two_hop_item_neighbors(graph: BipartiteGraph, item: Node) -> dict[Node, int]:
-    """Items sharing at least one user with ``item``, with shared-user counts.
-
-    The item-side mirror of :func:`two_hop_user_neighbors`
-    (Algorithm 3, line 22).
-    """
-    counts: dict[Node, int] = {}
-    for user in graph.item_neighbors(item):
-        for other in graph.user_neighbors(user):
-            if other != item:
-                counts[other] = counts.get(other, 0) + 1
-    return counts
-
-
-def common_item_neighbors(graph: BipartiteGraph, user_a: Node, user_b: Node) -> set[Node]:
-    """Items clicked by both users: ``adj(a) ∩ adj(b)``."""
-    neighbors_a = graph.user_neighbors(user_a)
-    neighbors_b = graph.user_neighbors(user_b)
-    if len(neighbors_a) > len(neighbors_b):
-        neighbors_a, neighbors_b = neighbors_b, neighbors_a
-    return {item for item in neighbors_a if item in neighbors_b}
-
-
-def common_user_neighbors(graph: BipartiteGraph, item_a: Node, item_b: Node) -> set[Node]:
-    """Users who clicked both items."""
-    neighbors_a = graph.item_neighbors(item_a)
-    neighbors_b = graph.item_neighbors(item_b)
-    if len(neighbors_a) > len(neighbors_b):
-        neighbors_a, neighbors_b = neighbors_b, neighbors_a
-    return {user for user in neighbors_a if user in neighbors_b}

@@ -1,15 +1,15 @@
-"""Composable detection pipeline: stages, feedback, the runner.
+"""Composable detection pipeline: the context, the stages, the feedback loop.
 
-This package is the single orchestration seam for the RICD framework.
-The entry points that used to hand-assemble Fig. 4 — the detector, the
-incremental recheck and the baselines' "+UI" wrapper — compose the
-stage objects defined here; the detector runs them through one
-:class:`DetectionPipeline`.
+Each box of the RICD framework (Fig. 4) is one stage object here, and
+stages talk only through a shared :class:`PipelineContext`.  The
+detector runs the sequence itself
+(:meth:`~repro.core.framework.RICDDetector._run`, called by ``detect``
+and by every incremental recheck), and the baselines' "+UI" wrapper
+composes the same screening and identification stages.
 """
 
 from .context import PipelineContext
 from .feedback import FeedbackDriver
-from .runner import DetectionPipeline
 from .stages import (
     Extraction,
     Identification,
@@ -17,22 +17,17 @@ from .stages import (
     Screening,
     SeedExpansion,
     SizeCaps,
-    Stage,
-    run_stages,
     shared_thresholds,
 )
 
 __all__ = [
     "PipelineContext",
-    "Stage",
     "ResolveThresholds",
     "SeedExpansion",
     "Extraction",
     "Screening",
     "SizeCaps",
     "Identification",
-    "run_stages",
     "shared_thresholds",
     "FeedbackDriver",
-    "DetectionPipeline",
 ]

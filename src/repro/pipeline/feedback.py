@@ -1,10 +1,10 @@
 """The Fig. 7 feedback parameter-adjustment loop, implemented once.
 
 :class:`FeedbackDriver` relaxes the context's parameter pair with
-:func:`repro.core.identification.adjust_parameters` and re-invokes the
-pipeline's round-runner (:meth:`DetectionPipeline.run_round
-<repro.pipeline.runner.DetectionPipeline.run_round>`) until the output
-meets the end-user expectation.
+:func:`repro.core.identification.adjust_parameters` and re-invokes a
+round-runner — the detector's modules 1 + 2
+(:meth:`~repro.core.framework.RICDDetector._run_modules`) over the same
+context — until the output meets the end-user expectation.
 """
 
 from __future__ import annotations

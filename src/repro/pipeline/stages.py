@@ -2,11 +2,11 @@
 
 Every stage is a small, reusable object with a ``name`` and a
 ``run(ctx)`` that reads and writes the shared
-:class:`~repro.pipeline.context.PipelineContext`.  The orchestrations
-that used to hand-assemble the framework — the detector, the
-incremental recheck and the baselines' "+UI" wrapper — now compose
-these same instances, so a behaviour fix (or a new obs counter) lands
-in one place and every path inherits it.
+:class:`~repro.pipeline.context.PipelineContext`.  The detector's one
+sequence method (:meth:`~repro.core.framework.RICDDetector._run`, which
+``detect`` and every incremental recheck call) and the baselines' "+UI"
+wrapper run these same classes, so a behaviour fix (or a new obs
+counter) lands in one place and every path inherits it.
 
 Observability names are part of each stage's contract: spans
 (``thresholds`` / ``seed_expansion`` / ``extraction`` / ``screening`` /
@@ -18,7 +18,7 @@ recorded before and after the refactor line up column for column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable
 import weakref
 
 from .. import obs
@@ -38,36 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.bipartite import BipartiteGraph
 
 __all__ = [
-    "Stage",
     "ResolveThresholds",
     "SeedExpansion",
     "Extraction",
     "Screening",
     "SizeCaps",
     "Identification",
-    "run_stages",
     "shared_thresholds",
 ]
-
-
-@runtime_checkable
-class Stage(Protocol):
-    """One box of the pipeline: reads/writes the shared context."""
-
-    @property
-    def name(self) -> str:
-        """Stable stage identifier (matches the obs span it emits)."""
-        ...
-
-    def run(self, ctx: PipelineContext) -> None:
-        """Execute the stage, mutating ``ctx`` in place."""
-        ...
-
-
-def run_stages(ctx: PipelineContext, stages: "tuple[Stage, ...] | list[Stage]") -> None:
-    """Run ``stages`` in order over one shared context."""
-    for stage in stages:
-        stage.run(ctx)
 
 
 # ----------------------------------------------------------------------

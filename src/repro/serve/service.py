@@ -274,27 +274,27 @@ class DetectionService:
         if store.head is None:
             from ..graph.bipartite import BipartiteGraph
 
-            online = IncrementalRICD(
+            service = cls.over_graph(
                 initial_graph if initial_graph is not None else BipartiteGraph(),
                 params=params,
                 screening=screening,
-                recheck_batches=None,
-                max_group_users=max_group_users,
                 engine=engine,
-                time_source=clock.now,
-            )
-            online.attach_store(store)
-            online.persist_checkpoint()
-        else:
-            online = IncrementalRICD.from_store(
-                store,
-                params=params,
-                screening=screening,
-                recheck_batches=None,
                 max_group_users=max_group_users,
-                engine=engine,
-                time_source=clock.now,
+                config=config,
+                clock=clock,
             )
+            service.online.attach_store(store)
+            service.online.persist_checkpoint()
+            return service
+        online = IncrementalRICD.from_store(
+            store,
+            params=params,
+            screening=screening,
+            recheck_batches=None,
+            max_group_users=max_group_users,
+            engine=engine,
+            time_source=clock.now,
+        )
         return cls(online, config=config, clock=clock)
 
     @property

@@ -241,12 +241,13 @@ class DetectionStore:
             write_graph_memmap(graph, self.root / relpath)
         self._record(relpath, "snapshot")
 
-    def put_delta(self, records: "list[tuple[str, str, int]]") -> None:
+    def put_delta(self, records: "list[tuple[object, object, int]]") -> None:
         """Persist the click records appended since the previous version.
 
-        ``records`` are ``(user, item, clicks)`` triples, ids stringified
-        exactly as the click-table format does.  The base is implicitly
-        the previous committed version — the store is a linear history.
+        ``records`` are ``(user, item, clicks)`` triples; the ids are
+        stringified here, exactly as the click-table format does.  The
+        base is implicitly the previous committed version — the store is
+        a linear history.
         """
         pending = self._require_pending()
         if self.head is None:

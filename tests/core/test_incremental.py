@@ -267,6 +267,37 @@ class TestCleanupEdgeDeletion:
         assert pareto_hot_threshold(online.graph) == pareto_hot_threshold(fresh)
 
 
+class TestKeptGroups:
+    """A kept group the regional pass finds again is served once."""
+
+    @pytest.mark.parametrize("engine", ["bitset", "reference"])
+    def test_clicks_on_ridden_hot_items_serve_each_group_once(self, small, engine):
+        online = IncrementalRICD(
+            small.graph, params=RICDParams(k1=5, k2=5), recheck_batches=None, engine=engine
+        )
+        ridden = {item for group in online.current_result.groups for item in group.hot_items}
+        assert ridden
+        for index, item in enumerate(sorted(ridden, key=str)):
+            # A click on a ridden hot item dirties only that item: the
+            # groups riding it stay kept, and the two-hop region around
+            # it holds them whole.
+            online.ingest(ClickBatch.of([(f"organic_{index}", item, 1)]))
+            keys = [
+                (frozenset(group.users), frozenset(group.items))
+                for group in online.recheck().groups
+            ]
+            assert len(keys) == len(set(keys)), f"a group served twice after a click on {item}"
+
+    def test_a_regional_recheck_gauges_its_region_share(self, small):
+        from repro import obs
+
+        online = IncrementalRICD(small.graph, params=RICDParams(k1=5, k2=5), recheck_batches=None)
+        online.ingest(ClickBatch.of([("fresh_user", "i1", 1)]))
+        with obs.recording(obs.Recorder()) as recorder:
+            online.recheck()
+        assert 0 < recorder.gauges["incremental.region_share"] <= 1
+
+
 class TestTraverseCap:
     @staticmethod
     def _growth_batch(graph, edges=3000):

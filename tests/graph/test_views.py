@@ -1,12 +1,6 @@
-"""Tests for structural views: components and two-hop neighbourhoods."""
+"""Tests for structural views: connected components."""
 
-from repro.graph import (
-    BipartiteGraph,
-    connected_components,
-    two_hop_item_neighbors,
-    two_hop_user_neighbors,
-)
-from repro.graph.views import common_item_neighbors, common_user_neighbors
+from repro.graph import BipartiteGraph, connected_components
 
 
 class TestConnectedComponents:
@@ -41,39 +35,3 @@ class TestConnectedComponents:
         second = connected_components(small.graph)
         assert first == second
 
-
-class TestTwoHop:
-    def test_user_two_hop_counts(self, simple_graph):
-        counts = two_hop_user_neighbors(simple_graph, "u1")
-        # u1 shares i1 with u2 and i2 with u3.
-        assert counts == {"u2": 1, "u3": 1}
-
-    def test_item_two_hop_counts(self, simple_graph):
-        counts = two_hop_item_neighbors(simple_graph, "i1")
-        # i1 shares u1 with i2 and u2 with i3.
-        assert counts == {"i2": 1, "i3": 1}
-
-    def test_self_excluded(self, simple_graph):
-        assert "u1" not in two_hop_user_neighbors(simple_graph, "u1")
-
-    def test_multiple_shared_items(self):
-        graph = BipartiteGraph()
-        for item in ("a", "b", "c"):
-            graph.add_click("u", item, 1)
-            graph.add_click("v", item, 1)
-        assert two_hop_user_neighbors(graph, "u") == {"v": 3}
-
-
-class TestCommonNeighbors:
-    def test_common_items(self, simple_graph):
-        assert common_item_neighbors(simple_graph, "u1", "u2") == {"i1"}
-        assert common_item_neighbors(simple_graph, "u2", "u3") == {"i3"}
-
-    def test_common_users(self, simple_graph):
-        assert common_user_neighbors(simple_graph, "i1", "i2") == {"u1"}
-
-    def test_no_overlap(self):
-        graph = BipartiteGraph()
-        graph.add_click("u", "a", 1)
-        graph.add_click("v", "b", 1)
-        assert common_item_neighbors(graph, "u", "v") == set()

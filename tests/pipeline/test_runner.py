@@ -1,10 +1,9 @@
-"""Plan-level tests: the assembled pipeline and its round runner."""
+"""The detector's one Fig. 4 sequence, for ``detect`` and every recheck."""
 
 from repro import obs
 from repro.config import FeedbackPolicy, RICDParams
 from repro.core.framework import RICDDetector
-
-from ..canon import canonical_result
+from repro.core.incremental import ClickBatch, IncrementalRICD
 
 
 def detector(**overrides):
@@ -14,24 +13,32 @@ def detector(**overrides):
 
 
 class TestDetectionPipeline:
-    def test_detect_is_the_built_pipeline(self, small):
-        d = detector()
-        via_detect = d.detect(small.graph)
-        via_plan = d.build_pipeline().run(small.graph, d.params, d.screening)
-        assert canonical_result(via_detect) == canonical_result(via_plan)
-
-    def test_rounds_run_the_detector_modules(self, small):
+    def test_rounds_run_the_detector_modules(self, small, monkeypatch):
         calls = []
 
         class Counting(RICDDetector):
-            def _run_modules(self, graph, params, screening, timer):
-                calls.append(graph)
-                return super()._run_modules(graph, params, screening, timer)
+            def _run_modules(self, ctx):
+                calls.append(ctx.working_graph())
+                return super()._run_modules(ctx)
 
-        d = Counting(params=RICDParams(k1=5, k2=5))
-        assert d.build_pipeline().modules is d
-        d.detect(small.graph)
+        Counting(params=RICDParams(k1=5, k2=5)).detect(small.graph)
         assert calls == [small.graph]
+
+        # A regional recheck runs the same sequence method, once.
+        runs = []
+        sequence = RICDDetector._run
+
+        def counting_run(self, ctx, kept=()):
+            runs.append(ctx.region is not None)
+            return sequence(self, ctx, kept)
+
+        monkeypatch.setattr(RICDDetector, "_run", counting_run)
+        online = IncrementalRICD(small.graph, params=RICDParams(k1=5, k2=5), recheck_batches=None)
+        assert runs == [False]  # the bootstrap detect
+        for user in ("fresh_user", "other_user"):
+            online.ingest(ClickBatch.of([(user, "i1", 1)]))
+            online.recheck()
+        assert runs == [False, True, True]
 
 
 class TestFeedbackRoundsCounter:

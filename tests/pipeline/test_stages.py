@@ -14,7 +14,6 @@ from repro.pipeline import (
     Screening,
     SeedExpansion,
     SizeCaps,
-    Stage,
     shared_thresholds,
 )
 
@@ -33,17 +32,6 @@ def user_sets(groups):
 
 
 class TestStageProtocol:
-    def test_concrete_stages_satisfy_protocol(self):
-        stages = (
-            ResolveThresholds(),
-            SeedExpansion(),
-            Extraction(),
-            Screening(),
-            SizeCaps(),
-            Identification(),
-        )
-        assert all(isinstance(stage, Stage) for stage in stages)
-
     def test_stage_names_match_their_spans(self):
         names = [
             ResolveThresholds.name,
