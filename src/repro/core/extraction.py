@@ -34,7 +34,13 @@ from ..graph.bipartite import BipartiteGraph
 from ..graph.views import connected_components
 from .groups import SuspiciousGroup
 
-__all__ = ["core_pruning", "square_pruning", "prune_to_fixpoint", "extract_groups"]
+__all__ = [
+    "core_pruning",
+    "square_pruning",
+    "prune_to_fixpoint",
+    "component_groups",
+    "extract_groups",
+]
 
 Node = Hashable
 
@@ -209,57 +215,37 @@ def prune_to_fixpoint(
     return graph
 
 
-def extract_groups(
-    graph: BipartiteGraph,
-    params: RICDParams,
-    iterate: bool = True,
-    max_users: int | None = None,
-    max_items: int | None = None,
-    copy: bool = True,
-) -> list[SuspiciousGroup]:
-    """Full Algorithm 3: prune, then split survivors into candidate groups.
+def component_groups(survivors: BipartiteGraph, params: RICDParams) -> list[SuspiciousGroup]:
+    """Split pruned survivors into groups: components large enough for a ``(k1, k2)`` core.
 
-    Surviving vertices are grouped by connected component; components too
-    small to host a ``(k1, k2)`` biclique core are dropped, and — per
-    desired property (4b) of Section III-B — components exceeding
-    ``max_users``/``max_items`` can be dropped too, to avoid flagging
-    organic group-buying swarms.
-
-    Parameters
-    ----------
-    graph:
-        The click graph.  Left untouched when ``copy=True`` (default);
-        pruned in place otherwise.
-    params:
-        Extraction parameters (``k1``, ``k2``, ``alpha``).
-    iterate:
-        Prune to fixpoint (default) or single-pass.
-    max_users, max_items:
-        Optional upper bounds on group size.
-    copy:
-        Whether to work on a private copy of ``graph``.
-
-    Returns
-    -------
-    list[SuspiciousGroup]
-        Candidate groups, largest first.
+    Both engines end here, so their groups come out in the same order.
     """
-    working = graph.copy() if copy else graph
-    with obs.span("prune"):
-        prune_to_fixpoint(working, params, iterate=iterate)
     groups: list[SuspiciousGroup] = []
     dropped = 0
     with obs.span("components"):
-        for users, items in connected_components(working):
+        for users, items in connected_components(survivors):
             if len(users) < params.k1 or len(items) < params.k2:
-                dropped += 1
-                continue
-            if (max_users is not None and len(users) > max_users) or (
-                max_items is not None and len(items) > max_items
-            ):
                 dropped += 1
                 continue
             groups.append(SuspiciousGroup(users=users, items=items))
     obs.count("extract.components_dropped", dropped)
     obs.count("extract.groups", len(groups))
     return groups
+
+
+def extract_groups(graph: BipartiteGraph, params: RICDParams) -> list[SuspiciousGroup]:
+    """Full Algorithm 3: prune, then split survivors into candidate groups.
+
+    The fixpoint is pruned on a private copy, so ``graph`` is left
+    untouched.  Surviving vertices are grouped by connected component;
+    components too small to host a ``(k1, k2)`` biclique core are dropped.
+
+    Returns
+    -------
+    list[SuspiciousGroup]
+        Candidate groups, largest first.
+    """
+    working = graph.copy()
+    with obs.span("prune"):
+        prune_to_fixpoint(working, params)
+    return component_groups(working, params)

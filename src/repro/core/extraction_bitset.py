@@ -46,7 +46,7 @@ from .. import obs
 from .._util import ceil_frac, peak_rss_mb
 from ..config import RICDParams
 from ..graph.bipartite import BipartiteGraph
-from ..graph.views import connected_components
+from .extraction import component_groups
 from .groups import SuspiciousGroup
 
 __all__ = [
@@ -452,8 +452,6 @@ def prune_to_fixpoint_bitset(
 def extract_groups_bitset(
     graph: BipartiteGraph,
     params: RICDParams,
-    max_users: int | None = None,
-    max_items: int | None = None,
     region: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> list[SuspiciousGroup]:
     """Drop-in bitset variant of :func:`repro.core.extraction.extract_groups`.
@@ -462,20 +460,4 @@ def extract_groups_bitset(
     ``(user_mask, item_mask)`` pair, as in :func:`prune_to_fixpoint_bitset`.
     """
     surviving_users, surviving_items = prune_to_fixpoint_bitset(graph, params, region)
-    survivors = graph.subgraph(surviving_users, surviving_items)
-    groups: list[SuspiciousGroup] = []
-    dropped = 0
-    with obs.span("components"):
-        for users, items in connected_components(survivors):
-            if len(users) < params.k1 or len(items) < params.k2:
-                dropped += 1
-                continue
-            if (max_users is not None and len(users) > max_users) or (
-                max_items is not None and len(items) > max_items
-            ):
-                dropped += 1
-                continue
-            groups.append(SuspiciousGroup(users=users, items=items))
-    obs.count("extract.components_dropped", dropped)
-    obs.count("extract.groups", len(groups))
-    return groups
+    return component_groups(graph.subgraph(surviving_users, surviving_items), params)

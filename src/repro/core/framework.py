@@ -17,9 +17,10 @@ the parameters are re-derived from each input graph exactly as Section IV
 prescribes (Pareto rule for ``T_hot``, Eq. 4 for ``T_click``).
 
 The detector runs the Fig. 4 sequence once, in :meth:`RICDDetector._run`,
-over the stage objects of :mod:`repro.pipeline`: modules 1 + 2 on the
-context's working graph or region, the Fig. 7 loop when a policy is set,
-then identification against the full graph.  :meth:`RICDDetector.detect`
+over the stage objects of :mod:`repro.pipeline`: extraction on the
+context's working graph or region, screening and the size cap against
+the full graph, the Fig. 7 loop when a policy is set, then
+identification against the full graph.  :meth:`RICDDetector.detect`
 and every :class:`~repro.core.incremental.IncrementalRICD` recheck call
 it, and the baselines' "+UI" wrapper composes the same stages.
 """
@@ -88,15 +89,15 @@ class RICDDetector:
     variant:
         ``"ricd"`` (full), ``"ricd-i"`` (no item verification) or
         ``"ricd-ui"`` (no screening).
-    max_group_users, max_group_items:
-        Caps on *final* (screened, re-split) group size — desired property
-        4b: organic group-buying / deal-hunter swarms form blocks that are
-        structurally and behaviourally attack-like but much *larger* than
-        crowd-worker groups ("crowd workers tend to attack ... on a small
-        scale"), so oversized final groups are discarded.  The caps only
-        apply to the full variant: before item verification re-splits
-        components, group extents are merged blobs the caps would wrongly
-        nuke.  ``None`` disables a cap.
+    max_group_users:
+        Cap on the users of a *final* (screened, re-split) group — desired
+        property 4b: organic group-buying / deal-hunter swarms form blocks
+        that are structurally and behaviourally attack-like but much
+        *larger* than crowd-worker groups ("crowd workers tend to attack
+        ... on a small scale"), so oversized final groups are discarded.
+        The cap only applies to the full variant: before item verification
+        re-splits components, group extents are merged blobs the cap would
+        wrongly nuke.  ``None`` disables it.
     strict_feedback:
         When the feedback loop exhausts its rounds without meeting the
         expectation: raise :class:`FeedbackExhaustedError` if ``True``,
@@ -128,7 +129,6 @@ class RICDDetector:
     feedback: FeedbackPolicy | None = None
     variant: RICDVariant = VARIANT_FULL
     max_group_users: int | None = 18
-    max_group_items: int | None = None
     strict_feedback: bool = False
     engine: str = "bitset"
     deadline: float | None = None
@@ -197,11 +197,7 @@ class RICDDetector:
                 enabled=self.variant != VARIANT_NO_SCREEN,
                 item_verification=self.variant == VARIANT_FULL,
             ),
-            SizeCaps(
-                max_users=self.max_group_users,
-                max_items=self.max_group_items,
-                enabled=self.variant == VARIANT_FULL,
-            ),
+            SizeCaps(max_users=self.max_group_users, enabled=self.variant == VARIANT_FULL),
         )
 
     # ------------------------------------------------------------------
@@ -215,7 +211,7 @@ class RICDDetector:
         return self._thresholds().resolve(graph, self.params)
 
     def _run_modules(self, ctx: PipelineContext) -> list[SuspiciousGroup]:
-        """Modules 1 + 2 over ``ctx``'s working graph or region.
+        """Modules 1 + 2: extraction on the working graph or region, screening on the full graph.
 
         One round under the context's current (possibly feedback-relaxed)
         parameters: the unit :meth:`_run` and every Fig. 7 round run, so
@@ -279,7 +275,7 @@ class RICDDetector:
             extraction runs on their two-hop neighbourhood only
             (Algorithm 2's seed-pruned ``MaxBiGraph``).  Thresholds are
             still derived from the *full* graph, since they are global
-            marketplace statistics.
+            marketplace statistics, and screening reads the full graph too.
         """
         # Same obs namespace as the baselines' shared hook, so traces of a
         # mixed suite line up: detector.<name>.<stage>.

@@ -22,15 +22,16 @@ strategy:
    recheck first folds the tail into the live index with one numpy
    merge.  With the bitset engine the neighbourhood is a pair of boolean
    masks over that index
-   (:func:`~repro.graph.builders.seed_expansion_masks`), and the modules
-   run on the live graph under them: no subgraph copy, no index build,
-   and screening and identification read only the group members' rows.
-   The reference engine copies the neighbourhood out with
-   :func:`~repro.graph.builders.seed_expansion` and runs on the copy,
-   the oracle the masked path is tested against.  Either way the pass
-   is the detector's own Fig. 4 sequence
-   (:meth:`~repro.core.framework.RICDDetector._run`), the one a batch
-   ``detect`` runs;
+   (:func:`~repro.graph.builders.seed_expansion_masks`), and extraction
+   runs on the live graph under them: no subgraph copy and no index
+   build.  The reference engine copies the neighbourhood out with
+   :func:`~repro.graph.builders.seed_expansion` and extracts from the
+   copy, the oracle the masked path is tested against.  Either way only
+   extraction sees the region: the pass is the detector's own Fig. 4
+   sequence (:meth:`~repro.core.framework.RICDDetector._run`), the one a
+   batch ``detect`` runs, and screening and identification read the full
+   live graph — the marketplace item totals for the hot/ordinary split,
+   otherwise only the group members' rows;
 4. that sequence ranks the newly found groups together with the previous
    groups that hold no dirty node, which stay valid.  A kept group the
    regional pass found again (same users and items, e.g. after a click on
@@ -39,7 +40,8 @@ strategy:
 
 Thresholds (``T_hot``/``T_click``) are global statistics, so they are
 re-derived from the *full* live graph at every recheck, exactly as the
-batch framework does.
+batch framework does, and screening compares ``T_hot`` with the same
+full-graph item totals.
 """
 
 from __future__ import annotations
@@ -104,7 +106,6 @@ class IncrementalRICD:
         params: RICDParams | None = None,
         screening: ScreeningParams | None = None,
         recheck_batches: int | None = 10,
-        max_group_users: int | None = 18,
         engine: str = "bitset",
         time_source: Callable[[], float] | None = None,
         *,
@@ -151,7 +152,6 @@ class IncrementalRICD:
         self._detector = RICDDetector(
             params=params or RICDParams(),
             screening=screening or ScreeningParams(),
-            max_group_users=max_group_users,
             engine=engine,
         )
         self._recheck_batches = recheck_batches
@@ -180,7 +180,6 @@ class IncrementalRICD:
         params: RICDParams | None = None,
         screening: ScreeningParams | None = None,
         recheck_batches: int | None = None,
-        max_group_users: int | None = 18,
         engine: str = "bitset",
         time_source: Callable[[], float] | None = None,
     ) -> "IncrementalRICD":
@@ -217,7 +216,6 @@ class IncrementalRICD:
             params=params,
             screening=screening,
             recheck_batches=recheck_batches,
-            max_group_users=max_group_users,
             engine=engine,
             time_source=time_source,
             initial_result=store.load_result(),
@@ -517,15 +515,12 @@ class IncrementalRICD:
         # unmasked.  The detector never mutates its input, so sharing is
         # safe.
         detector = self._detector
-        ctx = PipelineContext(
-            graph=self._graph, params=detector.params, screening=detector.screening
-        )
+        region = working = None
         if not all_dirty and detector.engine == "bitset":
             # The region as masks over the live index: no subgraph copy
-            # and no index build.  The stages read only the rows of the
-            # users the extracted groups hold.
+            # and no index build.
             with obs.span("region_masks"):
-                ctx.region = seed_expansion_masks(
+                region = seed_expansion_masks(
                     live,
                     seed_users=self._dirty_users,
                     seed_items=self._dirty_items,
@@ -534,23 +529,30 @@ class IncrementalRICD:
                 )
             if obs.current() is not None:
                 # Two full-edge gathers: paid only when a recorder reads them.
-                user_mask, item_mask = ctx.region
+                user_mask, item_mask = region
                 region_edges = int((user_mask[live.user_idx] & item_mask[live.item_idx]).sum())
                 obs.gauge("incremental.region_share", region_edges / max(1, live.num_edges))
         elif not all_dirty:
             # The reference engine keeps the region copy: it is the oracle
             # the masked path is tested against.
-            ctx.working = seed_expansion(
+            working = seed_expansion(
                 self._graph,
                 seed_users=sorted(self._dirty_users, key=str),
                 seed_items=sorted(self._dirty_items, key=str),
                 hops=2,
                 max_traverse_degree=self._traverse_degree_cap,
             )
+        ctx = PipelineContext(
+            graph=self._graph,
+            params=detector.params,
+            screening=detector.screening,
+            working=working,
+            region=region,
+        )
         # Thresholds are global: resolve against the full live graph.  The
-        # detector's own Fig. 4 sequence then runs the modules on the
-        # region and ranks the kept groups with the region's against the
-        # full live graph, the same path a batch ``detect`` takes.
+        # detector's own Fig. 4 sequence then extracts from the region,
+        # screens against the full live graph and ranks the kept groups
+        # with the region's, the same path a batch ``detect`` takes.
         detector._thresholds().run(ctx)
         kept: list[SuspiciousGroup] = [
             group

@@ -37,8 +37,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Hashable, Iterable
 
-import numpy as np
-
 from .. import obs
 from ..config import ScreeningParams
 from ..errors import ScreeningError
@@ -56,20 +54,14 @@ Node = Hashable
 
 
 def _split_items(
-    graph: BipartiteGraph,
-    items: Iterable[Node],
-    t_hot: float,
-    item_clicks: "np.ndarray | None" = None,
+    graph: BipartiteGraph, items: Iterable[Node], t_hot: float
 ) -> tuple[set[Node], set[Node]]:
-    """Split ``items`` into (hot, ordinary) by click volume.
+    """Split ``items`` into (hot, ordinary) by their click totals in ``graph``.
 
-    The volume is ``graph``'s per-item click total: the whole
-    marketplace's in a batch detection, but the region's on a seeded
-    pass or a reference-engine recheck, whose ``graph`` is the region
-    subgraph.  ``item_clicks`` overrides it with an array over
-    ``graph.indexed()``'s columns; a bitset recheck runs on the live
-    graph and passes the in-region volume (see :func:`screen_groups`),
-    so both engines split the same way.
+    Screening always passes the full marketplace graph, so an item is hot
+    by the same total that resolved ``T_hot`` (Section IV's Pareto rule),
+    whether the groups came from a batch pass, a seeded pass or a
+    regional recheck.
 
     Screening calls this once per group per feedback round; against the
     memoized :class:`IndexedGraph` snapshot each lookup is one cached-array
@@ -78,7 +70,7 @@ def _split_items(
     hot: set[Node] = set()
     ordinary: set[Node] = set()
     snapshot = graph.indexed()
-    totals = snapshot.item_total_clicks() if item_clicks is None else item_clicks
+    totals = snapshot.item_total_clicks()
     item_index = snapshot.item_index
     for item in items:
         column = item_index.get(item)
@@ -97,7 +89,6 @@ def user_behavior_check(
     t_hot: float,
     t_click: float,
     params: ScreeningParams,
-    item_clicks: "np.ndarray | None" = None,
 ) -> SuspiciousGroup:
     """Fig. 5: keep only users whose click pattern matches a crowd worker.
 
@@ -108,11 +99,10 @@ def user_behavior_check(
       ``params.hot_click_cap`` (vacuously true with no hot clicks).
 
     Returns a new group (``hot_items`` populated); the input is untouched.
-    ``item_clicks`` is the hot/ordinary volume, as in :func:`_split_items`.
     """
     if t_click <= 0 or t_hot <= 0:
         raise ScreeningError("t_click and t_hot must be positive")
-    hot, ordinary = _split_items(graph, group.items, t_hot, item_clicks)
+    hot, ordinary = _split_items(graph, group.items, t_hot)
     kept_users: set[Node] = set()
     for user in group.users:
         if not graph.has_user(user):
@@ -148,7 +138,6 @@ def item_behavior_verification(
     t_hot: float,
     t_click: float,
     params: ScreeningParams,
-    item_clicks: "np.ndarray | None" = None,
 ) -> list[SuspiciousGroup]:
     """Fig. 6: keep items showing the target signature, split into final groups.
 
@@ -161,14 +150,13 @@ def item_behavior_verification(
 
     Verified targets are clustered by that same coincidence relation
     (union-find) and each cluster plus its heavy clickers, filtered by the
-    group-size floors, becomes one final attack group.  ``item_clicks`` is
-    the hot/ordinary volume, as in :func:`_split_items`.
+    group-size floors, becomes one final attack group.
 
     Every item-side read inverts the rows of a known user set — the
     group's users, then each cluster's — in O(sum of their degrees), so
     no item's full clicker column is read.
     """
-    hot, ordinary = _split_items(graph, group.items, t_hot, item_clicks)
+    hot, ordinary = _split_items(graph, group.items, t_hot)
 
     found: dict[Node, set[Node]] = {}
     for user in group.users:
@@ -302,53 +290,33 @@ def screen_groups(
     t_hot: float,
     t_click: float,
     params: ScreeningParams | None = None,
-    do_user_check: bool = True,
     do_item_verification: bool = True,
-    region_users: "np.ndarray | None" = None,
 ) -> list[SuspiciousGroup]:
     """Run the screening module over every group.
 
-    ``do_user_check`` / ``do_item_verification`` switch the two steps off
-    individually, which is how the paper's ablation variants are built:
-    RICD-UI disables both, RICD-I disables only the item step.
-
-    ``region_users`` is a boolean mask over ``graph.indexed()``'s rows,
-    given when the groups came from a masked region of ``graph``: items
-    are then split hot vs ordinary by the clicks of in-region users
-    only, the volume the region subgraph itself would report.
+    ``graph`` is the full marketplace graph, also when the groups were
+    extracted from a seeded or regional part of it: hot and ordinary
+    items split by their marketplace click totals, and every other read
+    is a group member's row.  ``do_item_verification=False`` drops the
+    second step, which is how the paper's RICD-I ablation variant is
+    built.
 
     Returns the screened groups, largest first.
     """
     params = params or ScreeningParams()
-    item_clicks = None
-    if region_users is not None:
-        snapshot = graph.indexed()
-        in_region = region_users[snapshot.user_idx]
-        # float64 bincount weights are exact for click sums < 2^53.
-        item_clicks = np.bincount(
-            snapshot.item_idx[in_region],
-            weights=snapshot.clicks[in_region],
-            minlength=snapshot.num_items,
-        ).astype(np.int64)
     screened: list[SuspiciousGroup] = []
     groups_in = 0
     user_check_rejected = 0
     for group in groups:
         groups_in += 1
-        current = group.copy()
-        if do_user_check:
-            with obs.span("user_check"):
-                current = user_behavior_check(
-                    graph, current, t_hot, t_click, params, item_clicks
-                )
-            if len(current.users) < params.min_users:
-                user_check_rejected += 1
-                continue
+        with obs.span("user_check"):
+            current = user_behavior_check(graph, group, t_hot, t_click, params)
+        if len(current.users) < params.min_users:
+            user_check_rejected += 1
+            continue
         if do_item_verification:
             with obs.span("item_verification"):
-                finals = item_behavior_verification(
-                    graph, current, t_hot, t_click, params, item_clicks
-                )
+                finals = item_behavior_verification(graph, current, t_hot, t_click, params)
             screened.extend(finals)
         else:
             screened.append(current)

@@ -1,7 +1,7 @@
 """The shared state every pipeline stage reads and writes.
 
 A :class:`PipelineContext` is one detection run's blackboard: the input
-graph and its (possibly seed-pruned) working subgraph, the current —
+graph and the part of it extraction runs on, the current —
 possibly feedback-relaxed — parameter pair, the stopwatch that produces
 ``DetectionResult.timings``, and the group list flowing from extraction
 through screening into identification.  Stages communicate exclusively
@@ -38,23 +38,24 @@ class PipelineContext:
     Attributes
     ----------
     graph:
-        The full input click graph.  Thresholds and identification always
-        read this — ``T_hot``/``T_click`` are marketplace statistics and
-        risk scores rank against full-graph neighbourhoods — even when
-        modules run on a pruned ``working`` graph.
+        The full input click graph.  Thresholds, screening, the size caps
+        and identification always read this — ``T_hot``/``T_click`` are
+        marketplace statistics, items split hot from ordinary by their
+        marketplace totals, and risk scores rank against full-graph
+        neighbourhoods — even when extraction runs on a part of it.
     working:
-        The graph modules 1 + 2 actually run on: the seed-expanded
-        neighbourhood when business seeds were given, the dirty region's
-        copy during a reference-engine incremental recheck, or ``graph``
-        itself.
+        The graph extraction runs on: the seed-expanded neighbourhood
+        when business seeds were given, the dirty region's copy during a
+        reference-engine incremental recheck, or ``graph`` itself
+        (``None`` also means ``graph``).
     region:
         ``(user_mask, item_mask)`` over ``graph.indexed()``'s rows and
-        columns, or ``None``.  Set by a bitset incremental recheck: the
-        modules then run on ``graph`` as if on the subgraph the masks
-        induce, which is never built.  Extraction hands the masks to the
-        kernel, and screening splits hot from ordinary items by their
-        in-region click volume; every other screening read is filtered
-        to group members, which lie inside the region.
+        columns, or ``None``.  Set by a bitset incremental recheck:
+        extraction then runs on ``graph`` as if on the subgraph the masks
+        induce, which is never built.  Apart from the item totals behind
+        the hot/ordinary split, the later stages read only group
+        members' rows, and members lie inside the region, so masked and
+        copied rechecks agree.
     params, screening:
         The current parameter pair.  The feedback driver replaces these
         with relaxed copies between rounds; stages must read them from
@@ -95,10 +96,6 @@ class PipelineContext:
     feedback_rounds: int = 0
     deadline: "Deadline | None" = None
     degradations: list[str] = field(default_factory=list)
-
-    def working_graph(self) -> "BipartiteGraph":
-        """The graph modules run on (defaults to the full graph)."""
-        return self.working if self.working is not None else self.graph
 
     def record_degradation(self, what: str) -> None:
         """Note one graceful-degradation event (counted as a fallback)."""

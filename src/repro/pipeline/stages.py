@@ -214,9 +214,11 @@ class Extraction:
         return extract_groups(graph, params)
 
     def run(self, ctx: PipelineContext) -> None:
+        """Extract from the seeded copy or the region, else from the full graph."""
+        graph = ctx.working if ctx.working is not None else ctx.graph
         with ctx.timer.measure("detection"), obs.span("extraction"):
             inject("extraction")
-            ctx.groups = self.extract(ctx.working_graph(), ctx.params, ctx.region)
+            ctx.groups = self.extract(graph, ctx.params, ctx.region)
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +232,11 @@ class Screening:
     ablation — the span and timing are still recorded so variant traces
     stay comparable); ``item_verification=False`` drops the second step
     (RICD-I).  Thresholds are read from the *resolved* ``ctx.params``.
+
+    Screening reads the full graph on every path: items split hot from
+    ordinary by the marketplace totals ``T_hot`` was resolved from, and
+    every other read is a group member's row.  Only extraction sees the
+    seeded copy or the region.
     """
 
     enabled: bool = True
@@ -242,13 +249,12 @@ class Screening:
             if self.enabled:
                 inject("screening")
                 ctx.groups = screen_groups(
-                    ctx.working_graph(),
+                    ctx.graph,
                     ctx.groups,
                     t_hot=ctx.params.t_hot,  # resolved upstream
                     t_click=ctx.params.t_click,
                     params=ctx.screening,
                     do_item_verification=self.item_verification,
-                    region_users=None if ctx.region is None else ctx.region[0],
                 )
 
 
@@ -257,30 +263,24 @@ class SizeCaps:
     """Drop oversized final groups (desired property 4b).
 
     Organic group-buying / deal-hunter swarms form attack-like blocks that
-    are much *larger* than crowd-worker groups, so groups exceeding the
-    caps are discarded.  ``enabled`` mirrors the old variant gating: the
-    caps only apply after item verification re-splits components (the
-    full RICD variant); before that, extents are merged blobs the caps
-    would wrongly nuke.  Accounted under the ``screening`` timing, where
-    the filter has always lived.
+    are much *larger* than crowd-worker groups, so groups with more than
+    ``max_users`` users are discarded.  ``enabled`` mirrors the old
+    variant gating: the cap only applies after item verification
+    re-splits components (the full RICD variant); before that, extents
+    are merged blobs the cap would wrongly nuke.  Accounted under the
+    ``screening`` timing, where the filter has always lived.
     """
 
     max_users: int | None = None
-    max_items: int | None = None
     enabled: bool = True
 
     name = "size_caps"
 
     def run(self, ctx: PipelineContext) -> None:
-        if not self.enabled or (self.max_users is None and self.max_items is None):
+        if not self.enabled or self.max_users is None:
             return
         with ctx.timer.measure("screening"):
-            ctx.groups = [
-                group
-                for group in ctx.groups
-                if (self.max_users is None or len(group.users) <= self.max_users)
-                and (self.max_items is None or len(group.items) <= self.max_items)
-            ]
+            ctx.groups = [group for group in ctx.groups if len(group.users) <= self.max_users]
 
 
 # ----------------------------------------------------------------------

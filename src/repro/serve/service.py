@@ -219,7 +219,6 @@ class DetectionService:
         params=None,
         screening=None,
         engine: str = "bitset",
-        max_group_users: int | None = 18,
         config: ServeConfig | None = None,
         clock: Clock | None = None,
     ) -> "DetectionService":
@@ -234,7 +233,6 @@ class DetectionService:
             params=params,
             screening=screening,
             recheck_batches=None,
-            max_group_users=max_group_users,
             engine=engine,
             time_source=clock.now,
         )
@@ -248,7 +246,6 @@ class DetectionService:
         params=None,
         screening=None,
         engine: str = "bitset",
-        max_group_users: int | None = 18,
         config: ServeConfig | None = None,
         clock: Clock | None = None,
     ) -> "DetectionService":
@@ -279,7 +276,6 @@ class DetectionService:
                 params=params,
                 screening=screening,
                 engine=engine,
-                max_group_users=max_group_users,
                 config=config,
                 clock=clock,
             )
@@ -291,7 +287,6 @@ class DetectionService:
             params=params,
             screening=screening,
             recheck_batches=None,
-            max_group_users=max_group_users,
             engine=engine,
             time_source=clock.now,
         )

@@ -143,21 +143,13 @@ class TestExtractGroups:
         groups = extract_groups(graph, params(k1=4, k2=4))
         assert groups == []
 
-    def test_max_size_filters(self):
-        graph = BipartiteGraph()
-        make_biclique(graph, 10, 4)
-        assert extract_groups(graph, params(k1=4, k2=4), max_users=8) == []
-        assert len(extract_groups(graph, params(k1=4, k2=4), max_users=10)) == 1
-
     def test_copy_semantics(self):
         graph = BipartiteGraph()
         make_biclique(graph, 4, 4)
         graph.add_click("noise", "bi0", 1)
         before = graph.copy()
         extract_groups(graph, params(k1=4, k2=4))
-        assert graph == before  # default copy=True leaves input intact
-        extract_groups(graph, params(k1=4, k2=4), copy=False)
-        assert graph != before  # in-place pruning mutates
+        assert graph == before
 
     def test_empty_graph(self, empty_graph):
         assert extract_groups(empty_graph, params()) == []

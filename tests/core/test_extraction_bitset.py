@@ -218,8 +218,3 @@ class TestGroups:
             for g in extract_groups_bitset(small.graph.copy(), params)
         }
         assert blocked == reference
-
-    def test_size_caps_respected(self, small):
-        params = RICDParams(k1=5, k2=5)
-        capped = extract_groups_bitset(small.graph, params, max_users=1)
-        assert all(len(g.users) <= 1 for g in capped)

@@ -298,6 +298,24 @@ class TestKeptGroups:
         assert 0 < recorder.gauges["incremental.region_share"] <= 1
 
 
+class TestFullGraphScreening:
+    """A recheck splits hot from ordinary items by marketplace totals, as ``detect`` does."""
+
+    @pytest.mark.parametrize("engine", ["bitset", "reference"])
+    def test_an_organic_click_rechecks_to_the_batch_result(self, small, engine):
+        from ..canon import canonical_result
+
+        params = RICDParams(k1=5, k2=5)
+        online = IncrementalRICD(
+            small.graph, params=params, recheck_batches=None, engine=engine
+        )
+        # The click's two-hop region holds only some of the clicks of many
+        # marketplace-hot items; screening must still read them as hot.
+        online.ingest(ClickBatch.of([("fresh_user", "i1", 1)]))
+        expected = RICDDetector(params, engine=engine).detect(online.graph.copy())
+        assert canonical_result(online.recheck()) == canonical_result(expected)
+
+
 class TestTraverseCap:
     @staticmethod
     def _growth_batch(graph, edges=3000):

@@ -19,9 +19,9 @@ from repro.core.screening import _jaccard, _split_items, item_behavior_verificat
 from repro.graph import BipartiteGraph, from_click_records
 
 
-def reference_item_behavior_verification(graph, group, t_hot, t_click, params, item_clicks=None):
+def reference_item_behavior_verification(graph, group, t_hot, t_click, params):
     """``item_behavior_verification`` reading each item's clicker column."""
-    hot, ordinary = _split_items(graph, group.items, t_hot, item_clicks)
+    hot, ordinary = _split_items(graph, group.items, t_hot)
     heavy_clickers = {}
     for item in ordinary:
         clickers = {

@@ -160,19 +160,6 @@ class TestScreenGroups:
         assert len(finals) == 1
         assert finals[0].items == attack_group.items  # items kept
 
-    def test_no_user_check(self, attack_graph, attack_group):
-        finals = screen_groups(
-            attack_graph,
-            [attack_group],
-            T_HOT,
-            T_CLICK,
-            sp(),
-            do_user_check=False,
-        )
-        # spammer's heavy t1 clicks count; verification still works.
-        assert len(finals) == 1
-        assert "t1" in finals[0].items
-
     def test_group_below_min_users_dropped(self, attack_graph):
         lone = SuspiciousGroup(users={"w1"}, items={"t1", "t2"})
         finals = screen_groups(attack_graph, [lone], T_HOT, T_CLICK, sp())

@@ -18,7 +18,7 @@ class TestDetectionPipeline:
 
         class Counting(RICDDetector):
             def _run_modules(self, ctx):
-                calls.append(ctx.working_graph())
+                calls.append(ctx.working)
                 return super()._run_modules(ctx)
 
         Counting(params=RICDParams(k1=5, k2=5)).detect(small.graph)

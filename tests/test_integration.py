@@ -124,12 +124,17 @@ class TestEndToEnd:
         """Seed expansion (Algorithm 2) restricts work to a neighbourhood."""
         detector = RICDDetector(params=RICDParams(k1=5, k2=5))
         seed_worker = small.truth.groups[0].workers[0]
-        # Fresh copies: the session-scoped graph may carry a memoized
-        # extraction fixpoint from earlier tests, which would make the full
-        # pass a cache hit.
-        seeded = detector.detect(small.graph.copy(), seed_users=[seed_worker])
-        full = detector.detect(small.graph.copy())
-        assert seeded.timings["detection"] <= full.timings["detection"] * 1.5
+        seeded, full = [], []
+        for _ in range(5):
+            # Fresh copies: the session-scoped graph may carry a memoized
+            # extraction fixpoint from earlier tests, which would make the
+            # full pass a cache hit.  The sides alternate, so a busy spell
+            # on the host slows both, and the best of five drops it.
+            seeded.append(
+                detector.detect(small.graph.copy(), seed_users=[seed_worker]).timings["detection"]
+            )
+            full.append(detector.detect(small.graph.copy()).timings["detection"])
+        assert min(seeded) <= min(full) * 1.5
 
     def test_recommender_attack_detect_clean_cycle(self, small):
         """The README story: measure lift, detect, clean, verify restoration."""
