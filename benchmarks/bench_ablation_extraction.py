@@ -16,6 +16,7 @@ import pytest
 
 from repro.config import RICDParams
 from repro.core.extraction import prune_to_fixpoint
+from repro.graph import Adjacency
 
 PARAMS = RICDParams(k1=10, k2=10, alpha=1.0)
 
@@ -23,49 +24,41 @@ PARAMS = RICDParams(k1=10, k2=10, alpha=1.0)
 @pytest.mark.parametrize("ordered", [True, False], ids=["2hop-ordered", "id-ordered"])
 def test_ablation_square_pruning_order(benchmark, scenario, ordered):
     def run():
-        graph = scenario.graph.copy()
-        prune_to_fixpoint(graph, PARAMS, ordered=ordered)
-        return graph
+        return prune_to_fixpoint(Adjacency(scenario.graph), PARAMS, ordered=ordered)
 
     survivors = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert survivors.num_users > 0
+    assert len(survivors.users) > 0
 
 
 def test_ordering_reaches_same_fixpoint(benchmark, scenario, emit_report):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    ordered_graph = scenario.graph.copy()
-    prune_to_fixpoint(ordered_graph, PARAMS, ordered=True)
-    unordered_graph = scenario.graph.copy()
-    prune_to_fixpoint(unordered_graph, PARAMS, ordered=False)
+    ordered = prune_to_fixpoint(Adjacency(scenario.graph), PARAMS, ordered=True)
+    unordered = prune_to_fixpoint(Adjacency(scenario.graph), PARAMS, ordered=False)
     emit_report(
         "Ablation (ordering): fixpoints agree — "
-        f"{ordered_graph.num_users} users / {ordered_graph.num_items} items survive"
+        f"{len(ordered.users)} users / {len(ordered.items)} items survive"
     )
-    assert set(ordered_graph.users()) == set(unordered_graph.users())
-    assert set(ordered_graph.items()) == set(unordered_graph.items())
+    assert set(ordered.users) == set(unordered.users)
+    assert set(ordered.items) == set(unordered.items)
 
 
 @pytest.mark.parametrize("iterate", [True, False], ids=["fixpoint", "single-pass"])
 def test_ablation_fixpoint_iteration(benchmark, scenario, iterate):
     def run():
-        graph = scenario.graph.copy()
-        prune_to_fixpoint(graph, PARAMS, iterate=iterate)
-        return graph
+        return prune_to_fixpoint(Adjacency(scenario.graph), PARAMS, iterate=iterate)
 
     survivors = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert survivors.num_users >= 0
+    assert len(survivors.users) >= 0
 
 
 def test_fixpoint_prunes_more(benchmark, scenario, emit_report):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    single = scenario.graph.copy()
-    prune_to_fixpoint(single, PARAMS, iterate=False)
-    fixed = scenario.graph.copy()
-    prune_to_fixpoint(fixed, PARAMS, iterate=True)
+    single = prune_to_fixpoint(Adjacency(scenario.graph), PARAMS, iterate=False)
+    fixed = prune_to_fixpoint(Adjacency(scenario.graph), PARAMS, iterate=True)
     emit_report(
         "Ablation (fixpoint): single-pass keeps "
-        f"{single.num_users}u/{single.num_items}i, fixpoint keeps "
-        f"{fixed.num_users}u/{fixed.num_items}i"
+        f"{len(single.users)}u/{len(single.items)}i, fixpoint keeps "
+        f"{len(fixed.users)}u/{len(fixed.items)}i"
     )
-    assert set(fixed.users()) <= set(single.users())
-    assert set(fixed.items()) <= set(single.items())
+    assert set(fixed.users) <= set(single.users)
+    assert set(fixed.items) <= set(single.items)

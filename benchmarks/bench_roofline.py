@@ -79,6 +79,7 @@ def marketplace():
 def test_bitset_matches_reference_at_tiny_scale():
     """The kernel equals the pure-Python reference engine, id for id."""
     from repro.core.extraction import prune_to_fixpoint
+    from repro.graph import Adjacency
 
     arrays = generate_at_scale(AtScaleConfig(scale=min(SCALE, 0.002), seed=0))
     user_indptr, user_items = arrays.csr()
@@ -86,9 +87,9 @@ def test_bitset_matches_reference_at_tiny_scale():
     alive_users, alive_items = prune_fixpoint_arrays(
         user_indptr, user_items, item_indptr, item_users, PARAMS
     )
-    reference = prune_to_fixpoint(to_bipartite(arrays), PARAMS)
-    assert {f"u{index}" for index in alive_users} == set(reference.users())
-    assert {f"i{index}" for index in alive_items} == set(reference.items())
+    reference = prune_to_fixpoint(Adjacency(to_bipartite(arrays)), PARAMS)
+    assert {f"u{index}" for index in alive_users} == set(reference.users)
+    assert {f"i{index}" for index in alive_items} == set(reference.items)
 
 
 def test_bitset_finds_exactly_the_injected_groups(marketplace):

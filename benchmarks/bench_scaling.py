@@ -56,9 +56,8 @@ def test_scaling_reference_engine(benchmark, scaled_scenarios, scale):
 
 
 def _bitset_uncached(graph):
-    """Bitset extraction on a fresh snapshot (no memoized fixpoint)."""
-    graph._indexed = None
-    return extract_groups_bitset(graph, PARAMS)
+    """Bitset extraction on a cold copy (no cached aggregate, no memoized fixpoint)."""
+    return extract_groups_bitset(graph.copy(), PARAMS)
 
 
 @pytest.mark.parametrize("scale", list(SCALES))

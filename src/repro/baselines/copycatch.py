@@ -28,6 +28,7 @@ from ..core.extraction import core_pruning
 from ..core.groups import DetectionResult, SuspiciousGroup
 from ..core.identification import score_groups
 from ..graph.bipartite import BipartiteGraph
+from ..graph.views import Adjacency
 from .base import observe_detector
 
 __all__ = ["CopyCatchDetector", "enumerate_bicliques"]
@@ -52,9 +53,23 @@ def enumerate_bicliques(
 
     Returns whatever was found when the deadline hit — possibly nothing.
     """
+    return _bicliques(
+        Adjacency(graph), min_users, min_items, deadline_seconds, max_results
+    )
+
+
+def _bicliques(
+    adjacency: Adjacency,
+    min_users: int,
+    min_items: int,
+    deadline_seconds: float,
+    max_results: int,
+) -> list[tuple[set[Node], set[Node]]]:
+    """:func:`enumerate_bicliques` over a dict adjacency, such as a pruned core."""
     start = time.perf_counter()
     results: list[tuple[set[Node], set[Node]]] = []
-    items_by_degree = sorted(graph.items(), key=lambda i: (graph.item_degree(i), str(i)))
+    clickers_of, clicked_by = adjacency.items, adjacency.users
+    items_by_degree = sorted(clickers_of, key=lambda i: (len(clickers_of[i]), str(i)))
 
     def expired() -> bool:
         """Deadline or result-cap reached."""
@@ -72,7 +87,7 @@ def enumerate_bicliques(
             if expired():
                 return
             item = items_by_degree[rank]
-            clickers = set(graph.item_neighbors(item))
+            clickers = set(clickers_of[item])
             new_users = users & clickers
             if len(new_users) < min_users:
                 continue
@@ -81,18 +96,18 @@ def enumerate_bicliques(
         if not extended and len(current_items) >= min_items:
             # Maximality on the item side: no item outside the set is
             # clicked by all current users.
-            closure = _common_items(graph, users)
+            closure = _common_items(users)
             if closure == current_items or closure <= current_items:
                 results.append((set(users), set(current_items)))
             elif len(closure) >= min_items:
                 results.append((set(users), closure))
 
-    def _common_items(graph_: BipartiteGraph, users: set[Node]) -> set[Node]:
+    def _common_items(users: set[Node]) -> set[Node]:
         iterator = iter(users)
         first = next(iterator)
-        common = set(graph_.user_neighbors(first))
+        common = set(clicked_by[first])
         for user in iterator:
-            common &= set(graph_.user_neighbors(user))
+            common &= set(clicked_by[user])
             if not common:
                 break
         return common
@@ -100,7 +115,7 @@ def enumerate_bicliques(
     for rank, item in enumerate(items_by_degree):
         if expired():
             break
-        users = set(graph.item_neighbors(item))
+        users = set(clickers_of[item])
         if len(users) < min_users:
             continue
         expand({item}, users, rank + 1)
@@ -141,12 +156,10 @@ class CopyCatchDetector:
     def detect(self, graph: BipartiteGraph) -> DetectionResult:
         """Core-prune, enumerate bicliques until the deadline, emit groups."""
         with observe_detector(self.name) as sink, stopwatch() as timer:
-            working = graph.copy()
-            core_pruning(
-                working, RICDParams(k1=self.min_users, k2=self.min_items, alpha=1.0)
-            )
-            bicliques = enumerate_bicliques(
-                working,
+            core = Adjacency(graph)
+            core_pruning(core, RICDParams(k1=self.min_users, k2=self.min_items, alpha=1.0))
+            bicliques = _bicliques(
+                core,
                 self.min_users,
                 self.min_items,
                 self.deadline_seconds,

@@ -9,9 +9,9 @@ camouflage resistance the paper credits FRAUDAR with.
 
 The original release returns a single block; the paper re-implemented it
 "for detecting multiple blocks", which we reproduce the standard way:
-find a block, delete its nodes, repeat, stopping after ``max_blocks`` or
-when a block's density falls below ``density_floor`` times the first
-block's.
+find a block, peel the next one from the subgraph of the nodes outside
+it, repeat, stopping after ``max_blocks`` or when a block's density falls
+below ``density_floor`` times the first block's.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .._util import stopwatch
 from ..core.groups import DetectionResult, SuspiciousGroup
 from ..core.identification import score_groups
 from ..graph.bipartite import BipartiteGraph
+from ..graph.views import Adjacency
 from .base import observe_detector
 
 __all__ = ["FraudarDetector", "peel_densest_block"]
@@ -48,19 +49,18 @@ def peel_densest_block(
     # Edge weights are fixed from the *initial* item degrees (as in the
     # reference implementation), then nodes are peeled by minimum current
     # weighted degree using a lazy-deletion heap.
-    item_weight = {item: _column_weight(graph.item_degree(item)) for item in graph.items()}
+    adjacency = Adjacency(graph)
+    item_weight = {
+        item: _column_weight(len(clickers)) for item, clickers in adjacency.items.items()
+    }
 
     weighted_degree: dict[tuple[str, Node], float] = {}
-    for user in graph.users():
-        weighted_degree[("u", user)] = sum(
-            item_weight[item] for item in graph.user_neighbors(user)
-        )
-    for item in graph.items():
-        weighted_degree[("i", item)] = graph.item_degree(item) * item_weight[item]
+    for user, row in adjacency.users.items():
+        weighted_degree[("u", user)] = sum(item_weight[item] for item in row)
+    for item, clickers in adjacency.items.items():
+        weighted_degree[("i", item)] = len(clickers) * item_weight[item]
 
-    total_weight = sum(
-        item_weight[item] for _user, item, _clicks in graph.edges()
-    )
+    total_weight = sum(item_weight[item] for row in adjacency.users.values() for item in row)
     alive: set[tuple[str, Node]] = set(weighted_degree)
     heap: list[tuple[float, str, str]] = [
         (degree, side, str(node)) for (side, node), degree in weighted_degree.items()
@@ -80,13 +80,6 @@ def peel_densest_block(
         best_density = current_weight / size
         best_step = 0
 
-    adjacency_snapshot = {
-        ("u", user): dict(graph.user_neighbors(user)) for user in graph.users()
-    }
-    adjacency_snapshot.update(
-        {("i", item): dict(graph.item_neighbors(item)) for item in graph.items()}
-    )
-
     while alive:
         degree, side, node_str = heapq.heappop(heap)
         key = (side, by_str[(side, node_str)])
@@ -97,7 +90,7 @@ def peel_densest_block(
         current_weight -= weighted_degree[key]
         node = key[1]
         neighbor_side = "i" if side == "u" else "u"
-        for neighbor in adjacency_snapshot[key]:
+        for neighbor in (adjacency.users if side == "u" else adjacency.items)[node]:
             neighbor_key = (neighbor_side, neighbor)
             if neighbor_key not in alive:
                 continue
@@ -150,7 +143,7 @@ class FraudarDetector:
     def detect(self, graph: BipartiteGraph) -> DetectionResult:
         """Repeatedly peel the densest block, then size-filter the blocks."""
         with observe_detector(self.name) as sink, stopwatch() as timer:
-            working = graph.copy()
+            working = graph
             groups: list[SuspiciousGroup] = []
             first_density: float | None = None
             for _block in range(self.max_blocks):
@@ -165,12 +158,11 @@ class FraudarDetector:
                     break
                 if len(users) >= self.min_users and len(items) >= self.min_items:
                     groups.append(SuspiciousGroup(users=set(users), items=set(items)))
-                for user in users:
-                    if working.has_user(user):
-                        working.remove_user(user)
-                for item in items:
-                    if working.has_item(item):
-                        working.remove_item(item)
+                # The next block is peeled from the nodes outside this one.
+                working = working.subgraph(
+                    [user for user in working.users() if user not in users],
+                    [item for item in working.items() if item not in items],
+                )
             groups.sort(
                 key=lambda g: (-g.size, min((str(u) for u in g.users), default=""))
             )

@@ -18,9 +18,12 @@ that provably cannot belong to one, using two necessary conditions:
   neighbourhood size (the paper's ``reduce2Hop`` ordering), so cheap
   removals happen first and shrink the later, expensive checks.
 
-What survives both prunes is split into connected components; components
-large enough to host a ``(k1, k2)`` core are the suspicious groups handed
-to the screening module.
+Both prunes delete vertices in place, as the paper writes them, from an
+:class:`~repro.graph.views.Adjacency` built once from the graph's
+snapshot; the graph itself is never modified.  What survives both prunes
+is split into connected components; components large enough to host a
+``(k1, k2)`` core are the suspicious groups handed to the screening
+module.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .. import obs
 from .._util import ceil_frac, peak_rss_mb
 from ..config import RICDParams
 from ..graph.bipartite import BipartiteGraph
-from ..graph.views import connected_components
+from ..graph.views import Adjacency, connected_components
 from .groups import SuspiciousGroup
 
 __all__ = [
@@ -45,7 +48,7 @@ __all__ = [
 Node = Hashable
 
 
-def core_pruning(graph: BipartiteGraph, params: RICDParams) -> bool:
+def core_pruning(adjacency: Adjacency, params: RICDParams) -> bool:
     """Cascading degree prune (Algorithm 3, ``CorePruning``), in place.
 
     Removes users with degree below ``ceil(alpha * k2)`` and items with
@@ -56,32 +59,29 @@ def core_pruning(graph: BipartiteGraph, params: RICDParams) -> bool:
     """
     user_floor = params.user_degree_floor
     item_floor = params.item_degree_floor
+    users, items = adjacency.users, adjacency.items
     users_removed = 0
     items_removed = 0
 
     # Seed the worklist with every violating vertex, then cascade.
-    user_queue = [u for u in graph.users() if graph.user_degree(u) < user_floor]
-    item_queue = [i for i in graph.items() if graph.item_degree(i) < item_floor]
+    user_queue = [user for user, row in users.items() if len(row) < user_floor]
+    item_queue = [item for item, column in items.items() if len(column) < item_floor]
     while user_queue or item_queue:
         while user_queue:
             user = user_queue.pop()
-            if not graph.has_user(user):
+            if user not in users:
                 continue
-            neighbors = list(graph.user_neighbors(user))
-            graph.remove_user(user)
             users_removed += 1
-            for item in neighbors:
-                if graph.has_item(item) and graph.item_degree(item) < item_floor:
+            for item in adjacency.remove_user(user):
+                if len(items[item]) < item_floor:
                     item_queue.append(item)
         while item_queue:
             item = item_queue.pop()
-            if not graph.has_item(item):
+            if item not in items:
                 continue
-            neighbors = list(graph.item_neighbors(item))
-            graph.remove_item(item)
             items_removed += 1
-            for user in neighbors:
-                if graph.has_user(user) and graph.user_degree(user) < user_floor:
+            for user in adjacency.remove_item(item):
+                if len(users[user]) < user_floor:
                     user_queue.append(user)
     if users_removed or items_removed:
         obs.count("extract.core.users_removed", users_removed)
@@ -89,86 +89,77 @@ def core_pruning(graph: BipartiteGraph, params: RICDParams) -> bool:
     return bool(users_removed or items_removed)
 
 
-def _two_hop_size_user(graph: BipartiteGraph, user: Node) -> int:
-    """Cheap proxy for the user's two-hop neighbourhood size (with multiplicity)."""
-    return sum(graph.item_degree(item) for item in graph.user_neighbors(user))
-
-
-def _two_hop_size_item(graph: BipartiteGraph, item: Node) -> int:
-    """Cheap proxy for the item's two-hop neighbourhood size (with multiplicity)."""
-    return sum(graph.user_degree(user) for user in graph.item_neighbors(item))
+def _two_hop_size(near: dict, far: dict, node: Node) -> int:
+    """Cheap proxy for a node's two-hop neighbourhood size (with multiplicity)."""
+    return sum(len(far[neighbor]) for neighbor in near[node])
 
 
 def _square_prune_users(
-    graph: BipartiteGraph, params: RICDParams, ordered: bool = True
+    adjacency: Adjacency, params: RICDParams, ordered: bool = True
 ) -> bool:
     """One user-side SquarePruning pass; returns True if anything was removed."""
     common_floor = ceil_frac(params.alpha, params.k2)
+    users, items = adjacency.users, adjacency.items
     if ordered:
-        order = sorted(
-            graph.users(), key=lambda u: (_two_hop_size_user(graph, u), str(u))
-        )
+        order = sorted(users, key=lambda u: (_two_hop_size(users, items, u), str(u)))
     else:
-        order = sorted(graph.users(), key=str)
-    removed_any = False
+        order = sorted(users, key=str)
     removed_count = 0
     for user in order:
-        if not graph.has_user(user):
+        row = users.get(user)
+        if row is None:
             continue
         # Count users (self included, per Definition 4 / Lemma 2) whose
         # common-item count with `user` reaches the floor.
         counts: dict[Node, int] = {}
-        for item in graph.user_neighbors(user):
-            for other in graph.item_neighbors(item):
+        for item in row:
+            for other in items[item]:
                 if other != user:
                     counts[other] = counts.get(other, 0) + 1
         num = sum(1 for value in counts.values() if value >= common_floor)
-        if graph.user_degree(user) >= common_floor:
+        if len(row) >= common_floor:
             num += 1  # self
         if num < params.k1:
-            graph.remove_user(user)
-            removed_any = True
+            adjacency.remove_user(user)
             removed_count += 1
     if removed_count:
         obs.count("extract.square.users_removed", removed_count)
-    return removed_any
+    return bool(removed_count)
 
 
 def _square_prune_items(
-    graph: BipartiteGraph, params: RICDParams, ordered: bool = True
+    adjacency: Adjacency, params: RICDParams, ordered: bool = True
 ) -> bool:
     """One item-side SquarePruning pass; returns True if anything was removed."""
     common_floor = ceil_frac(params.alpha, params.k1)
+    users, items = adjacency.users, adjacency.items
     if ordered:
-        order = sorted(
-            graph.items(), key=lambda i: (_two_hop_size_item(graph, i), str(i))
-        )
+        order = sorted(items, key=lambda i: (_two_hop_size(items, users, i), str(i)))
     else:
-        order = sorted(graph.items(), key=str)
-    removed_any = False
+        order = sorted(items, key=str)
     removed_count = 0
     for item in order:
-        if not graph.has_item(item):
+        column = items.get(item)
+        if column is None:
             continue
         counts: dict[Node, int] = {}
-        for user in graph.item_neighbors(item):
-            for other in graph.user_neighbors(user):
+        for user in column:
+            for other in users[user]:
                 if other != item:
                     counts[other] = counts.get(other, 0) + 1
         num = sum(1 for value in counts.values() if value >= common_floor)
-        if graph.item_degree(item) >= common_floor:
+        if len(column) >= common_floor:
             num += 1  # self
         if num < params.k2:
-            graph.remove_item(item)
-            removed_any = True
+            adjacency.remove_item(item)
             removed_count += 1
     if removed_count:
         obs.count("extract.square.items_removed", removed_count)
-    return removed_any
+    return bool(removed_count)
 
 
 def square_pruning(
-    graph: BipartiteGraph, params: RICDParams, ordered: bool = True
+    adjacency: Adjacency, params: RICDParams, ordered: bool = True
 ) -> bool:
     """Algorithm 3's ``SquarePruning`` (one user pass + one item pass), in place.
 
@@ -179,14 +170,14 @@ def square_pruning(
 
     Returns ``True`` if anything was removed.
     """
-    removed_users = _square_prune_users(graph, params, ordered)
-    removed_items = _square_prune_items(graph, params, ordered)
+    removed_users = _square_prune_users(adjacency, params, ordered)
+    removed_items = _square_prune_items(adjacency, params, ordered)
     return removed_users or removed_items
 
 
 def prune_to_fixpoint(
-    graph: BipartiteGraph, params: RICDParams, iterate: bool = True, ordered: bool = True
-) -> BipartiteGraph:
+    adjacency: Adjacency, params: RICDParams, iterate: bool = True, ordered: bool = True
+) -> Adjacency:
     """Alternate CorePruning and SquarePruning until stable, in place.
 
     Each SquarePruning removal lowers degrees elsewhere, re-exposing
@@ -195,24 +186,24 @@ def prune_to_fixpoint(
     SquarePruning pass (Algorithm 3 as literally written) — kept for the
     fixpoint ablation benchmark.
 
-    Returns the same (now pruned) graph for chaining.
+    Returns the same (now pruned) adjacency for chaining.
     """
-    core_pruning(graph, params)
+    core_pruning(adjacency, params)
     if not iterate:
-        square_pruning(graph, params, ordered)
+        square_pruning(adjacency, params, ordered)
         obs.count("extract.fixpoint_rounds", 1)
         obs.gauge("extract.peak_rss_mb", round(peak_rss_mb(), 1))
-        return graph
+        return adjacency
     changed = True
     rounds = 0
     while changed:
         rounds += 1
-        changed = square_pruning(graph, params, ordered)
+        changed = square_pruning(adjacency, params, ordered)
         if changed:
-            core_pruning(graph, params)
+            core_pruning(adjacency, params)
     obs.count("extract.fixpoint_rounds", rounds)
     obs.gauge("extract.peak_rss_mb", round(peak_rss_mb(), 1))
-    return graph
+    return adjacency
 
 
 def component_groups(survivors: BipartiteGraph, params: RICDParams) -> list[SuspiciousGroup]:
@@ -236,16 +227,18 @@ def component_groups(survivors: BipartiteGraph, params: RICDParams) -> list[Susp
 def extract_groups(graph: BipartiteGraph, params: RICDParams) -> list[SuspiciousGroup]:
     """Full Algorithm 3: prune, then split survivors into candidate groups.
 
-    The fixpoint is pruned on a private copy, so ``graph`` is left
-    untouched.  Surviving vertices are grouped by connected component;
-    components too small to host a ``(k1, k2)`` biclique core are dropped.
+    The fixpoint is pruned on a private :class:`~repro.graph.views.Adjacency`,
+    so ``graph`` is left untouched.  Surviving vertices are grouped by
+    connected component of the survivors' induced subgraph, as in the
+    bitset engine; components too small to host a ``(k1, k2)`` biclique
+    core are dropped.
 
     Returns
     -------
     list[SuspiciousGroup]
         Candidate groups, largest first.
     """
-    working = graph.copy()
+    adjacency = Adjacency(graph)
     with obs.span("prune"):
-        prune_to_fixpoint(working, params)
-    return component_groups(working, params)
+        prune_to_fixpoint(adjacency, params)
+    return component_groups(graph.subgraph(adjacency.users, adjacency.items), params)

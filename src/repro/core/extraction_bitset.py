@@ -32,8 +32,7 @@ the differential suite pins the equivalence on the shared scenario grid.
 The kernel itself is array-native — :func:`prune_fixpoint_arrays` needs
 nothing but CSR/CSC index arrays — which is what lets paper-scale graphs
 stream from disk (memory-mapped arrays, see :mod:`repro.graph.io`)
-without ever materialising a dict-of-dict
-:class:`~repro.graph.bipartite.BipartiteGraph`.
+without ever holding a Python object per edge.
 """
 
 from __future__ import annotations

@@ -498,8 +498,7 @@ class IncrementalRICD:
         live = self._graph.indexed()
         # The marketplace grows under the stream; the cap must track the
         # live mean degree or the dirty region quietly shrinks relative
-        # to it.  The live index's counts are O(1); an eager graph's
-        # ``num_edges`` walks every user.
+        # to it.  The merged index's counts are O(1).
         self._traverse_degree_cap = self._derive_traverse_cap(
             live.num_edges, live.num_items
         )

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
+import numpy as np
+
 from .._util import stopwatch
 from ..graph.bipartite import BipartiteGraph
 from .groups import DetectionResult, SuspiciousGroup
@@ -65,7 +67,11 @@ class NaiveParams:
 
 
 def user_alpha(graph: BipartiteGraph, user: Node, hot: set[Node]) -> int:
-    """``GETALPHA``: the user's total clicks on hot items."""
+    """``GETALPHA``: the user's total clicks on hot items.
+
+    The per-user form of the sum :func:`naive_detect` takes for every user
+    at once from the snapshot's edge arrays.
+    """
     return sum(
         clicks
         for item, clicks in graph.user_neighbors(user).items()
@@ -76,7 +82,11 @@ def user_alpha(graph: BipartiteGraph, user: Node, hot: set[Node]) -> int:
 def item_risk_scores(
     graph: BipartiteGraph, alphas: dict[Node, int], candidates: set[Node]
 ) -> dict[Node, int]:
-    """Per-item risk: the sum of adjacent users' Alpha values (Algorithm 1 line 10)."""
+    """Per-item risk: the sum of adjacent users' Alpha values (Algorithm 1 line 10).
+
+    The per-item form of the sum :func:`naive_detect` takes for every item
+    at once from the snapshot's edge arrays.
+    """
     return {
         item: sum(alphas[user] for user in graph.item_neighbors(item))
         for item in candidates
@@ -104,53 +114,53 @@ def naive_detect(
     with stopwatch() as timer:
         t_hot = params.t_hot if params.t_hot is not None else pareto_hot_threshold(graph)
 
-        new_items: set[Node] = set()
-        hot: set[Node] = set()
-        for item in graph.items():
-            if graph.item_total_clicks(item) < t_hot:
-                new_items.add(item)
-            else:
-                hot.add(item)
+        # Every sum below is one bincount over the snapshot's edge arrays;
+        # the sums are integers, exact in float64 below 2**53.
+        snapshot = graph.indexed()
+        user_idx, item_idx, clicks = snapshot.user_idx, snapshot.item_idx, snapshot.clicks
+        hot = snapshot.item_total_clicks() >= t_hot
+        # GETALPHA per user, then line 10's risk per item.
+        alphas = np.bincount(
+            user_idx, weights=clicks * hot[item_idx], minlength=snapshot.num_users
+        )
+        risks = np.bincount(item_idx, weights=alphas[user_idx], minlength=snapshot.num_items)
 
-        alphas = {user: user_alpha(graph, user, hot) for user in graph.users()}
-        risks = item_risk_scores(graph, alphas, new_items)
-
-        positive_risks = [float(value) for value in risks.values() if value > 0]
+        new_risks = risks[~hot]
+        positive_risks = new_risks[new_risks > 0].tolist()
         if params.t_risk is not None:
             t_risk = params.t_risk
         elif positive_risks:
             t_risk = _percentile(positive_risks, params.risk_percentile)
         else:
             t_risk = float("inf")
-        abnormal_items = {item for item, risk in risks.items() if risk > t_risk}
+        abnormal = ~hot & (risks > t_risk)
 
         # Second pass, "in the same way": users scored by their clicks on
         # the abnormal item set, thresholded at the same percentile.
-        user_risks = {
-            user: sum(
-                clicks
-                for item, clicks in graph.user_neighbors(user).items()
-                if item in abnormal_items
-            )
-            for user in graph.users()
-        }
-        positive_user_risks = [float(v) for v in user_risks.values() if v > 0]
+        user_risks = np.bincount(
+            user_idx, weights=clicks * abnormal[item_idx], minlength=snapshot.num_users
+        )
+        positive_user_risks = user_risks[user_risks > 0].tolist()
         if params.t_risk_user is not None:
             t_risk_user = params.t_risk_user
         elif positive_user_risks:
             t_risk_user = _percentile(positive_user_risks, params.risk_percentile)
         else:
             t_risk_user = float("inf")
-        abnormal_users = {
-            user for user, risk in user_risks.items() if risk > t_risk_user
-        }
+        flagged = user_risks > t_risk_user
 
-        result.suspicious_items = abnormal_items
-        result.suspicious_users = abnormal_users
+        result.item_scores = {
+            snapshot.items[column]: float(risks[column])
+            for column in np.flatnonzero(abnormal).tolist()
+        }
+        result.user_scores = {
+            snapshot.users[row]: float(user_risks[row])
+            for row in np.flatnonzero(flagged).tolist()
+        }
+        result.suspicious_items = set(result.item_scores)
+        result.suspicious_users = set(result.user_scores)
         result.groups = [
-            SuspiciousGroup(users=set(abnormal_users), items=set(abnormal_items))
+            SuspiciousGroup(users=set(result.user_scores), items=set(result.item_scores))
         ]
-        result.item_scores = {item: float(risks[item]) for item in abnormal_items}
-        result.user_scores = {user: float(user_risks[user]) for user in abnormal_users}
     result.timings["detection"] = timer[0]
     return result

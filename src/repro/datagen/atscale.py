@@ -1,7 +1,7 @@
 """Array-native marketplace generation at paper proportions.
 
-The dict-of-dict generator in :mod:`repro.datagen.marketplace` tops out
-around the default 20k-user scale — every click is a Python dict insert.
+The record-at-a-time generator in :mod:`repro.datagen.marketplace` tops
+out around the default 20k-user scale — every click is a Python tuple.
 This module generates the same *shape* of marketplace (heavy-tailed item
 popularity, casual/power-user activity split, dense injected attack
 blocks) directly as integer edge arrays, so a paper-proportioned graph
@@ -11,9 +11,9 @@ materialises in numpy at ~24 bytes per record instead of several hundred.
 The output is deliberately engine-ready rather than id-ready: rows and
 columns are integers, convertible to an
 :class:`~repro.graph.indexed.IndexedGraph` (:func:`to_snapshot`) or — at
-small scales only — a dict :class:`~repro.graph.bipartite.BipartiteGraph`
-(:func:`to_bipartite`) when names or reference-engine comparisons are
-needed.  Ground truth is exact by construction: worker rows and target
+small scales only — a :class:`~repro.graph.bipartite.BipartiteGraph` with
+string ids (:func:`to_bipartite`) when names or reference-engine
+comparisons are needed.  Ground truth is exact by construction: worker rows and target
 columns per injected group ride along in the result.
 """
 
@@ -223,12 +223,14 @@ def to_snapshot(arrays: AtScaleArrays):
 
 
 def to_bipartite(arrays: AtScaleArrays):
-    """The marketplace as a dict :class:`BipartiteGraph` (small scales only)."""
+    """The marketplace as a :class:`BipartiteGraph` with string ids (small scales only)."""
     from ..graph.bipartite import BipartiteGraph
 
     graph = BipartiteGraph()
-    for user, item, count in zip(
-        arrays.user_idx.tolist(), arrays.item_idx.tolist(), arrays.clicks.tolist()
-    ):
-        graph.add_click(f"u{user}", f"i{item}", count)
+    graph.add_clicks(
+        (f"u{user}", f"i{item}", count)
+        for user, item, count in zip(
+            arrays.user_idx.tolist(), arrays.item_idx.tolist(), arrays.clicks.tolist()
+        )
+    )
     return graph

@@ -244,15 +244,12 @@ def generate_marketplace(config: MarketplaceConfig) -> BipartiteGraph:
     base_clicks = rng.geometric(min(1.0, 1.0 / base_mean), size=total_edges)
     clicks = np.minimum(base_clicks + extra, config.max_clicks_per_edge)
 
-    cursor = 0
-    for user_index in range(config.n_users):
-        degree = int(degrees[user_index])
-        user = user_id(user_index)
-        graph.add_user(user)
-        for offset in range(degree):
-            choice = int(all_choices[cursor + offset])
-            graph.add_click(user, item_id(choice), int(clicks[cursor + offset]))
-        cursor += degree
+    # User u0 owns the first degrees[0] draws, u1 the next degrees[1], ...
+    owners = np.repeat(np.arange(config.n_users), degrees)
+    graph.add_clicks(
+        (user_id(owner), item_id(choice), weight)
+        for owner, choice, weight in zip(owners.tolist(), all_choices.tolist(), clicks.tolist())
+    )
 
     _add_cohorts(graph, config, rng)
     _add_superfans(graph, config, rng)

@@ -20,8 +20,6 @@ from .builders import (
 )
 from .indexed import IndexedGraph
 from .io import read_click_table, write_click_table
-from .projection import project_items, project_users, top_co_clicked
-from .sampling import stratified_item_sample
 from .stats import (
     GraphScale,
     SideStats,
@@ -30,7 +28,7 @@ from .stats import (
     item_click_profile,
     side_stats,
 )
-from .views import connected_components
+from .views import Adjacency, connected_components
 
 __all__ = [
     "BipartiteGraph",
@@ -47,9 +45,6 @@ __all__ = [
     "side_stats",
     "click_histogram",
     "item_click_profile",
+    "Adjacency",
     "connected_components",
-    "stratified_item_sample",
-    "project_users",
-    "project_items",
-    "top_co_clicked",
 ]

@@ -1,24 +1,15 @@
 """The weighted user-item bipartite click graph.
 
 :class:`BipartiteGraph` stores the paper's ``TaoBao_UI_Clicks`` relation.
-A graph built node by node (``BipartiteGraph()`` plus :meth:`add_click`)
-is *eager*: two mirrored dict-of-dict adjacency maps, one per partition.
-That representation was chosen over a matrix because every detection
-algorithm in the paper *mutates* the graph by deleting nodes (CorePruning
-and SquarePruning both "remove a vertex and all its adjacent edges"), and
-hash maps give O(degree) deletion, O(1) edge lookup and cheap
-neighbour-set intersection — the three operations Algorithm 3 is built
-from.
-
 Users and items live in separate namespaces: the same identifier may appear
 on both sides without clashing, as in the paper's tables where user ids and
 item ids are independent integer sequences.
 
-**Array-backed graphs (store loads, the live incremental graph).**  A graph
-made by :meth:`from_indexed` keeps no adjacency dicts as its truth.  Its
-truth is the last merged :class:`~repro.graph.indexed.IndexedGraph`
-snapshot plus a tail of interned ``(row, column, clicks)`` columns (an
-:class:`~repro.graph.indexed.InternedDelta`):
+Every graph is **array-backed**.  Its truth is the last merged
+:class:`~repro.graph.indexed.IndexedGraph` snapshot plus a tail of interned
+``(row, column, clicks)`` columns (an
+:class:`~repro.graph.indexed.InternedDelta`); ``BipartiteGraph()`` starts
+from an empty snapshot, and :meth:`from_indexed` from a given one:
 
 * appends — :meth:`add_clicks`, idle :meth:`add_user`/:meth:`add_item`,
   and the increment of a :meth:`set_click` that raises a count — intern
@@ -38,24 +29,25 @@ snapshot plus a tail of interned ``(row, column, clicks)`` columns (an
   totals from its cached aggregates, ``get_click`` by a binary search in
   the user's row, ``edges()`` in canonical order (rows in interning
   order, columns ascending), and the neighbour maps from per-vertex dicts
-  that are a read cache of the current snapshot, dropped at each merge;
-* node removal merges and then flattens the snapshot into the eager
-  dicts (:meth:`_flatten`); so do pickling and ``==``.  The graph is
-  eager from then on.
+  that are a read cache of the current snapshot, dropped at each merge.
 
-An eager graph buffers nothing: every write drops its memoized snapshot,
-and the next :meth:`indexed` call rebuilds it.
+No node is ever removed.  The algorithms that delete vertices (Algorithm
+3's pruning, the FRAUDAR and COPYCATCH baselines) prune a
+:class:`~repro.graph.views.Adjacency` of their own, and :meth:`subgraph`
+masks the snapshot's rows and columns.
 
-Merging, read caching and flattening never bump :attr:`version` or
-change an observable value, which the equivalence suites (against a
-plain dict-of-dicts model and an eager twin) pin under random operation
-interleavings.
+Merging and read caching never bump :attr:`version` or change an
+observable value, which the suite against a plain dict-of-dicts model
+pins under random operation interleavings.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .. import obs
 from ..errors import DuplicateNodeError, NodeNotFoundError
@@ -96,13 +88,25 @@ def _column(snapshot: IndexedGraph, item: Node) -> int:
     return column
 
 
+def _kept(index: dict, size: int, nodes: Iterable[Node] | None) -> np.ndarray:
+    """``bool[size]``: the ids of ``nodes`` known to ``index`` (all, for ``None``)."""
+    if nodes is None:
+        return np.ones(size, dtype=bool)
+    keep = np.zeros(size, dtype=bool)
+    keep[[row for row in map(index.get, nodes) if row is not None]] = True
+    return keep
+
+
+def _edge_map(graph: "BipartiteGraph") -> dict:
+    return {(user, item): clicks for user, item, clicks in graph.edges()}
+
+
 class BipartiteGraph:
     """A mutable weighted bipartite graph of user→item click counts.
 
     Edges carry a positive integer click count ``p``; adding clicks to an
-    existing edge accumulates.  All mutation keeps the two partitions
-    consistent, so ``user_neighbors``/``item_neighbors`` are always
-    views of the same edge set.
+    existing edge accumulates.  ``user_neighbors``/``item_neighbors`` are
+    two views of the same edge set.
 
     Examples
     --------
@@ -111,7 +115,7 @@ class BipartiteGraph:
     >>> g.add_click("u1", "i2")
     >>> g.user_degree("u1"), g.user_total_clicks("u1")
     (2, 4)
-    >>> g.remove_item("i1")
+    >>> g.remove_edge("u1", "i1")
     >>> g.user_degree("u1")
     1
     """
@@ -127,50 +131,42 @@ class BipartiteGraph:
     )
 
     def __init__(self) -> None:
-        #: Eager graph: the adjacency truth.  Array-backed graph: a read
-        #: cache of the current snapshot's neighbour maps.
+        empty = np.zeros(0, dtype=np.int64)
+        self._over(IndexedGraph([], [], empty, empty, empty), 0)
+
+    def _over(self, snapshot: IndexedGraph, total_clicks: int) -> None:
+        """Make ``snapshot`` (holding ``total_clicks``) the whole state, with an empty tail."""
+        #: A read cache of the current snapshot's neighbour maps.
         self._users: dict[Node, dict[Node, int]] = {}
         self._items: dict[Node, dict[Node, int]] = {}
-        self._total_clicks: int = 0
-        self._version: int = 0
-        #: Eager graph: the memoized snapshot.  Array-backed graph: the
-        #: last merged snapshot, the base of the tail.
-        self._indexed: IndexedGraph | None = None
-        #: Array-backed graph: the interned appends since ``_indexed``;
-        #: ``None`` on an eager graph.
-        self._tail: InternedDelta | None = None
+        self._total_clicks = total_clicks
+        self._version = snapshot.version
+        #: The last merged snapshot, the base of the tail.
+        self._indexed = snapshot
+        #: The interned appends since ``_indexed``.
+        self._tail = InternedDelta(snapshot)
 
     @classmethod
     def from_indexed(cls, snapshot: IndexedGraph) -> "BipartiteGraph":
-        """An array-backed mutable graph over a frozen snapshot (warm start).
+        """A mutable graph over a frozen snapshot (warm start).
 
         The inverse of :meth:`indexed`, in O(1) graph work: the snapshot
         becomes the base of an empty tail (see the module docstring), the
         mutation version is pinned to ``snapshot.version``, and the first
-        :meth:`indexed` call returns the snapshot itself as a cache *hit*
-        (no ``graph.indexed.misses``), keeping every version-keyed
-        consumer cache (thresholds, fixpoint memos) attachable to the
-        restored state.
+        :meth:`indexed` call returns the snapshot itself as a cache *hit*,
+        keeping every version-keyed consumer cache (thresholds, fixpoint
+        memos) attachable to the restored state.
         """
-        graph = cls()
-        graph._version = snapshot.version
-        graph._indexed = snapshot
-        graph._tail = InternedDelta(snapshot)
-        graph._total_clicks = snapshot.total_clicks
+        graph = cls.__new__(cls)
+        graph._over(snapshot, snapshot.total_clicks)
         return graph
 
-    # ------------------------------------------------------------------
-    # Array backing: merge, read cache, flatten
-    # ------------------------------------------------------------------
-    def _current(self) -> IndexedGraph | None:
-        """An array-backed graph's snapshot with the tail merged in.
+    def _current(self) -> IndexedGraph:
+        """The snapshot with the tail merged in.
 
-        ``None`` on an eager graph.  A merge replaces the base and the
-        tail and drops the neighbour read cache; it never bumps the
-        version.
+        A merge replaces the base and the tail and drops the neighbour
+        read cache; it never bumps the version.
         """
-        if self._tail is None:
-            return None
         snapshot = self._indexed
         if snapshot.version != self._version:
             obs.count("graph.indexed.delta_builds")
@@ -180,35 +176,6 @@ class BipartiteGraph:
             self._users = {}
             self._items = {}
         return snapshot
-
-    def _flatten(self) -> None:
-        """Turn an array-backed graph into an eager one; a no-op when eager.
-
-        Merges the tail, then fills both adjacency maps from the snapshot
-        in canonical order: users in row order with their items by
-        ascending column, items in column order with their users by
-        ascending row.  A pure representation change — no observable
-        value changes, the version does not bump, and the snapshot stays
-        memoized.  Node removal, pickling and ``==`` call this.
-        """
-        snapshot = self._current()
-        if snapshot is None:
-            return
-        obs.count("graph.lazy.materializations")
-        users, items = snapshot.users, snapshot.items
-        users_map: dict[Node, dict[Node, int]] = {user: {} for user in users}
-        items_map: dict[Node, dict[Node, int]] = {item: {} for item in items}
-        for row, column, weight in zip(
-            snapshot.user_idx.tolist(),
-            snapshot.item_idx.tolist(),
-            snapshot.clicks.tolist(),
-        ):
-            user, item = users[row], items[column]
-            users_map[user][item] = weight
-            items_map[item][user] = weight
-        self._users = users_map
-        self._items = items_map
-        self._tail = None
 
     # ------------------------------------------------------------------
     # Snapshot bookkeeping
@@ -223,42 +190,23 @@ class BipartiteGraph:
         """
         return self._version
 
-    def _mutated(self, steps: int = 1) -> None:
-        """Record an eager graph's write: ``steps`` versions, and drop the memo."""
-        self._version += steps
-        self._indexed = None
-
     def indexed(self) -> IndexedGraph:
-        """The memoized :class:`~repro.graph.indexed.IndexedGraph` snapshot.
+        """The current :class:`~repro.graph.indexed.IndexedGraph` snapshot.
 
-        An array-backed graph returns its base with the tail merged in —
-        a cache hit, plus ``graph.indexed.delta_builds`` when the tail was
-        not empty.  An eager graph builds the snapshot on first access
-        (a ``graph.indexed.misses``) and reuses it until the next write.
+        The base with the tail merged in — a ``graph.indexed.hits``, plus
+        ``graph.indexed.delta_builds`` when the tail was not empty.  The
+        snapshot is reused until the next write.
         """
-        if self._tail is not None:
-            obs.count("graph.indexed.hits")
-            return self._current()
-        snapshot = self._indexed
-        if snapshot is not None:
-            obs.count("graph.indexed.hits")
-            return snapshot
-        obs.count("graph.indexed.misses")
-        with obs.span("indexed_build"):
-            snapshot = self._indexed = IndexedGraph.from_graph(self)
-        return snapshot
+        obs.count("graph.indexed.hits")
+        return self._current()
 
     # ------------------------------------------------------------------
     # Node management
     # ------------------------------------------------------------------
     def _register(self, kind: str, node: Node) -> None:
         """Add an idle node known to be absent (``kind`` is its side)."""
-        if self._tail is not None:
-            self._tail.register(kind, node)
-            self._version += 1
-            return
-        (self._users if kind == "user" else self._items)[node] = {}
-        self._mutated()
+        self._tail.register(kind, node)
+        self._version += 1
 
     def add_user(self, user: Node) -> None:
         """Register ``user`` with no edges.  No-op if already present."""
@@ -284,37 +232,11 @@ class BipartiteGraph:
 
     def has_user(self, user: Node) -> bool:
         """Whether ``user`` is in the user partition."""
-        if self._tail is not None:
-            return user in self._tail.user_index
-        return user in self._users
+        return user in self._tail.user_index
 
     def has_item(self, item: Node) -> bool:
         """Whether ``item`` is in the item partition."""
-        if self._tail is not None:
-            return item in self._tail.item_index
-        return item in self._items
-
-    def remove_user(self, user: Node) -> None:
-        """Delete ``user`` and all its incident edges."""
-        if not self.has_user(user):
-            raise NodeNotFoundError(user, "user")
-        self._flatten()
-        adjacency = self._users.pop(user)
-        for item, clicks in adjacency.items():
-            del self._items[item][user]
-            self._total_clicks -= clicks
-        self._mutated()
-
-    def remove_item(self, item: Node) -> None:
-        """Delete ``item`` and all its incident edges."""
-        if not self.has_item(item):
-            raise NodeNotFoundError(item, "item")
-        self._flatten()
-        adjacency = self._items.pop(item)
-        for user, clicks in adjacency.items():
-            del self._users[user][item]
-            self._total_clicks -= clicks
-        self._mutated()
+        return item in self._tail.item_index
 
     # ------------------------------------------------------------------
     # Edge management
@@ -330,37 +252,17 @@ class BipartiteGraph:
         """Apply ``(user, item, clicks)`` records in order, all or none.
 
         The same graph and :attr:`version` as one :meth:`add_click` per
-        record, in one pass: every count is checked before the first
-        write, so a record with a non-positive count raises
-        :class:`ValueError` and leaves the graph untouched, as does a
-        record without exactly three fields.  An array-backed
-        graph interns the batch into its tail; an eager graph writes both
-        adjacency maps.
+        record, in one pass: every count is checked before the batch is
+        interned into the tail, so a record with a non-positive count
+        raises :class:`ValueError` and leaves the graph untouched, as does
+        a record without exactly three fields.
         """
         records = _checked(records)
         if not records:
             return
-        total = sum(map(_CLICKS, records))
-        if self._tail is not None:
-            self._tail.add(records)
-            self._version += len(records)
-            self._total_clicks += total
-            return
-        users, items = self._users, self._items
-        for user, item, clicks in records:
-            user_adj = users.get(user)
-            if user_adj is None:
-                user_adj = users[user] = {}
-            item_adj = items.get(item)
-            if item_adj is None:
-                item_adj = items[item] = {}
-            previous = user_adj.get(item)
-            if previous is None:
-                user_adj[item] = item_adj[user] = clicks
-            else:
-                user_adj[item] = item_adj[user] = previous + clicks
-        self._total_clicks += total
-        self._mutated(len(records))
+        self._tail.add(records)
+        self._version += len(records)
+        self._total_clicks += sum(map(_CLICKS, records))
 
     def subtract_clicks(
         self, records: Iterable[tuple[Node, Node, int]]
@@ -376,10 +278,10 @@ class BipartiteGraph:
         :meth:`add_clicks`.  Returns the ``(user, item)`` pairs whose
         count fell, in first-lowered order.
 
-        An eager graph writes its dicts.  An array-backed graph reads the
-        counts from its merged snapshot and merges the decrements at once
-        with one :meth:`~repro.graph.indexed.IndexedGraph.apply_delta` of
-        negative counts, so its tail never holds one.
+        The counts are read from the merged snapshot, and the decrements
+        merge at once with one
+        :meth:`~repro.graph.indexed.IndexedGraph.apply_delta` of negative
+        counts, so the tail never holds one.
         """
         records = _checked(records)
         taken: dict[tuple[Node, Node], int] = {}
@@ -395,20 +297,10 @@ class BipartiteGraph:
         if not steps:
             return []
         self._total_clicks -= sum(taken.values())
-        if self._tail is not None:
-            # get_click merged the tail, so the decrements merge alone.
-            self._tail.add([(user, item, -clicks) for (user, item), clicks in taken.items()])
-            self._version += steps
-            self._current()
-            return list(taken)
-        users, items = self._users, self._items
-        for (user, item), clicks in taken.items():
-            remaining = users[user][item] - clicks
-            if remaining:
-                users[user][item] = items[item][user] = remaining
-            else:
-                del users[user][item], items[item][user]
-        self._mutated(steps)
+        # get_click merged the tail, so the decrements merge alone.
+        self._tail.add([(user, item, -clicks) for (user, item), clicks in taken.items()])
+        self._version += steps
+        self._current()
         return list(taken)
 
     def set_click(self, user: Node, item: Node, clicks: int) -> None:
@@ -424,7 +316,7 @@ class BipartiteGraph:
         *positive* set on a missing edge creates the endpoints, exactly
         like :meth:`add_click`, and any raise appends the increment.  A
         lower count goes through :meth:`subtract_clicks`, one merge per
-        call on an array-backed graph; batch callers call that directly.
+        call; batch callers call that directly.
         """
         if clicks < 0:
             raise ValueError(f"clicks must be >= 0, got {clicks}")
@@ -447,9 +339,6 @@ class BipartiteGraph:
     def get_click(self, user: Node, item: Node, default: int = 0) -> int:
         """Click count on edge ``(user, item)``, or ``default`` if absent."""
         snapshot = self._current()
-        if snapshot is None:
-            adjacency = self._users.get(user)
-            return default if adjacency is None else adjacency.get(item, default)
         row = snapshot.user_index.get(user)
         column = snapshot.item_index.get(item)
         if row is not None and column is not None:
@@ -462,29 +351,19 @@ class BipartiteGraph:
     # Accessors
     # ------------------------------------------------------------------
     def users(self) -> Iterator[Node]:
-        """Iterate over user ids (an array-backed graph: in row order)."""
-        if self._tail is not None:
-            return iter(self._tail.users)
-        return iter(self._users)
+        """Iterate over user ids in row order (first-seen order)."""
+        return iter(self._tail.users)
 
     def items(self) -> Iterator[Node]:
-        """Iterate over item ids (an array-backed graph: in column order)."""
-        if self._tail is not None:
-            return iter(self._tail.items)
-        return iter(self._items)
+        """Iterate over item ids in column order (first-seen order)."""
+        return iter(self._tail.items)
 
     def edges(self) -> Iterator[tuple[Node, Node, int]]:
-        """Iterate over ``(user, item, clicks)`` triples.
+        """Iterate over ``(user, item, clicks)`` triples in canonical order.
 
-        An array-backed graph yields them in canonical snapshot order:
-        users in row order, each user's items by ascending column.
+        Users in row order, each user's items by ascending column.
         """
         snapshot = self._current()
-        if snapshot is None:
-            for user, adjacency in self._users.items():
-                for item, clicks in adjacency.items():
-                    yield user, item, clicks
-            return
         users, items = snapshot.users, snapshot.items
         for row, column, clicks in zip(
             snapshot.user_idx.tolist(),
@@ -496,15 +375,13 @@ class BipartiteGraph:
     def user_neighbors(self, user: Node) -> Mapping[Node, int]:
         """Read-only view of ``{item: clicks}`` for ``user``.
 
-        An array-backed graph builds the dict from the user's snapshot
-        row on first read and caches it until the next merge.
+        Built from the user's snapshot row on first read and cached until
+        the next merge.
         """
         snapshot = self._current()
         adjacency = self._users.get(user)
         if adjacency is not None:
             return adjacency
-        if snapshot is None:
-            raise NodeNotFoundError(user, "user")
         columns, weights = snapshot.row_slice(_row(snapshot, user))
         items = snapshot.items
         adjacency = self._users[user] = {
@@ -517,16 +394,14 @@ class BipartiteGraph:
     def item_neighbors(self, item: Node) -> Mapping[Node, int]:
         """Read-only view of ``{user: clicks}`` for ``item``.
 
-        An array-backed graph builds the dict from the item's snapshot
-        column on first read (the first such read of a snapshot builds
-        its CSC arrays) and caches it until the next merge.
+        Built from the item's snapshot column on first read (the first
+        such read of a snapshot builds its CSC arrays) and cached until
+        the next merge.
         """
         snapshot = self._current()
         adjacency = self._items.get(item)
         if adjacency is not None:
             return adjacency
-        if snapshot is None:
-            raise NodeNotFoundError(item, "item")
         rows, weights = snapshot.column_slice(_column(snapshot, item))
         users = snapshot.users
         adjacency = self._items[item] = {
@@ -538,54 +413,40 @@ class BipartiteGraph:
     def user_degree(self, user: Node) -> int:
         """Number of distinct items clicked by ``user``."""
         snapshot = self._current()
-        if snapshot is None:
-            return len(self.user_neighbors(user))
         return int(snapshot.user_degrees()[_row(snapshot, user)])
 
     def item_degree(self, item: Node) -> int:
         """Number of distinct users who clicked ``item``."""
         snapshot = self._current()
-        if snapshot is None:
-            return len(self.item_neighbors(item))
         return int(snapshot.item_degrees()[_column(snapshot, item)])
 
     def user_total_clicks(self, user: Node) -> int:
         """Sum of click counts on all of ``user``'s edges."""
         snapshot = self._current()
-        if snapshot is None:
-            return sum(self.user_neighbors(user).values())
         return int(snapshot.user_total_clicks()[_row(snapshot, user)])
 
     def item_total_clicks(self, item: Node) -> int:
         """Sum of click counts on all of ``item``'s edges (Table III's *Total_click*)."""
         snapshot = self._current()
-        if snapshot is None:
-            return sum(self.item_neighbors(item).values())
         return int(snapshot.item_total_clicks()[_column(snapshot, item)])
 
     @property
     def num_users(self) -> int:
         """Number of user nodes."""
-        if self._tail is not None:
-            return len(self._tail.users)
-        return len(self._users)
+        return len(self._tail.users)
 
     @property
     def num_items(self) -> int:
         """Number of item nodes."""
-        if self._tail is not None:
-            return len(self._tail.items)
-        return len(self._items)
+        return len(self._tail.items)
 
     @property
     def num_edges(self) -> int:
         """Number of (user, item) click records — *Edge* in Table I.
 
-        An array-backed graph counts without merging its tail.
+        Counted without merging the tail.
         """
-        if self._tail is not None:
-            return self._tail.merged_num_edges()
-        return sum(len(adjacency) for adjacency in self._users.values())
+        return self._tail.merged_num_edges()
 
     @property
     def total_clicks(self) -> int:
@@ -596,24 +457,28 @@ class BipartiteGraph:
     # Derived graphs
     # ------------------------------------------------------------------
     def copy(self) -> "BipartiteGraph":
-        """Deep copy of nodes and edges (node ids are shared, not copied).
+        """An independent graph with the same nodes, edges and version, in O(1).
 
-        An array-backed graph copies in O(1) after merging its tail: the
-        clone is array-backed over the same frozen snapshot (immutable,
-        so sharing is safe) with the same version and an empty tail of
-        its own, so copying a warm graph does not throw its warmth away.
-        Eager graphs copy their dicts (fresh version, no memo).
+        Merges the tail, then wraps a new snapshot object over the same
+        immutable arrays and id tables.  The clone is *cold*: it shares no
+        cached aggregate and no ``derived`` memo with this graph, so work
+        timed on a copy is not served from this graph's caches.
         """
-        clone = BipartiteGraph()
-        clone._total_clicks = self._total_clicks
         snapshot = self._current()
-        if snapshot is not None:
-            clone._version = self._version
-            clone._indexed = snapshot
-            clone._tail = InternedDelta(snapshot)
-            return clone
-        clone._users = {user: dict(adj) for user, adj in self._users.items()}
-        clone._items = {item: dict(adj) for item, adj in self._items.items()}
+        clone = BipartiteGraph.__new__(BipartiteGraph)
+        clone._over(
+            IndexedGraph(
+                snapshot.users,
+                snapshot.items,
+                snapshot.user_idx,
+                snapshot.item_idx,
+                snapshot.clicks,
+                snapshot.version,
+                user_index=snapshot.user_index,
+                item_index=snapshot.item_index,
+            ),
+            self._total_clicks,
+        )
         return clone
 
     def subgraph(
@@ -623,66 +488,70 @@ class BipartiteGraph:
 
         ``None`` for either side means "keep that whole side".  Unknown ids
         are ignored, which lets callers pass detector output (which may
-        reference nodes already pruned away) without pre-filtering.
+        reference nodes already pruned away) without pre-filtering.  Kept
+        ids keep this graph's order; the snapshot's rows and columns are
+        masked and renumbered monotonically, so the kept edges stay in
+        canonical order.
         """
-        keep_users = (
-            list(self.users())
-            if users is None
-            else {user for user in users if self.has_user(user)}
+        snapshot = self._current()
+        keep_users = _kept(snapshot.user_index, snapshot.num_users, users)
+        keep_items = _kept(snapshot.item_index, snapshot.num_items, items)
+        keep_edges = keep_users[snapshot.user_idx] & keep_items[snapshot.item_idx]
+        rows = np.cumsum(keep_users) - 1
+        columns = np.cumsum(keep_items) - 1
+        return BipartiteGraph.from_indexed(
+            IndexedGraph(
+                list(compress(snapshot.users, keep_users.tolist())),
+                list(compress(snapshot.items, keep_items.tolist())),
+                rows[snapshot.user_idx[keep_edges]],
+                columns[snapshot.item_idx[keep_edges]],
+                snapshot.clicks[keep_edges],
+            )
         )
-        keep_items = (
-            None if items is None else {item for item in items if self.has_item(item)}
-        )
-        result = BipartiteGraph()
-        for user in keep_users:
-            result.add_user(user)
-            for item, clicks in self.user_neighbors(user).items():
-                if keep_items is None or item in keep_items:
-                    result.add_click(user, item, clicks)
-        if keep_items is None:
-            for item in self.items():
-                result.add_item(item)
-        else:
-            for item in keep_items:
-                result.add_item(item)
-        return result
 
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle the edge data only; memoized snapshots stay local.
+        """Pickle the merged snapshot's id lists and edge arrays.
 
-        Workers of the parallel evaluation harness rebuild (and re-memoize)
-        their own :meth:`indexed` snapshot on first use, so shipping the
-        numpy arrays with every scenario would only inflate the pickle.
-        An array-backed graph flattens first — the pickle must carry the
-        complete adjacency either way, and flattening through the
-        vectorized snapshot is cheaper than rebuilding vertex by vertex on
-        the other side.
+        Workers of the parallel evaluation harness get the snapshot as it
+        is, so none of them rebuilds an index; cached aggregates and
+        ``derived`` memos stay local.
         """
-        self._flatten()
+        snapshot = self._current()
         return {
-            "_users": self._users,
-            "_items": self._items,
-            "_total_clicks": self._total_clicks,
-            "_version": self._version,
+            "users": snapshot.users,
+            "items": snapshot.items,
+            "user_idx": snapshot.user_idx,
+            "item_idx": snapshot.item_idx,
+            "clicks": snapshot.clicks,
+            "version": self._version,
+            "total_clicks": self._total_clicks,
         }
 
     def __setstate__(self, state: dict) -> None:
-        self._users = state["_users"]
-        self._items = state["_items"]
-        self._total_clicks = state["_total_clicks"]
-        self._version = state.get("_version", 0)
-        self._indexed = None
-        self._tail = None
+        self._over(
+            IndexedGraph(
+                state["users"],
+                state["items"],
+                state["user_idx"],
+                state["item_idx"],
+                state["clicks"],
+                state["version"],
+            ),
+            state["total_clicks"],
+        )
 
     def __eq__(self, other: object) -> bool:
+        """Equal node sets and equal ``{(user, item): clicks}`` maps, in any order."""
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
-        self._flatten()
-        other._flatten()
-        return self._users == other._users and self._items == other._items
+        return (
+            set(self.users()) == set(other.users())
+            and set(self.items()) == set(other.items())
+            and _edge_map(self) == _edge_map(other)
+        )
 
     def __hash__(self) -> None:  # type: ignore[override]
         raise TypeError("BipartiteGraph is mutable and unhashable")

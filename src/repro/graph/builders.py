@@ -54,8 +54,7 @@ def from_click_records(records: Iterable[tuple[Node, Node, int]]) -> BipartiteGr
 def from_edge_list(edges: Iterable[tuple[Node, Node]]) -> BipartiteGraph:
     """Build a graph from unweighted ``(user, item)`` pairs (1 click each)."""
     graph = BipartiteGraph()
-    for user, item in edges:
-        graph.add_click(user, item, 1)
+    graph.add_clicks((user, item, 1) for user, item in edges)
     return graph
 
 

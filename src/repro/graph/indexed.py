@@ -1,24 +1,23 @@
 """Frozen indexed-array snapshot of a :class:`BipartiteGraph`.
 
-The dict-of-dict representation is right for the *mutating* phases of the
-framework (pruning deletes vertices), but every vectorized consumer — the
-bitset extraction engine, the threshold derivations, the screening
-module's aggregate scans — wants the same things: contiguous integer ids
-per partition, flat edge arrays, and CSR/CSC index arrays.  Rebuilding
-those from the dicts on every call is the hot-path tax this module
-removes.
+Every vectorized consumer — the bitset extraction engine, the threshold
+derivations, the screening module's aggregate scans — wants the same
+things: contiguous integer ids per partition, flat edge arrays, and
+CSR/CSC index arrays.  A :class:`BipartiteGraph` *is* such a snapshot
+plus a tail of appends, so they read its arrays directly; only the
+algorithms that delete vertices copy the edges into dicts
+(:class:`~repro.graph.views.Adjacency`).
 
 :class:`IndexedGraph` interns users and items into contiguous int ids
-(the row/column order of :meth:`from_graph` is sorted-by-``str``; ids
-interned by :class:`InternedDelta` take the next free ids in first-seen
-order), stores the edge list as three parallel numpy arrays in
-**canonical order** — sorted by ``(row, column)`` with no duplicate
-pairs — and lazily caches the derived aggregates (degrees, total clicks,
-CSR/CSC index arrays).  Snapshots are *frozen*: they never observe later
-graph mutation.  :meth:`BipartiteGraph.indexed` memoizes the snapshot
-against the graph's mutation version, so the common build-once/detect-many
-workloads (feedback rounds, suites, sweeps, benchmarks) pay the
-dict→array conversion exactly once.
+(ids interned by :class:`InternedDelta` take the next free ids in
+first-seen order; :meth:`from_graph` sorts them by ``str``), stores the
+edge list as three parallel numpy arrays in **canonical order** — sorted
+by ``(row, column)`` with no duplicate pairs — and lazily caches the
+derived aggregates (degrees, total clicks, CSR/CSC index arrays).
+Snapshots are *frozen*: they never observe later graph mutation.
+:meth:`BipartiteGraph.indexed` returns the snapshot merged up to the
+graph's mutation version, so the common build-once/detect-many workloads
+(feedback rounds, suites, sweeps, benchmarks) share its cached aggregates.
 
 Appends never force a from-scratch rebuild.  :class:`InternedDelta` is the
 one interning step: it turns ``(user, item, clicks)`` records into row,
@@ -167,7 +166,12 @@ class IndexedGraph:
 
     @classmethod
     def from_graph(cls, graph: "BipartiteGraph") -> "IndexedGraph":
-        """Build a snapshot of ``graph``'s current state (one dict pass)."""
+        """Rebuild ``graph``'s current state from its neighbour maps, ids sorted by ``str``.
+
+        No library path calls it: a graph's own snapshot is
+        :meth:`BipartiteGraph.indexed`.  Tests compare merged snapshots
+        against this from-scratch rebuild.
+        """
         users = sorted(graph.users(), key=str)
         items = sorted(graph.items(), key=str)
         item_index = {item: column for column, item in enumerate(items)}
@@ -206,8 +210,8 @@ class IndexedGraph:
         """Build a snapshot directly from parallel edge arrays.
 
         The out-of-core entry point: chunked ingestion and the memmap
-        loaders assemble integer edge arrays without ever materialising a
-        dict-of-dict :class:`~repro.graph.bipartite.BipartiteGraph`.
+        loaders assemble integer edge arrays without ever holding a
+        Python record per edge.
         Edges are canonicalized (sorted by ``(row, column)``, duplicate
         pairs coalesced by summing clicks); the id lists are taken as
         given — element ``i`` names row/column ``i``.
@@ -392,11 +396,11 @@ class IndexedGraph:
         The build is a stable argsort of every edge, counted as
         ``graph.indexed.csc_builds``.  Its one reader is
         :meth:`column_slice`, behind
-        :meth:`~repro.graph.bipartite.BipartiteGraph.item_neighbors` on an
-        array-backed graph: the reference engine, the baselines and tests
-        read item columns that way.  Detection's screening and
-        identification never do (they invert the group members' rows),
-        and item degrees and totals come from :meth:`item_degrees` and
+        :meth:`~repro.graph.bipartite.BipartiteGraph.item_neighbors`: some
+        baselines and tests read item columns that way.  Detection never
+        does (screening and identification invert the group members'
+        rows, connected components read the edge arrays), and item
+        degrees and totals come from :meth:`item_degrees` and
         :meth:`item_total_clicks`.
         """
         if self._csc_arrays is None:

@@ -14,8 +14,9 @@ snapshots as numpy arrays for out-of-core work at paper scale:
   90M-edge graph costs page-cache, not heap (the one graph file format:
   every store snapshot is one);
 * :func:`read_click_table_indexed` — chunked text ingestion straight into
-  edge arrays, skipping the dict-of-dict :class:`BipartiteGraph`
-  entirely (≈24 bytes/edge peak instead of several hundred).
+  edge arrays, never holding the whole table as Python records the way
+  :func:`read_click_table` does (≈24 bytes/edge peak instead of several
+  hundred).
 """
 
 from __future__ import annotations
@@ -155,13 +156,11 @@ def read_click_table_indexed(
     Records are interned in chunks of ``chunk_records`` into id and click
     columns (:class:`~repro.graph.indexed.InternedDelta`), so peak RSS is
     the id tables plus ~24 bytes per edge — never the
-    several-hundred-bytes-per-edge dict-of-dict :class:`BipartiteGraph`.
-    Duplicate ``(user, item)`` records coalesce by summing clicks,
+    several-hundred-bytes-per-edge record list :func:`read_click_table`
+    holds.  Duplicate ``(user, item)`` records coalesce by summing clicks,
     matching :meth:`~repro.graph.bipartite.BipartiteGraph.add_click`
-    accumulation, so the result is edge-for-edge identical to
-    ``read_click_table(path).indexed()`` (modulo id *ordering*: ids here
-    appear in first-seen order, not sorted — consumers key by id, never
-    by row number).
+    accumulation, and ids take first-seen order in both, so the result is
+    array-for-array identical to ``read_click_table(path).indexed()``.
     """
     empty = np.empty(0, dtype=np.int64)
     base = IndexedGraph([], [], empty, empty, empty)

@@ -7,7 +7,7 @@ from repro.core.extraction import (
     prune_to_fixpoint,
     square_pruning,
 )
-from repro.graph import BipartiteGraph
+from repro.graph import Adjacency, BipartiteGraph
 
 from ..conftest import make_biclique
 
@@ -21,9 +21,10 @@ class TestCorePruning:
         graph = BipartiteGraph()
         make_biclique(graph, 3, 3)
         graph.add_click("loner", "bi0", 1)  # degree 1 < ceil(1.0 * 3)
-        core_pruning(graph, params())
-        assert not graph.has_user("loner")
-        assert graph.num_users == 3
+        adjacency = Adjacency(graph)
+        core_pruning(adjacency, params())
+        assert "loner" not in adjacency.users
+        assert len(adjacency.users) == 3
 
     def test_cascades(self):
         # A chain where removing the first user drops an item below floor,
@@ -33,35 +34,37 @@ class TestCorePruning:
         graph.add_click("x", "extra", 1)
         graph.add_click("y", "extra", 1)
         graph.add_click("y", "extra2", 1)
-        core_pruning(graph, params(k1=2, k2=2))
+        adjacency = Adjacency(graph)
+        core_pruning(adjacency, params(k1=2, k2=2))
         # x (degree 1) goes; "extra" drops to degree 1 and goes; y follows.
-        assert not graph.has_user("x")
-        assert not graph.has_item("extra")
-        assert not graph.has_user("y")
+        assert "x" not in adjacency.users
+        assert "extra" not in adjacency.items
+        assert "y" not in adjacency.users
 
     def test_biclique_survives(self):
         graph = BipartiteGraph()
         users, items = make_biclique(graph, 4, 5)
-        core_pruning(graph, params(k1=4, k2=5))
-        assert set(graph.users()) == set(users)
-        assert set(graph.items()) == set(items)
+        adjacency = Adjacency(graph)
+        core_pruning(adjacency, params(k1=4, k2=5))
+        assert set(adjacency.users) == set(users)
+        assert set(adjacency.items) == set(items)
 
     def test_lemma1_postcondition(self, small):
         """After CorePruning every survivor satisfies Lemma 1 degrees."""
-        graph = small.graph.copy()
+        adjacency = Adjacency(small.graph)
         p = params(k1=5, k2=5, alpha=0.8)
-        core_pruning(graph, p)
-        for user in graph.users():
-            assert graph.user_degree(user) >= p.user_degree_floor
-        for item in graph.items():
-            assert graph.item_degree(item) >= p.item_degree_floor
+        core_pruning(adjacency, p)
+        for row in adjacency.users.values():
+            assert len(row) >= p.user_degree_floor
+        for column in adjacency.items.values():
+            assert len(column) >= p.item_degree_floor
 
     def test_returns_whether_removed(self):
         graph = BipartiteGraph()
         make_biclique(graph, 3, 3)
-        assert core_pruning(graph, params()) is False
+        assert core_pruning(Adjacency(graph), params()) is False
         graph.add_click("loner", "bi0", 1)
-        assert core_pruning(graph, params()) is True
+        assert core_pruning(Adjacency(graph), params()) is True
 
     def test_alpha_scales_floor(self):
         graph = BipartiteGraph()
@@ -69,39 +72,41 @@ class TestCorePruning:
         graph.add_click("partial", "bi0", 1)
         graph.add_click("partial", "bi1", 1)
         # ceil(0.6 * 3) = 2 -> degree-2 user survives.
-        core_pruning(graph, params(alpha=0.6))
-        assert graph.has_user("partial")
+        adjacency = Adjacency(graph)
+        core_pruning(adjacency, params(alpha=0.6))
+        assert "partial" in adjacency.users
 
 
 class TestSquarePruning:
     def test_biclique_survives(self):
         graph = BipartiteGraph()
         users, items = make_biclique(graph, 4, 4)
-        prune_to_fixpoint(graph, params(k1=4, k2=4))
-        assert set(graph.users()) == set(users)
-        assert set(graph.items()) == set(items)
+        adjacency = prune_to_fixpoint(Adjacency(graph), params(k1=4, k2=4))
+        assert set(adjacency.users) == set(users)
+        assert set(adjacency.items) == set(items)
 
     def test_exact_core_size_survives(self):
         """A k1 x k2 biclique must survive (self counts in Lemma 2)."""
         graph = BipartiteGraph()
         make_biclique(graph, 3, 3)
-        prune_to_fixpoint(graph, params(k1=3, k2=3))
-        assert graph.num_users == 3
-        assert graph.num_items == 3
+        adjacency = prune_to_fixpoint(Adjacency(graph), params(k1=3, k2=3))
+        assert len(adjacency.users) == 3
+        assert len(adjacency.items) == 3
 
     def test_undersized_biclique_removed(self):
         graph = BipartiteGraph()
         make_biclique(graph, 2, 5)  # only 2 users < k1=3
-        prune_to_fixpoint(graph, params(k1=3, k2=3))
-        assert graph.num_users == 0
+        adjacency = prune_to_fixpoint(Adjacency(graph), params(k1=3, k2=3))
+        assert len(adjacency.users) == 0
 
     def test_sparse_star_removed(self):
         """A hub item with many degree-1 users is not a biclique."""
         graph = BipartiteGraph()
         for index in range(10):
             graph.add_click(f"u{index}", "hub", 1)
-        square_pruning(graph, params(k1=2, k2=2))
-        assert graph.num_users == 0
+        adjacency = Adjacency(graph)
+        square_pruning(adjacency, params(k1=2, k2=2))
+        assert len(adjacency.users) == 0
 
     def test_extension_at_lower_alpha(self):
         """An 80%-connected extension user survives alpha=0.8, dies at 1.0."""
@@ -109,12 +114,10 @@ class TestSquarePruning:
         _users, items = make_biclique(graph, 4, 5)
         for item in items[:4]:  # connected to 4/5 = 80% of core items
             graph.add_click("ext", item, 1)
-        strict = graph.copy()
-        prune_to_fixpoint(strict, params(k1=4, k2=5, alpha=1.0))
-        assert not strict.has_user("ext")
-        loose = graph.copy()
-        prune_to_fixpoint(loose, params(k1=4, k2=5, alpha=0.8))
-        assert loose.has_user("ext")
+        strict = prune_to_fixpoint(Adjacency(graph), params(k1=4, k2=5, alpha=1.0))
+        assert "ext" not in strict.users
+        loose = prune_to_fixpoint(Adjacency(graph), params(k1=4, k2=5, alpha=0.8))
+        assert "ext" in loose.users
 
 
 class TestExtractGroups:
@@ -163,9 +166,7 @@ class TestExtractGroups:
 
     def test_single_pass_is_weaker_or_equal(self, small):
         """Fixpoint iteration can only remove more than a single pass."""
-        single = small.graph.copy()
-        prune_to_fixpoint(single, params(k1=5, k2=5), iterate=False)
-        fixed = small.graph.copy()
-        prune_to_fixpoint(fixed, params(k1=5, k2=5), iterate=True)
-        assert set(fixed.users()) <= set(single.users())
-        assert set(fixed.items()) <= set(single.items())
+        single = prune_to_fixpoint(Adjacency(small.graph), params(k1=5, k2=5), iterate=False)
+        fixed = prune_to_fixpoint(Adjacency(small.graph), params(k1=5, k2=5), iterate=True)
+        assert set(fixed.users) <= set(single.users)
+        assert set(fixed.items) <= set(single.items)

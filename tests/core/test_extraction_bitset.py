@@ -23,7 +23,7 @@ from repro.core.extraction_bitset import (
     prune_fixpoint_arrays,
     prune_to_fixpoint_bitset,
 )
-from repro.graph import BipartiteGraph, from_click_records
+from repro.graph import Adjacency, BipartiteGraph, from_click_records
 
 from ..conftest import make_biclique
 
@@ -89,12 +89,12 @@ param_values = st.tuples(
 def test_bitset_matches_reference(rows, values):
     k1, k2, alpha = values
     params = RICDParams(k1=k1, k2=k2, alpha=alpha)
-    reference = from_click_records(rows)
+    reference = Adjacency(from_click_records(rows))
     prune_to_fixpoint(reference, params)
     graph = from_click_records(rows)
     users, items = prune_to_fixpoint_bitset(graph, params)
-    assert users == set(reference.users())
-    assert items == set(reference.items())
+    assert users == set(reference.users)
+    assert items == set(reference.items)
 
 
 @given(records, param_values)

@@ -1,12 +1,14 @@
 """Property-based tests of Algorithm 3's pruning invariants."""
 
+import copy
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import ceil_frac
 from repro.config import RICDParams
 from repro.core.extraction import core_pruning, extract_groups, prune_to_fixpoint
-from repro.graph import BipartiteGraph, from_click_records
+from repro.graph import Adjacency, BipartiteGraph, from_click_records
 
 records = st.lists(
     st.tuples(
@@ -28,25 +30,25 @@ param_values = st.tuples(
 @settings(max_examples=80)
 def test_core_pruning_postcondition(rows, values):
     k1, k2, alpha = values
-    graph = from_click_records(rows)
+    adjacency = Adjacency(from_click_records(rows))
     params = RICDParams(k1=k1, k2=k2, alpha=alpha)
-    core_pruning(graph, params)
-    for user in graph.users():
-        assert graph.user_degree(user) >= ceil_frac(alpha, k2)
-    for item in graph.items():
-        assert graph.item_degree(item) >= ceil_frac(alpha, k1)
+    core_pruning(adjacency, params)
+    for row in adjacency.users.values():
+        assert len(row) >= ceil_frac(alpha, k2)
+    for column in adjacency.items.values():
+        assert len(column) >= ceil_frac(alpha, k1)
 
 
 @given(records, param_values)
 @settings(max_examples=60)
 def test_fixpoint_is_stable(rows, values):
     k1, k2, alpha = values
-    graph = from_click_records(rows)
+    adjacency = Adjacency(from_click_records(rows))
     params = RICDParams(k1=k1, k2=k2, alpha=alpha)
-    prune_to_fixpoint(graph, params)
-    snapshot = graph.copy()
-    prune_to_fixpoint(graph, params)
-    assert graph == snapshot
+    prune_to_fixpoint(adjacency, params)
+    snapshot = copy.deepcopy((adjacency.users, adjacency.items))
+    prune_to_fixpoint(adjacency, params)
+    assert (adjacency.users, adjacency.items) == snapshot
 
 
 @given(records, param_values)
@@ -54,35 +56,30 @@ def test_fixpoint_is_stable(rows, values):
 def test_square_pruning_lemma2_postcondition(rows, values):
     """Every survivor has >= k1 (resp. k2) strong same-side partners, self included."""
     k1, k2, alpha = values
-    graph = from_click_records(rows)
+    adjacency = Adjacency(from_click_records(rows))
     params = RICDParams(k1=k1, k2=k2, alpha=alpha)
-    prune_to_fixpoint(graph, params)
+    prune_to_fixpoint(adjacency, params)
+    users, items = adjacency.users, adjacency.items
     user_floor = ceil_frac(alpha, k2)
-    for user in graph.users():
+    for user in users:
         strong = sum(
             1
-            for other in graph.users()
+            for other in users
             if other != user
-            and len(
-                set(graph.user_neighbors(user)) & set(graph.user_neighbors(other))
-            )
-            >= user_floor
+            and len(set(users[user]) & set(users[other])) >= user_floor
         )
-        if graph.user_degree(user) >= user_floor:
+        if len(users[user]) >= user_floor:
             strong += 1
         assert strong >= k1
     item_floor = ceil_frac(alpha, k1)
-    for item in graph.items():
+    for item in items:
         strong = sum(
             1
-            for other in graph.items()
+            for other in items
             if other != item
-            and len(
-                set(graph.item_neighbors(item)) & set(graph.item_neighbors(other))
-            )
-            >= item_floor
+            and len(set(items[item]) & set(items[other])) >= item_floor
         )
-        if graph.item_degree(item) >= item_floor:
+        if len(items[item]) >= item_floor:
             strong += 1
         assert strong >= k2
 
@@ -120,9 +117,9 @@ def test_extraction_output_within_input(rows):
 @settings(max_examples=50)
 def test_lower_alpha_keeps_no_fewer_nodes(rows, alpha):
     """Relaxing alpha never shrinks the surviving vertex set."""
-    strict_graph = from_click_records(rows)
-    prune_to_fixpoint(strict_graph, RICDParams(k1=3, k2=3, alpha=1.0))
-    loose_graph = from_click_records(rows)
-    prune_to_fixpoint(loose_graph, RICDParams(k1=3, k2=3, alpha=alpha))
-    assert set(strict_graph.users()) <= set(loose_graph.users())
-    assert set(strict_graph.items()) <= set(loose_graph.items())
+    strict = Adjacency(from_click_records(rows))
+    prune_to_fixpoint(strict, RICDParams(k1=3, k2=3, alpha=1.0))
+    loose = Adjacency(from_click_records(rows))
+    prune_to_fixpoint(loose, RICDParams(k1=3, k2=3, alpha=alpha))
+    assert set(strict.users) <= set(loose.users)
+    assert set(strict.items) <= set(loose.items)

@@ -207,3 +207,17 @@ class TestThresholdCache:
         clone = pickle.loads(pickle.dumps(d))
         assert clone.params == d.params
         assert clone.resolve_thresholds(small.graph).t_hot is not None
+
+
+def test_detect_on_a_built_graph_rebuilds_no_index(small):
+    """A graph built with ``add_clicks`` is its own index: ``detect``
+    merges its tail and never rebuilds a snapshot from scratch."""
+    from repro import obs
+    from repro.graph import BipartiteGraph
+
+    graph = BipartiteGraph()
+    graph.add_clicks(list(small.graph.edges()))
+    with obs.recording(obs.Recorder()) as recorder:
+        RICDDetector().detect(graph)
+    assert recorder.counters.get("graph.indexed.misses", 0) == 0
+    assert recorder.counters.get("graph.indexed.delta_builds", 0) == 1

@@ -76,3 +76,22 @@ class TestNaiveDetect:
     def test_timing_recorded(self, alpha_graph):
         result = naive_detect(alpha_graph)
         assert "detection" in result.timings
+
+
+def test_detect_sums_equal_the_per_node_steps(small):
+    """The bincount sums of ``naive_detect`` equal Algorithm 1's per-node steps."""
+    from repro.core.thresholds import pareto_hot_threshold
+
+    graph = small.graph
+    t_hot = pareto_hot_threshold(graph)
+    hot = {item for item in graph.items() if graph.item_total_clicks(item) >= t_hot}
+    alphas = {user: user_alpha(graph, user, hot) for user in graph.users()}
+    risks = item_risk_scores(graph, alphas, set(graph.items()) - hot)
+    result = naive_detect(graph, NaiveParams(t_risk=0.0, t_risk_user=0.0))
+    assert result.item_scores == {item: float(risk) for item, risk in risks.items() if risk > 0}
+    abnormal = set(result.item_scores)
+    expected_users = {
+        user: float(sum(c for i, c in graph.user_neighbors(user).items() if i in abnormal))
+        for user in graph.users()
+    }
+    assert result.user_scores == {user: risk for user, risk in expected_users.items() if risk > 0}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DuplicateNodeError, NodeNotFoundError
-from repro.graph import BipartiteGraph, from_click_records
+from repro.graph import Adjacency, BipartiteGraph, from_click_records
 
 
 class TestNodeManagement:
@@ -39,23 +39,27 @@ class TestNodeManagement:
         assert empty_graph.get_click("x", "x") == 1
 
     def test_remove_user_cascades_edges(self, simple_graph):
-        simple_graph.remove_user("u1")
-        assert not simple_graph.has_user("u1")
-        assert simple_graph.item_degree("i1") == 1
-        assert simple_graph.item_degree("i2") == 1
-        assert simple_graph.total_clicks == 9
+        adjacency = Adjacency(simple_graph)
+        assert adjacency.remove_user("u1") == {"i1": 3, "i2": 1}
+        assert "u1" not in adjacency.users
+        assert adjacency.items["i1"] == {"u2": 2}
+        assert adjacency.items["i2"] == {"u3": 1}
+        assert sum(sum(row.values()) for row in adjacency.users.values()) == 9
+        assert simple_graph.has_user("u1") and simple_graph.total_clicks == 13
 
     def test_remove_item_cascades_edges(self, simple_graph):
-        simple_graph.remove_item("i3")
-        assert not simple_graph.has_item("i3")
-        assert simple_graph.user_degree("u2") == 1
-        assert simple_graph.user_degree("u3") == 1
+        adjacency = Adjacency(simple_graph)
+        adjacency.remove_item("i3")
+        assert "i3" not in adjacency.items
+        assert adjacency.users["u2"] == {"i1": 2}
+        assert adjacency.users["u3"] == {"i2": 1}
 
     def test_remove_missing_raises(self, empty_graph):
+        adjacency = Adjacency(empty_graph)
         with pytest.raises(NodeNotFoundError):
-            empty_graph.remove_user("ghost")
+            adjacency.remove_user("ghost")
         with pytest.raises(NodeNotFoundError):
-            empty_graph.remove_item("ghost")
+            adjacency.remove_item("ghost")
 
     def test_node_not_found_error_is_keyerror(self, empty_graph):
         with pytest.raises(KeyError):
@@ -137,8 +141,10 @@ class TestAccessors:
 class TestDerivedGraphs:
     def test_copy_is_independent(self, simple_graph):
         clone = simple_graph.copy()
-        clone.remove_user("u1")
-        assert simple_graph.has_user("u1")
+        clone.add_click("u9", "i1", 2)
+        clone.remove_edge("u1", "i1")
+        assert not simple_graph.has_user("u9")
+        assert simple_graph.get_click("u1", "i1") == 3
         assert clone != simple_graph
 
     def test_copy_preserves_totals(self, simple_graph):
@@ -293,10 +299,10 @@ _records = st.lists(st.tuples(_users, _items, st.integers(min_value=1, max_value
 def _graph(kind, seed):
     """A graph of ``kind`` holding ``seed``.
 
-    ``fresh``: one ``add_click`` per record.  ``lazy``: array-backed over
-    the snapshot of ``seed``.  ``eager``: that snapshot's records written
-    back with one ``add_clicks``, then indexed, so later appends drop a
-    memoized snapshot.
+    ``fresh``: one ``add_click`` per record.  ``lazy``: over the snapshot
+    of ``seed``.  ``eager``: that snapshot's records written back with one
+    ``add_clicks``, then indexed, so later appends extend the tail of a
+    merged snapshot.
     """
     if kind == "fresh":
         graph = BipartiteGraph()

@@ -76,8 +76,6 @@ class TestMemoization:
             lambda g: g.add_click("u1", "i1", 1),  # existing edge: weight change
             lambda g: g.add_user("u9"),
             lambda g: g.add_item("i9"),
-            lambda g: g.remove_user("u1"),
-            lambda g: g.remove_item("i1"),
             lambda g: g.set_click("u1", "i1", 7),
             lambda g: g.remove_edge("u1", "i1"),
         ],
@@ -114,11 +112,38 @@ class TestMemoization:
         assert "probe" not in graph.indexed().derived
 
     def test_pickle_drops_snapshot_but_keeps_edges(self, simple_graph):
-        simple_graph.indexed()
+        simple_graph.indexed().derived["probe"] = 1
         clone = pickle.loads(pickle.dumps(simple_graph))
         assert clone == simple_graph
-        assert clone._indexed is None
+        assert "probe" not in clone.indexed().derived
         assert clone.indexed().num_edges == simple_graph.num_edges
+
+    def test_pickle_keeps_order_and_counts_and_needs_no_rebuild(self):
+        graph = from_click_records([("u2", "i1", 1), ("u1", "i2", 2), ("u3", "i1", 4)])
+        graph.add_user("idle")
+        clone = pickle.loads(pickle.dumps(graph))
+        assert list(clone.users()) == ["u2", "u1", "u3", "idle"]
+        assert list(clone.items()) == ["i1", "i2"]
+        counts = ("num_users", "num_items", "num_edges", "total_clicks", "version")
+        assert [getattr(clone, name) for name in counts] == [
+            getattr(graph, name) for name in counts
+        ]
+        with obs.recording(obs.Recorder()) as recorder:
+            clone.indexed()
+        assert recorder.counters.get("graph.indexed.misses", 0) == 0
+        assert recorder.counters.get("graph.indexed.delta_builds", 0) == 0
+
+    def test_copy_is_cold(self, simple_graph):
+        graph = BipartiteGraph.from_indexed(simple_graph.indexed())
+        snapshot = graph.indexed()
+        snapshot.derived["probe"] = 1
+        cached = snapshot.user_degrees(), snapshot.item_total_clicks(), snapshot.csr_arrays()
+        clone = graph.copy().indexed()
+        assert clone.derived == {}
+        assert clone.user_degrees() is not cached[0]
+        assert clone.item_total_clicks() is not cached[1]
+        assert clone.csr_arrays() is not cached[2]
+        assert clone.clicks is snapshot.clicks
 
 
 class TestHelpers:
@@ -157,8 +182,7 @@ class TestCoalesce:
 
 
 class TestIncrementalMaintenance:
-    """An array-backed graph's appends maintain the snapshot; they never
-    re-snapshot.  An eager graph's writes drop it."""
+    """Appends maintain the snapshot; they never re-snapshot."""
 
     def _snapshot_table(self, snapshot):
         return {
@@ -190,13 +214,6 @@ class TestIncrementalMaintenance:
         assert set(maintained.users) == set(rebuilt.users)
         assert set(maintained.items) == set(rebuilt.items)
         assert self._snapshot_table(maintained) == self._snapshot_table(rebuilt)
-
-    def test_destructive_mutation_still_rebuilds(self, simple_graph):
-        simple_graph.indexed()
-        simple_graph.remove_user("u1")
-        with obs.recording(obs.Recorder()) as recorder:
-            simple_graph.indexed()
-        assert recorder.counters["graph.indexed.misses"] == 1
 
     def test_chained_deltas_stay_canonical(self, simple_graph):
         graph = BipartiteGraph.from_indexed(simple_graph.indexed())

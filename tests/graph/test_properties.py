@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import BipartiteGraph, connected_components, from_click_records
+from repro.graph import Adjacency, connected_components, from_click_records
 
 # Click records over a small id universe so collisions (accumulation) and
 # shared neighbourhoods actually occur.
@@ -48,20 +48,20 @@ def test_copy_equals_original(rows):
 @given(records, st.randoms(use_true_random=False))
 def test_removal_keeps_mirrors_consistent(rows, rng):
     graph = from_click_records(rows)
-    users = sorted(graph.users())
-    items = sorted(graph.items())
-    for user in users:
+    adjacency = Adjacency(graph)
+    removed = 0
+    for user in sorted(graph.users()):
         if rng.random() < 0.5:
-            graph.remove_user(user)
-    for item in items:
-        if graph.has_item(item) and rng.random() < 0.5:
-            graph.remove_item(item)
+            removed += sum(adjacency.remove_user(user).values())
+    for item in sorted(graph.items()):
+        if item in adjacency.items and rng.random() < 0.5:
+            removed += sum(adjacency.remove_item(item).values())
     # After arbitrary removals every edge must still be mirrored and the
     # click accounting intact.
-    recomputed = sum(clicks for _u, _i, clicks in graph.edges())
-    assert recomputed == graph.total_clicks
-    for user, item, clicks in graph.edges():
-        assert graph.item_neighbors(item)[user] == clicks
+    user_side = {(u, i): c for u, row in adjacency.users.items() for i, c in row.items()}
+    item_side = {(u, i): c for i, column in adjacency.items.items() for u, c in column.items()}
+    assert user_side == item_side
+    assert sum(user_side.values()) == graph.total_clicks - removed
 
 
 @given(records)

@@ -204,9 +204,9 @@ class TestTypedCore:
 
 class TestStatusUnderLoad:
     def test_status_polls_race_the_pump_thread(self):
-        # An eager graph's num_edges iterates the user dict that ingest
-        # grows, so a status read outside the service lock can raise
-        # "dictionary changed size during iteration".
+        # Status polls read the live graph's counts while the pump thread
+        # ingests into it; no poll may raise (iterating a dict that ingest
+        # grows would raise "dictionary changed size during iteration").
         users = 20_000
         service = DetectionService.over_graph(
             BipartiteGraph(),
