@@ -17,12 +17,15 @@ the parameters are re-derived from each input graph exactly as Section IV
 prescribes (Pareto rule for ``T_hot``, Eq. 4 for ``T_click``).
 
 The detector runs the Fig. 4 sequence once, in :meth:`RICDDetector._run`,
-over the stage objects of :mod:`repro.pipeline`: extraction on the
-context's working graph or region, screening and the size cap against
-the full graph, the Fig. 7 loop when a policy is set, then
-identification against the full graph.  :meth:`RICDDetector.detect`
-and every :class:`~repro.core.incremental.IncrementalRICD` recheck call
-it, and the baselines' "+UI" wrapper composes the same stages.
+over the stage objects of :mod:`repro.pipeline`: extraction on the full
+graph, restricted to the seeds' region when seed expansion set one,
+screening and the size cap against the full graph, the Fig. 7 loop when
+a policy is set, then identification against the full graph.
+:meth:`RICDDetector.detect` and every
+:class:`~repro.core.incremental.IncrementalRICD` recheck take the same
+three steps (threshold resolution, seed expansion, this sequence); a
+recheck seeds the dirty nodes.  The baselines' "+UI" wrapper composes
+the same stages.
 """
 
 from __future__ import annotations
@@ -211,7 +214,7 @@ class RICDDetector:
         return self._thresholds().resolve(graph, self.params)
 
     def _run_modules(self, ctx: PipelineContext) -> list[SuspiciousGroup]:
-        """Modules 1 + 2: extraction on the working graph or region, screening on the full graph.
+        """Modules 1 + 2: extraction on the region or full graph, screening on the full graph.
 
         One round under the context's current (possibly feedback-relaxed)
         parameters: the unit :meth:`_run` and every Fig. 7 round run, so
@@ -289,7 +292,7 @@ class RICDDetector:
                 deadline=Deadline.start(self.deadline),
             )
             self._thresholds().run(ctx)
-            SeedExpansion(hops=2).run(ctx)
+            SeedExpansion().run(ctx)
             result = self._run(ctx)
         obs.count(f"detector.{self.name}.groups", len(result.groups))
         obs.count(f"detector.{self.name}.users", len(result.suspicious_users))

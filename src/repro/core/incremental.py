@@ -14,24 +14,18 @@ strategy:
    batch's ids once and writes no adjacency dict;
 2. every user/item touched by a batch is marked dirty;
 3. on demand (or automatically every ``recheck_batches`` batches), the
-   detector re-runs — not on the whole graph, but on the two-hop
-   neighbourhood of the dirty region (Algorithm 2's seed-expansion rule
-   for business-department seeds), since an ``(alpha, k1, k2)``-extension
-   biclique gaining an edge must contain a dirty node, and every node of
-   a group containing a dirty node lies within two hops of it.  The
-   recheck first folds the tail into the live index with one numpy
-   merge.  With the bitset engine the neighbourhood is a pair of boolean
-   masks over that index
-   (:func:`~repro.graph.builders.seed_expansion_masks`), and extraction
-   runs on the live graph under them: no subgraph copy and no index
-   build.  The reference engine copies the neighbourhood out with
-   :func:`~repro.graph.builders.seed_expansion` and extracts from the
-   copy, the oracle the masked path is tested against.  Either way only
-   extraction sees the region: the pass is the detector's own Fig. 4
-   sequence (:meth:`~repro.core.framework.RICDDetector._run`), the one a
-   batch ``detect`` runs, and screening and identification read the full
-   live graph — the marketplace item totals for the hot/ordinary split,
-   otherwise only the group members' rows;
+   detector re-runs as a seeded ``detect`` (Algorithm 2) with the dirty
+   nodes as seeds: an ``(alpha, k1, k2)``-extension biclique gaining an
+   edge must contain a dirty node, and every node of a group containing
+   a dirty node lies within two hops of it.  The recheck first folds the
+   tail into the live index with one numpy merge; then the steps
+   ``detect`` takes — threshold resolution,
+   :class:`~repro.pipeline.stages.SeedExpansion` (the two-hop region as
+   boolean masks over that index, no subgraph copy) and the detector's
+   own Fig. 4 sequence (:meth:`~repro.core.framework.RICDDetector._run`).
+   Only extraction sees the region; screening and identification read
+   the full live graph — the marketplace item totals for the
+   hot/ordinary split, otherwise only the group members' rows;
 4. that sequence ranks the newly found groups together with the previous
    groups that hold no dirty node, which stay valid.  A kept group the
    regional pass found again (same users and items, e.g. after a click on
@@ -55,8 +49,9 @@ from .. import obs
 from ..config import RICDParams, ScreeningParams
 from ..errors import ReproError
 from ..graph.bipartite import BipartiteGraph
-from ..graph.builders import seed_expansion, seed_expansion_masks
-from ..pipeline import PipelineContext
+# Not called here: perfbench wraps this name (tests/test_perfbench_hooks.py).
+from ..graph.builders import seed_expansion  # noqa: F401
+from ..pipeline import PipelineContext, SeedExpansion
 from ..resilience.faults import inject
 from .framework import RICDDetector
 from .groups import DetectionResult, SuspiciousGroup
@@ -115,7 +110,7 @@ class IncrementalRICD:
         above :attr:`traverse_degree_cap` (hub items would otherwise drag
         their whole clicker set into every recheck; attack cores survive
         because co-workers always share low-degree target items).  The
-        cap is re-derived from the *live* graph at every recheck — a
+        cap is computed from the *live* graph whenever it is read — a
         long-lived stream can grow an order of magnitude past its
         bootstrap, and a cap frozen at ``t=0`` would silently shrink the
         dirty region relative to the marketplace.
@@ -144,11 +139,7 @@ class IncrementalRICD:
         as the starting state; the caller asserts it matches the graph."""
         if recheck_batches is not None and recheck_batches < 1:
             raise ValueError(f"recheck_batches must be >= 1, got {recheck_batches}")
-        snapshot = initial_graph.indexed()
-        self._traverse_degree_cap = self._derive_traverse_cap(
-            snapshot.num_edges, snapshot.num_items
-        )
-        self._graph = BipartiteGraph.from_indexed(snapshot)
+        self._graph = BipartiteGraph.from_indexed(initial_graph.indexed())
         self._detector = RICDDetector(
             params=params or RICDParams(),
             screening=screening or ScreeningParams(),
@@ -307,11 +298,6 @@ class IncrementalRICD:
         self._snapshot_owed = False
         return version
 
-    @staticmethod
-    def _derive_traverse_cap(num_edges: int, num_items: int) -> int:
-        """10x the mean item degree, floored at 50."""
-        return max(50, int(10 * num_edges / max(1, num_items)))
-
     @property
     def graph(self) -> BipartiteGraph:
         """The live graph (treat as read-only)."""
@@ -319,8 +305,9 @@ class IncrementalRICD:
 
     @property
     def traverse_degree_cap(self) -> int:
-        """The dirty-region BFS cap: 10x the live mean item degree, floored at 50."""
-        return self._traverse_degree_cap
+        """The dirty-region expansion cap: 10x the live mean item degree, floored at 50."""
+        graph = self._graph
+        return max(50, int(10 * graph.num_edges / max(1, graph.num_items)))
 
     @property
     def current_result(self) -> DetectionResult:
@@ -494,14 +481,9 @@ class IncrementalRICD:
         return self.recheck()
 
     def _recheck_dirty_region(self) -> DetectionResult:
-        """The recheck body: regional pass + merge, no state mutation."""
+        """The recheck body: a seeded pass + merge, no state mutation."""
+        # One merge folds the tail in, so the counts below are O(1).
         live = self._graph.indexed()
-        # The marketplace grows under the stream; the cap must track the
-        # live mean degree or the dirty region quietly shrinks relative
-        # to it.  The merged index's counts are O(1).
-        self._traverse_degree_cap = self._derive_traverse_cap(
-            live.num_edges, live.num_items
-        )
         # The dirty sets hold only graph nodes (ingest and cleanup mark
         # nodes the graph has, and nothing removes one), so lengths alone
         # tell whether everything is dirty.
@@ -509,50 +491,29 @@ class IncrementalRICD:
             len(self._dirty_users) == self._graph.num_users
             and len(self._dirty_items) == self._graph.num_items
         )
-        # Everything dirty (bootstrap replays, checkpoint syncs): the
-        # region IS the graph, so the pass runs on the live graph
-        # unmasked.  The detector never mutates its input, so sharing is
-        # safe.
+        # Everything dirty (bootstrap replays, checkpoint syncs): no seeds,
+        # so the pass runs on the live graph unmasked.  The detector never
+        # mutates its input, so sharing is safe.
         detector = self._detector
-        region = working = None
-        if not all_dirty and detector.engine == "bitset":
-            # The region as masks over the live index: no subgraph copy
-            # and no index build.
-            with obs.span("region_masks"):
-                region = seed_expansion_masks(
-                    live,
-                    seed_users=self._dirty_users,
-                    seed_items=self._dirty_items,
-                    hops=2,
-                    max_traverse_degree=self._traverse_degree_cap,
-                )
-            if obs.current() is not None:
-                # Two full-edge gathers: paid only when a recorder reads them.
-                user_mask, item_mask = region
-                region_edges = int((user_mask[live.user_idx] & item_mask[live.item_idx]).sum())
-                obs.gauge("incremental.region_share", region_edges / max(1, live.num_edges))
-        elif not all_dirty:
-            # The reference engine keeps the region copy: it is the oracle
-            # the masked path is tested against.
-            working = seed_expansion(
-                self._graph,
-                seed_users=sorted(self._dirty_users, key=str),
-                seed_items=sorted(self._dirty_items, key=str),
-                hops=2,
-                max_traverse_degree=self._traverse_degree_cap,
-            )
         ctx = PipelineContext(
             graph=self._graph,
             params=detector.params,
             screening=detector.screening,
-            working=working,
-            region=region,
+            seed_users=() if all_dirty else tuple(self._dirty_users),
+            seed_items=() if all_dirty else tuple(self._dirty_items),
         )
-        # Thresholds are global: resolve against the full live graph.  The
-        # detector's own Fig. 4 sequence then extracts from the region,
-        # screens against the full live graph and ranks the kept groups
-        # with the region's, the same path a batch ``detect`` takes.
+        # A seeded ``detect``'s steps: thresholds against the full live
+        # graph, the dirty nodes' region under the live traverse cap, then
+        # the Fig. 4 sequence, which extracts from the region, screens
+        # against the full live graph and ranks the kept groups with the
+        # region's.
         detector._thresholds().run(ctx)
+        SeedExpansion(max_traverse_degree=self.traverse_degree_cap).run(ctx)
+        if ctx.region is not None and obs.current() is not None:
+            # Two full-edge gathers: paid only when a recorder reads them.
+            user_mask, item_mask = ctx.region
+            region_edges = int((user_mask[live.user_idx] & item_mask[live.item_idx]).sum())
+            obs.gauge("incremental.region_share", region_edges / max(1, live.num_edges))
         kept: list[SuspiciousGroup] = [
             group
             for group in self._result.groups

@@ -23,7 +23,6 @@ from .attacks import (
     ObservedDefense,
     family_names,
     inject_attacks,
-    inject_family,
     plan_family,
 )
 from .evasion import EvasionConfig, inject_evasive_campaign
@@ -54,7 +53,6 @@ __all__ = [
     "ATTACK_FAMILIES",
     "family_names",
     "plan_family",
-    "inject_family",
     "inject_attacks",
     "EvasionConfig",
     "inject_evasive_campaign",

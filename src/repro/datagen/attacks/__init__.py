@@ -25,7 +25,6 @@ from .base import (
     AttackGroup,
     AttackPlan,
     ClickBudget,
-    ordinary_item_pool,
     pick_hot_items,
     target_id,
     uniform_int,
@@ -37,22 +36,11 @@ from .coattails import (
     inject_attacks,
     plan_coattails,
 )
-from .learned import LearnedInjectionConfig, inject_learned, plan_learned
-from .obfuscation import ProfileObfuscationConfig, inject_obfuscation, plan_obfuscation
-from .poisoning import (
-    InfluencePoisoningConfig,
-    influence_scores,
-    inject_poisoning,
-    plan_poisoning,
-)
-from .registry import (
-    ATTACK_FAMILIES,
-    FamilySpec,
-    family_names,
-    inject_family,
-    plan_family,
-)
-from .uplift import UpliftAttackConfig, inject_uplift, plan_uplift
+from .learned import LearnedInjectionConfig, plan_learned
+from .obfuscation import ProfileObfuscationConfig, plan_obfuscation
+from .poisoning import InfluencePoisoningConfig, influence_scores, plan_poisoning
+from .registry import ATTACK_FAMILIES, FamilySpec, family_names, plan_family
+from .uplift import UpliftAttackConfig, plan_uplift
 
 # Back-compat aliases: these started life as module-private helpers of the
 # original ``repro.datagen.attacks`` module and are imported by name from
@@ -74,27 +62,21 @@ __all__ = [
     "straddle_anchors",
     "uniform_int",
     "pick_hot_items",
-    "ordinary_item_pool",
     # families
     "CoattailsCampaignConfig",
     "plan_coattails",
     "LearnedInjectionConfig",
     "plan_learned",
-    "inject_learned",
     "InfluencePoisoningConfig",
     "influence_scores",
     "plan_poisoning",
-    "inject_poisoning",
     "UpliftAttackConfig",
     "plan_uplift",
-    "inject_uplift",
     "ProfileObfuscationConfig",
     "plan_obfuscation",
-    "inject_obfuscation",
     # registry
     "FamilySpec",
     "ATTACK_FAMILIES",
     "family_names",
     "plan_family",
-    "inject_family",
 ]

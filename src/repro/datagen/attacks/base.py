@@ -258,10 +258,3 @@ def pick_hot_items(
         raise DataGenError("cannot inject attacks: graph has no hot items")
     indices = rng.choice(len(hot_pool), size=min(count, len(hot_pool)), replace=False)
     return [hot_pool[int(index)] for index in indices]
-
-
-def ordinary_item_pool(
-    graph: BipartiteGraph, exclude: set[Node] | frozenset[Node] = frozenset()
-) -> list[Node]:
-    """Existing items eligible as camouflage/filler, in stable order."""
-    return [item for item in graph.items() if item not in exclude]

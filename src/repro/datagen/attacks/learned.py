@@ -42,7 +42,7 @@ from ...graph.bipartite import BipartiteGraph
 from .adaptive import ObservedDefense, straddle_anchors
 from .base import AttackGroup, AttackPlan, ClickBudget
 
-__all__ = ["LearnedInjectionConfig", "plan_learned", "inject_learned"]
+__all__ = ["LearnedInjectionConfig", "plan_learned"]
 
 Node = Hashable
 
@@ -212,8 +212,3 @@ def plan_learned(graph: BipartiteGraph, config: LearnedInjectionConfig) -> Attac
         plan.groups.append(group)
         group_index += 1
     return plan
-
-
-def inject_learned(graph: BipartiteGraph, config: LearnedInjectionConfig):
-    """Plan against ``graph``, apply in place, return exact labels."""
-    return plan_learned(graph, config).apply(graph)

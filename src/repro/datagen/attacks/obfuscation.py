@@ -38,7 +38,7 @@ from ...graph.bipartite import BipartiteGraph
 from .adaptive import ObservedDefense, straddle_anchors
 from .base import AttackGroup, AttackPlan, ClickBudget
 
-__all__ = ["ProfileObfuscationConfig", "plan_obfuscation", "inject_obfuscation"]
+__all__ = ["ProfileObfuscationConfig", "plan_obfuscation"]
 
 Node = Hashable
 
@@ -188,8 +188,3 @@ def plan_obfuscation(
         plan.groups.append(group)
         group_index += 1
     return plan
-
-
-def inject_obfuscation(graph: BipartiteGraph, config: ProfileObfuscationConfig):
-    """Plan against ``graph``, apply in place, return exact labels."""
-    return plan_obfuscation(graph, config).apply(graph)

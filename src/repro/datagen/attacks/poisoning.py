@@ -37,7 +37,7 @@ from ...graph.bipartite import BipartiteGraph
 from .adaptive import ObservedDefense, straddle_anchors
 from .base import AttackGroup, AttackPlan, ClickBudget
 
-__all__ = ["InfluencePoisoningConfig", "plan_poisoning", "inject_poisoning"]
+__all__ = ["InfluencePoisoningConfig", "plan_poisoning"]
 
 Node = Hashable
 
@@ -181,8 +181,3 @@ def plan_poisoning(
         plan.groups.append(group)
         group_index += 1
     return plan
-
-
-def inject_poisoning(graph: BipartiteGraph, config: InfluencePoisoningConfig):
-    """Plan against ``graph``, apply in place, return exact labels."""
-    return plan_poisoning(graph, config).apply(graph)

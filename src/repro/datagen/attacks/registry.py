@@ -43,7 +43,6 @@ from typing import Callable
 
 from ...errors import DataGenError
 from ...graph.bipartite import BipartiteGraph
-from ..labels import GroundTruth
 from .base import AttackPlan
 from .coattails import CoattailsCampaignConfig, plan_coattails
 from .learned import LearnedInjectionConfig, plan_learned
@@ -51,7 +50,7 @@ from .obfuscation import ProfileObfuscationConfig, plan_obfuscation
 from .poisoning import InfluencePoisoningConfig, plan_poisoning
 from .uplift import UpliftAttackConfig, plan_uplift
 
-__all__ = ["FamilySpec", "ATTACK_FAMILIES", "family_names", "plan_family", "inject_family"]
+__all__ = ["FamilySpec", "ATTACK_FAMILIES", "family_names", "plan_family"]
 
 
 @dataclass(frozen=True)
@@ -138,14 +137,3 @@ def plan_family(
         known = ", ".join(family_names())
         raise DataGenError(f"unknown attack family {family!r} (known: {known})") from None
     return spec.plan(graph, budget, seed, adaptive)
-
-
-def inject_family(
-    graph: BipartiteGraph,
-    family: str,
-    budget: int,
-    seed: int = 0,
-    adaptive: bool = False,
-) -> GroundTruth:
-    """Plan, apply in place, and return exact labels — one call."""
-    return plan_family(graph, family, budget, seed, adaptive).apply(graph)

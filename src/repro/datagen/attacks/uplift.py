@@ -43,7 +43,7 @@ from ...graph.bipartite import BipartiteGraph
 from .adaptive import ObservedDefense
 from .base import AttackGroup, AttackPlan, ClickBudget
 
-__all__ = ["UpliftAttackConfig", "plan_uplift", "inject_uplift"]
+__all__ = ["UpliftAttackConfig", "plan_uplift"]
 
 Node = Hashable
 
@@ -178,8 +178,3 @@ def plan_uplift(graph: BipartiteGraph, config: UpliftAttackConfig) -> AttackPlan
         plan.groups.append(group)
         group_index += 1
     return plan
-
-
-def inject_uplift(graph: BipartiteGraph, config: UpliftAttackConfig):
-    """Plan against ``graph``, apply in place, return exact labels."""
-    return plan_uplift(graph, config).apply(graph)

@@ -30,7 +30,6 @@ from .scenario import Scenario
 __all__ = [
     "StreamConfig",
     "scenario_to_stream",
-    "scenario_to_events",
     "replay",
     "ReplayResult",
 ]
@@ -101,36 +100,6 @@ def scenario_to_stream(
             per_day[day].append((user, item, clicks))
 
     return [ClickBatch.of(records) for records in per_day]
-
-
-def scenario_to_events(
-    scenario: Scenario,
-    config: StreamConfig | None = None,
-    seconds_per_day: float = 86_400.0,
-):
-    """The scenario's stream as timestamped service events, day-ordered.
-
-    The event-level adapter for :class:`~repro.serve.DetectionService`:
-    each day's records (exactly the batches :func:`scenario_to_stream`
-    produces) become :class:`~repro.serve.queue.ClickEvent` objects with
-    event-time stamps spread uniformly through the day, so a simulated
-    clock replay sees the same intra-day arrival structure a production
-    feed would.
-    """
-    from ..serve.queue import ClickEvent
-
-    config = config or StreamConfig()
-    batches = scenario_to_stream(scenario, config)
-    rng = np.random.default_rng(config.seed + 1)
-    events = []
-    for day_index, batch in enumerate(batches):
-        day_start = day_index * seconds_per_day
-        offsets = np.sort(rng.uniform(0.0, seconds_per_day, size=len(batch)))
-        for (user, item, clicks), offset in zip(batch.records, offsets):
-            events.append(
-                ClickEvent(user, item, clicks, timestamp=day_start + float(offset))
-            )
-    return events
 
 
 @dataclass

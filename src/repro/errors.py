@@ -14,7 +14,6 @@ __all__ = [
     "GraphError",
     "NodeNotFoundError",
     "DuplicateNodeError",
-    "SideMismatchError",
     "ClickTableError",
     "MalformedRowError",
     "SchemaVersionError",
@@ -26,7 +25,6 @@ __all__ = [
     "ScreeningError",
     "FeedbackExhaustedError",
     "TransientWorkerError",
-    "FatalDetectionError",
     "InjectedFaultError",
     "DeadlineExceededError",
     "DegenerateGraphError",
@@ -69,10 +67,6 @@ class DuplicateNodeError(GraphError):
         self.node = node
         self.side = side
         super().__init__(f"{side} node {node!r} already present in graph")
-
-
-class SideMismatchError(GraphError):
-    """An edge endpoint was used on the wrong side of the bipartition."""
 
 
 class ClickTableError(ReproError):
@@ -193,14 +187,6 @@ class TransientWorkerError(DetectionError):
     The resilience layer retries these per its
     :class:`~repro.resilience.RetryPolicy` and falls back to a serial
     in-parent re-run when retries are exhausted.
-    """
-
-
-class FatalDetectionError(DetectionError):
-    """A failure no retry can fix (malformed input, impossible state).
-
-    The resilience layer never retries these; they propagate to the
-    caller immediately, even mid-fan-out.
     """
 
 

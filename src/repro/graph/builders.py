@@ -152,8 +152,10 @@ def seed_expansion_masks(
     unknown seed ids are skipped — run as a level-synchronous frontier
     over the snapshot's edge arrays: each level is one boolean gather per
     side, so the region costs O(hops * edges) array work and copies no
-    graph.  An incremental recheck hands the masks to the extraction
-    kernel instead of building the region subgraph and its index.
+    graph.  The :class:`~repro.pipeline.stages.SeedExpansion` stage
+    builds every region this way, for a seeded ``detect`` and every
+    regional recheck; :func:`seed_expansion` is the oracle they are
+    tested against.
 
     Returns
     -------

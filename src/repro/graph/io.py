@@ -14,9 +14,9 @@ snapshots as numpy arrays for out-of-core work at paper scale:
   90M-edge graph costs page-cache, not heap (the one graph file format:
   every store snapshot is one);
 * :func:`read_click_table_indexed` — chunked text ingestion straight into
-  edge arrays, never holding the whole table as Python records the way
-  :func:`read_click_table` does (≈24 bytes/edge peak instead of several
-  hundred).
+  edge arrays, never holding the whole table as Python records (≈24
+  bytes/edge peak instead of several hundred); :func:`read_click_table`
+  wraps its result in a graph.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 
 from ..errors import ClickTableError, MalformedRowError, SchemaVersionError
 from .bipartite import BipartiteGraph
-from .builders import from_click_records
 from .indexed import IndexedGraph, InternedDelta
 
 __all__ = [
@@ -137,6 +136,9 @@ def iter_click_table(path: str | Path) -> Iterator[tuple[str, str, int]]:
 def read_click_table(path: str | Path) -> BipartiteGraph:
     """Load a click-table file into a :class:`BipartiteGraph`.
 
+    The graph is :func:`read_click_table_indexed`'s snapshot, so no
+    record list is held on the way.
+
     >>> import tempfile, os
     >>> with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as f:
     ...     _ = f.write("user_id,item_id,click\\nu1,i1,3\\nu1,i2,1\\n")
@@ -145,7 +147,7 @@ def read_click_table(path: str | Path) -> BipartiteGraph:
     (1, 2, 4)
     >>> os.unlink(f.name)
     """
-    return from_click_records(iter_click_table(path))
+    return BipartiteGraph.from_indexed(read_click_table_indexed(path))
 
 
 def read_click_table_indexed(
@@ -155,12 +157,11 @@ def read_click_table_indexed(
 
     Records are interned in chunks of ``chunk_records`` into id and click
     columns (:class:`~repro.graph.indexed.InternedDelta`), so peak RSS is
-    the id tables plus ~24 bytes per edge — never the
-    several-hundred-bytes-per-edge record list :func:`read_click_table`
-    holds.  Duplicate ``(user, item)`` records coalesce by summing clicks,
-    matching :meth:`~repro.graph.bipartite.BipartiteGraph.add_click`
-    accumulation, and ids take first-seen order in both, so the result is
-    array-for-array identical to ``read_click_table(path).indexed()``.
+    the id tables plus ~24 bytes per edge — never a
+    several-hundred-bytes-per-edge record list.  Duplicate
+    ``(user, item)`` records coalesce by summing clicks, matching
+    :meth:`~repro.graph.bipartite.BipartiteGraph.add_click` accumulation,
+    and ids take first-seen order, as in a graph built record by record.
     """
     empty = np.empty(0, dtype=np.int64)
     base = IndexedGraph([], [], empty, empty, empty)

@@ -1,7 +1,7 @@
 """The shared state every pipeline stage reads and writes.
 
 A :class:`PipelineContext` is one detection run's blackboard: the input
-graph and the part of it extraction runs on, the current —
+graph and the region extraction is restricted to, the current —
 possibly feedback-relaxed — parameter pair, the stopwatch that produces
 ``DetectionResult.timings``, and the group list flowing from extraction
 through screening into identification.  Stages communicate exclusively
@@ -43,19 +43,14 @@ class PipelineContext:
         marketplace statistics, items split hot from ordinary by their
         marketplace totals, and risk scores rank against full-graph
         neighbourhoods — even when extraction runs on a part of it.
-    working:
-        The graph extraction runs on: the seed-expanded neighbourhood
-        when business seeds were given, the dirty region's copy during a
-        reference-engine incremental recheck, or ``graph`` itself
-        (``None`` also means ``graph``).
     region:
         ``(user_mask, item_mask)`` over ``graph.indexed()``'s rows and
-        columns, or ``None``.  Set by a bitset incremental recheck:
-        extraction then runs on ``graph`` as if on the subgraph the masks
-        induce, which is never built.  Apart from the item totals behind
-        the hot/ordinary split, the later stages read only group
-        members' rows, and members lie inside the region, so masked and
-        copied rechecks agree.
+        columns, or ``None`` for the whole graph.  Set by
+        :class:`~repro.pipeline.stages.SeedExpansion` when seeds are
+        given, and read only by extraction, which then runs as if on the
+        subgraph the masks induce.  Apart from the item totals behind the
+        hot/ordinary split, the later stages read only group members'
+        rows, and members lie inside the region.
     params, screening:
         The current parameter pair.  The feedback driver replaces these
         with relaxed copies between rounds; stages must read them from
@@ -64,7 +59,8 @@ class PipelineContext:
         Accumulates the phase timings (``detection`` / ``screening`` /
         ``identification``) that become ``DetectionResult.timings``.
     seed_users, seed_items:
-        Known abnormal nodes from the business department (Algorithm 2).
+        Known abnormal nodes from the business department (Algorithm 2),
+        or an incremental recheck's dirty nodes.
     groups:
         The group list in flight: extraction writes it, screening and the
         size caps rewrite it, identification consumes it.
@@ -89,7 +85,6 @@ class PipelineContext:
     timer: Stopwatch = field(default_factory=Stopwatch)
     seed_users: tuple[Node, ...] = ()
     seed_items: tuple[Node, ...] = ()
-    working: "BipartiteGraph | None" = None
     region: "tuple[np.ndarray, np.ndarray] | None" = None
     groups: "list[SuspiciousGroup]" = field(default_factory=list)
     result: "DetectionResult | None" = None

@@ -18,12 +18,15 @@ recorded before and after the refactor line up column for column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING, Callable
 import weakref
 
 from .. import obs
 from ..errors import DegenerateGraphError
-from ..graph.builders import seed_expansion
+from ..graph.builders import seed_expansion_masks
+# Not called here: perfbench wraps this name (tests/test_perfbench_hooks.py).
+from ..graph.builders import seed_expansion  # noqa: F401
 from ..core.identification import assemble_result
 from ..core.screening import screen_groups
 from ..core.thresholds import pareto_hot_threshold, t_click_from_graph
@@ -157,26 +160,33 @@ def shared_thresholds() -> ResolveThresholds:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SeedExpansion:
-    """Restrict the working graph to the seeds' ``hops``-neighbourhood.
+    """Restrict extraction to the seeds' two-hop neighbourhood (Algorithm 2).
 
-    With no seeds the stage installs the full graph as the working graph;
-    thresholds were already resolved on the full graph either way, since
-    they are global marketplace statistics.
+    With seeds, ``ctx.region`` becomes boolean masks over
+    ``ctx.graph.indexed()``
+    (:func:`~repro.graph.builders.seed_expansion_masks`); without, the
+    stage does nothing and extraction reads the full graph.  ``detect``
+    expands as the paper writes it, uncapped; an incremental recheck
+    seeds its dirty nodes and passes its traverse cap.  Thresholds were
+    already resolved on the full graph either way, since they are global
+    marketplace statistics.
     """
 
-    hops: int = 2
+    max_traverse_degree: int | None = None
 
     name = "seed_expansion"
 
     def run(self, ctx: PipelineContext) -> None:
-        with ctx.timer.measure("detection"):
-            if ctx.seed_users or ctx.seed_items:
-                with obs.span("seed_expansion"):
-                    ctx.working = seed_expansion(
-                        ctx.graph, ctx.seed_users, ctx.seed_items, hops=self.hops
-                    )
-            else:
-                ctx.working = ctx.graph
+        if not (ctx.seed_users or ctx.seed_items):
+            return
+        with ctx.timer.measure("detection"), obs.span("seed_expansion"):
+            ctx.region = seed_expansion_masks(
+                ctx.graph.indexed(),
+                ctx.seed_users,
+                ctx.seed_items,
+                hops=2,
+                max_traverse_degree=self.max_traverse_degree,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +198,9 @@ class Extraction:
 
     ``bitset`` (the default: numpy mask/CSR frontier kernel) or
     ``reference`` (pure-Python Algorithm 3, the oracle tests select
-    explicitly).
+    explicitly).  Both read ``ctx.graph``, restricted to ``ctx.region``
+    when seed expansion set one: the kernel runs under the masks, and
+    the reference engine extracts from the subgraph they induce.
     """
 
     engine: str = "bitset"
@@ -201,7 +213,7 @@ class Extraction:
         params: "RICDParams",
         region: "tuple[np.ndarray, np.ndarray] | None" = None,
     ) -> "list[SuspiciousGroup]":
-        """Run the selected engine on ``graph`` (masked to ``region``, if given)."""
+        """Run the selected engine on ``graph`` (restricted to ``region``, if given)."""
         # Late imports keep the engines patchable.
         from ..core.extraction import extract_groups
         from ..core.extraction_bitset import extract_groups_bitset
@@ -210,15 +222,18 @@ class Extraction:
         if self.engine == "bitset":
             return extract_groups_bitset(graph, params, region=region)
         if region is not None:
-            raise ValueError("region masks need the bitset engine")
+            snapshot = graph.indexed()
+            user_mask, item_mask = region
+            graph = graph.subgraph(
+                compress(snapshot.users, user_mask.tolist()),
+                compress(snapshot.items, item_mask.tolist()),
+            )
         return extract_groups(graph, params)
 
     def run(self, ctx: PipelineContext) -> None:
-        """Extract from the seeded copy or the region, else from the full graph."""
-        graph = ctx.working if ctx.working is not None else ctx.graph
         with ctx.timer.measure("detection"), obs.span("extraction"):
             inject("extraction")
-            ctx.groups = self.extract(graph, ctx.params, ctx.region)
+            ctx.groups = self.extract(ctx.graph, ctx.params, ctx.region)
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +251,7 @@ class Screening:
     Screening reads the full graph on every path: items split hot from
     ordinary by the marketplace totals ``T_hot`` was resolved from, and
     every other read is a group member's row.  Only extraction sees the
-    seeded copy or the region.
+    region.
     """
 
     enabled: bool = True

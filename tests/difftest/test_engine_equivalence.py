@@ -59,15 +59,20 @@ class TestEngineEquivalence:
         bitset = extract_groups_bitset(scenario.graph, params)
         assert _group_set(reference) == _group_set(bitset)
 
-    def test_full_detector_identical_across_engines(self, scenario):
+    @pytest.mark.parametrize("seeded", [False, True], ids=["full", "seeded"])
+    def test_full_detector_identical_across_engines(self, scenario, seeded):
+        # Seeded: Algorithm 2 from the first planted worker, so the bitset
+        # kernel runs under region masks and the reference engine on the
+        # subgraph they induce.
         params = RICDParams(k1=5, k2=5)
+        seeds = [scenario.truth.groups[0].workers[0]] if seeded else []
         keys = {}
         for engine in ("reference", "bitset", "auto"):
             detector = RICDDetector(
                 params=params,
                 engine=engine,
             )
-            keys[engine] = _result_key(detector.detect(scenario.graph))
+            keys[engine] = _result_key(detector.detect(scenario.graph, seed_users=seeds))
         assert keys["reference"] == keys["bitset"] == keys["auto"]
 
 

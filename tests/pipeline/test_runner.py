@@ -18,11 +18,11 @@ class TestDetectionPipeline:
 
         class Counting(RICDDetector):
             def _run_modules(self, ctx):
-                calls.append(ctx.working)
+                calls.append(ctx.region)
                 return super()._run_modules(ctx)
 
         Counting(params=RICDParams(k1=5, k2=5)).detect(small.graph)
-        assert calls == [small.graph]
+        assert calls == [None]
 
         # A regional recheck runs the same sequence method, once.
         runs = []

@@ -5,6 +5,8 @@ import pytest
 
 from repro import obs
 from repro.config import RICDParams, ScreeningParams
+from repro.core.framework import RICDDetector
+from repro.core.incremental import ClickBatch, IncrementalRICD
 from repro.core.thresholds import pareto_hot_threshold, t_click_from_graph
 from repro.pipeline import (
     Extraction,
@@ -29,6 +31,10 @@ def ctx_for(graph, **overrides):
 
 def user_sets(groups):
     return {frozenset(map(str, group.users)) for group in groups}
+
+
+def group_set(groups):
+    return {(frozenset(group.users), frozenset(group.items)) for group in groups}
 
 
 class TestStageProtocol:
@@ -100,16 +106,39 @@ class TestSeedExpansion:
     def test_no_seeds_installs_full_graph(self, small):
         ctx = ctx_for(small.graph)
         SeedExpansion().run(ctx)
-        assert ctx.working is small.graph
-        assert "detection" in ctx.timer.durations
+        assert ctx.region is None
 
-    def test_seeds_restrict_the_working_graph(self, small):
+    def test_seeds_set_the_region_masks(self, small):
         seed = sorted(map(str, small.graph.users()))[0]
         ctx = ctx_for(small.graph, seed_users=(seed,))
         SeedExpansion().run(ctx)
-        assert ctx.working is not small.graph
-        assert ctx.working.has_user(seed)
-        assert ctx.working.num_users <= small.graph.num_users
+        user_mask = ctx.region[0]
+        assert user_mask[small.graph.indexed().user_index[seed]]
+        assert user_mask.sum() < small.graph.num_users
+        assert "detection" in ctx.timer.durations
+
+    def test_detect_and_regional_rechecks_build_every_region_here(self, small, monkeypatch):
+        import repro.pipeline.stages as stages
+
+        calls = []
+        masks = stages.seed_expansion_masks
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return masks(*args, **kwargs)
+
+        monkeypatch.setattr(stages, "seed_expansion_masks", counting)
+        params = RICDParams(k1=5, k2=5)
+        seed = small.truth.groups[0].workers[0]
+        RICDDetector(params).detect(small.graph, seed_users=[seed])
+        assert len(calls) == 1
+        online = IncrementalRICD(small.graph, params=params, recheck_batches=None)
+        online.ingest(ClickBatch.of([("fresh_user", "i1", 1)]))
+        online.recheck()
+        assert len(calls) == 2
+        online.ingest(ClickBatch.of([("other_user", "i1", 1)]))
+        online.recheck_full()
+        assert len(calls) == 2
 
 
 class TestExtraction:
@@ -126,14 +155,18 @@ class TestExtraction:
             Extraction().extract(small.graph, FIXED)
         assert recorder.gauges["detect.engine"] == "bitset"
 
-    def test_region_masks_need_the_bitset_engine(self, small):
+    def test_reference_engine_extracts_the_masked_region(self, small):
         snapshot = small.graph.indexed()
         region = (
-            np.ones(snapshot.num_users, dtype=bool),
+            np.random.default_rng(0).random(snapshot.num_users) < 0.9,
             np.ones(snapshot.num_items, dtype=bool),
         )
-        with pytest.raises(ValueError):
-            Extraction(engine="reference").extract(small.graph, FIXED, region)
+        reference = Extraction(engine="reference").extract(small.graph, FIXED, region)
+        assert reference  # non-vacuous
+        assert group_set(reference) == group_set(
+            Extraction(engine="bitset").extract(small.graph, FIXED, region)
+        )
+        assert group_set(reference) != group_set(Extraction().extract(small.graph, FIXED))
 
 
 class TestScreeningStage:
