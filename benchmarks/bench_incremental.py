@@ -7,7 +7,7 @@ the speedup that makes online deployment plausible (Section VIII).
 
 from repro.config import RICDParams
 from repro.core.framework import RICDDetector
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 
 
 def _noise_batches(count: int, size: int = 20):
@@ -29,19 +29,19 @@ def _noise_batches(count: int, size: int = 20):
             )
             for offset in range(size)
         ]
-        batches.append(ClickBatch.of(records))
+        batches.append(records)
     return batches
 
 
 def test_incremental_ingest(benchmark, scenario):
-    online = IncrementalRICD(
-        scenario.graph, params=RICDParams(), recheck_batches=1
-    )
+    online = IncrementalRICD(scenario.graph, params=RICDParams())
     batches = iter(_noise_batches(200))
 
-    benchmark.pedantic(
-        lambda: online.ingest(next(batches)), rounds=20, iterations=1
-    )
+    def ingest_and_recheck():
+        online.ingest(next(batches))
+        return online.recheck()
+
+    benchmark.pedantic(ingest_and_recheck, rounds=20, iterations=1)
 
 
 def test_batch_rerun_equivalent(benchmark, scenario):
@@ -51,7 +51,7 @@ def test_batch_rerun_equivalent(benchmark, scenario):
     batches = iter(_noise_batches(50))
 
     def rerun():
-        for user, item, clicks in next(batches).records:
+        for user, item, clicks in next(batches):
             graph.add_click(user, item, clicks)
         return detector.detect(graph)
 
@@ -62,18 +62,19 @@ def test_incremental_vs_batch_report(benchmark, scenario, emit_report):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     import time
 
-    online = IncrementalRICD(scenario.graph, params=RICDParams(), recheck_batches=1)
+    online = IncrementalRICD(scenario.graph, params=RICDParams())
     batches = _noise_batches(10)
     start = time.perf_counter()
     for batch in batches:
         online.ingest(batch)
+        online.recheck()
     online_cost = (time.perf_counter() - start) / len(batches)
 
     detector = RICDDetector(params=RICDParams())
     graph = scenario.graph.copy()
     start = time.perf_counter()
     for batch in batches[:2]:
-        for user, item, clicks in batch.records:
+        for user, item, clicks in batch:
             graph.add_click(user, item, clicks)
         detector.detect(graph)
     batch_cost = (time.perf_counter() - start) / 2

@@ -4,9 +4,9 @@ Replays an integration-scale scenario through the incremental detector
 (Section VIII future work) and reports, per injected group, the day on
 which 80% of its accounts were flagged — the "how early" metric the paper
 motivates with the Double-11 scenario — plus the stream's operational
-profile: per-day ingest-latency percentiles and the recheck-lag
-distribution (days a batch waited before a recheck covered it), from the
-instrumented :class:`~repro.datagen.streams.ReplayResult`.
+profile: per-day ingest-plus-recheck latency percentiles, from the
+instrumented :class:`~repro.datagen.streams.ReplayResult`.  Each day is
+rechecked the day it arrives.
 """
 
 from repro.config import RICDParams, ScreeningParams
@@ -34,7 +34,6 @@ def test_stream_replay(benchmark, emit_report, emit_json):
             BipartiteGraph(),
             params=RICDParams(k1=5, k2=5),
             screening=ScreeningParams(min_users=2, min_items=2),
-            recheck_batches=1,
         )
         # Bar at 60%: sloppy workers (30% of accounts) are cleared by
         # screening by design, so a 0.8 bar would be unreachable for them.
@@ -52,7 +51,6 @@ def test_stream_replay(benchmark, emit_report, emit_json):
                 day if day is not None else "missed",
             ]
         )
-    lag_days = list(outcome.recheck_lag_days.values())
     emit_report(
         render_table(
             ["group", "workers", "targets", "detected on day"],
@@ -61,8 +59,7 @@ def test_stream_replay(benchmark, emit_report, emit_json):
                 "Online replay — campaign window days "
                 f"{config.campaign_start}-{config.campaign_end} of {config.days}; "
                 f"ingest p50 {_percentile(outcome.batch_seconds, 0.5) * 1000:.0f}ms / "
-                f"p99 {_percentile(outcome.batch_seconds, 0.99) * 1000:.0f}ms per day, "
-                f"recheck lag p99 {_percentile(lag_days, 0.99)} day(s)"
+                f"p99 {_percentile(outcome.batch_seconds, 0.99) * 1000:.0f}ms per day"
             ),
         )
     )
@@ -71,11 +68,8 @@ def test_stream_replay(benchmark, emit_report, emit_json):
     # Detection must land inside (or right at the end of) the campaign —
     # that is the whole point of the online module.
     assert min(detected) <= config.campaign_end
-    # The instrumentation is complete: every day was timed, and with
-    # recheck_batches=1 every day is covered the day it arrives.
+    # The instrumentation is complete: every day was timed.
     assert len(outcome.batch_seconds) == config.days
-    assert outcome.recheck_days == list(range(1, config.days + 1))
-    assert lag_days == [0] * config.days
     emit_json(
         "stream_replay",
         {
@@ -84,7 +78,5 @@ def test_stream_replay(benchmark, emit_report, emit_json):
             "earliest_detection_day": min(detected),
             "ingest_p50_s": round(_percentile(outcome.batch_seconds, 0.5), 4),
             "ingest_p99_s": round(_percentile(outcome.batch_seconds, 0.99), 4),
-            "recheck_days": outcome.recheck_days,
-            "recheck_lag_p99_days": _percentile(lag_days, 0.99),
         },
     )

@@ -12,7 +12,7 @@ Run:  python examples/online_monitoring.py
 import time
 
 from repro import MarketplaceConfig, RICDParams
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 from repro.datagen import AttackConfig, generate_scenario
 
 
@@ -36,9 +36,7 @@ def main() -> None:
         ),
         AttackConfig(n_groups=0, seed=12),
     )
-    online = IncrementalRICD(
-        clean.graph, params=RICDParams(k1=8, k2=8), recheck_batches=1
-    )
+    online = IncrementalRICD(clean.graph, params=RICDParams(k1=8, k2=8))
     print(f"  {online.graph!r}")
     print(
         f"  initial state: {len(online.current_result.suspicious_users)} "
@@ -74,7 +72,8 @@ def main() -> None:
         if not batch:
             break
         start = time.perf_counter()
-        result = online.ingest(ClickBatch.of(batch))
+        online.ingest(batch)
+        result = online.recheck()
         elapsed = (time.perf_counter() - start) * 1000
         caught = len(set(group.workers) & result.suspicious_users)
         print(

@@ -66,8 +66,8 @@ def resume(store_dir) -> None:
         service = make_service(store_dir)
         warm = service.result
         service.online.graph.indexed()
-    misses = recorder.counters.get("graph.indexed.misses", 0)
-    assert misses == 0, f"warm resume rebuilt the snapshot {misses}x"
+    builds = recorder.counters.get("graph.indexed.builds", 0)
+    assert builds == 0, f"warm resume rebuilt the snapshot {builds}x"
     # The checkpoint snapshot another process wrote: CRCs hold, no orphans.
     orphans = service.store.verify()
     assert orphans == [], f"store holds unreferenced artifacts: {orphans}"

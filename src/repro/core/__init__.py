@@ -22,7 +22,7 @@ from .i2i import (
     i2i_scores,
     optimal_attack_allocation,
 )
-from .incremental import ClickBatch, IncrementalRICD
+from .incremental import IncrementalRICD
 from .identification import adjust_parameters, assemble_result, output_size, score_groups
 from .naive import NaiveParams, naive_detect
 from .screening import item_behavior_verification, screen_groups, user_behavior_check
@@ -45,7 +45,6 @@ __all__ = [
     "square_pruning",
     "prune_to_fixpoint",
     "extract_groups",
-    "ClickBatch",
     "IncrementalRICD",
     "zarankiewicz_upper_bound",
     "kovari_sos_turan_bound",

@@ -13,11 +13,12 @@ strategy:
    columns (see :mod:`repro.graph.bipartite`), so ingest interns each
    batch's ids once and writes no adjacency dict;
 2. every user/item touched by a batch is marked dirty;
-3. on demand (or automatically every ``recheck_batches`` batches), the
-   detector re-runs as a seeded ``detect`` (Algorithm 2) with the dirty
-   nodes as seeds: an ``(alpha, k1, k2)``-extension biclique gaining an
-   edge must contain a dirty node, and every node of a group containing
-   a dirty node lies within two hops of it.  The recheck first folds the
+3. when the caller asks (:meth:`IncrementalRICD.recheck`; the streaming
+   service decides when), the detector re-runs as a seeded ``detect``
+   (Algorithm 2) with the dirty nodes as seeds: an
+   ``(alpha, k1, k2)``-extension biclique gaining an edge must contain a
+   dirty node, and every node of a group containing a dirty node lies
+   within two hops of it.  The recheck first folds the
    tail into the live index with one numpy merge; then the steps
    ``detect`` takes — threshold resolution,
    :class:`~repro.pipeline.stages.SeedExpansion` (the two-hop region as
@@ -40,10 +41,9 @@ full-graph item totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .. import obs
 from ..config import RICDParams, ScreeningParams
@@ -56,26 +56,11 @@ from ..resilience.faults import inject
 from .framework import RICDDetector
 from .groups import DetectionResult, SuspiciousGroup
 
-__all__ = ["ClickBatch", "IncrementalRICD"]
+__all__ = ["IncrementalRICD"]
 
 Node = Hashable
 
 _USER, _ITEM = itemgetter(0), itemgetter(1)
-
-
-@dataclass(frozen=True)
-class ClickBatch:
-    """One batch of new click records ``(user, item, clicks)``."""
-
-    records: tuple[tuple[Node, Node, int], ...]
-
-    @staticmethod
-    def of(records: Iterable[tuple[Node, Node, int]]) -> "ClickBatch":
-        """Build a batch from any iterable of records."""
-        return ClickBatch(records=tuple(records))
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class IncrementalRICD:
@@ -86,13 +71,13 @@ class IncrementalRICD:
     >>> from repro.datagen import tiny_scenario
     >>> from repro.config import RICDParams
     >>> scenario = tiny_scenario()
-    >>> online = IncrementalRICD(
-    ...     scenario.graph, params=RICDParams(k1=4, k2=4), recheck_batches=1
-    ... )
-    >>> batch = ClickBatch.of([("fresh_user", "i0", 2)])
-    >>> result = online.ingest(batch)
-    >>> isinstance(result, type(online.current_result))
-    True
+    >>> online = IncrementalRICD(scenario.graph, params=RICDParams(k1=4, k2=4))
+    >>> online.ingest([("fresh_user", "i0", 2)])
+    >>> online.dirty_size
+    2
+    >>> result = online.recheck()
+    >>> online.dirty_size
+    0
     """
 
     def __init__(
@@ -100,9 +85,7 @@ class IncrementalRICD:
         initial_graph: BipartiteGraph,
         params: RICDParams | None = None,
         screening: ScreeningParams | None = None,
-        recheck_batches: int | None = 10,
         engine: str = "bitset",
-        time_source: Callable[[], float] | None = None,
         *,
         initial_result: DetectionResult | None = None,
     ):
@@ -119,41 +102,23 @@ class IncrementalRICD:
         and every recheck: ``"bitset"`` by default, ``"reference"`` for
         the pure-Python oracle.
 
-        ``recheck_batches=None`` disables the built-in every-N-batches
-        cadence entirely: rechecks then happen only when a caller invokes
-        :meth:`recheck` — the mode the streaming service uses, where a
-        bounded-staleness scheduler owns the cadence decision.
-
-        ``time_source`` (a ``() -> float`` clock read, e.g. the serving
-        layer's :meth:`~repro.serve.clock.Clock.now`) lets the detector
-        stamp when its dirty region *started* accumulating, exposed as
-        :attr:`dirty_since` / :meth:`dirty_age` — the signal behind the
-        scheduler's ``max_age`` staleness bound.  Without one, ages read
-        as zero and only size/batch bounds can fire.
-
         The live graph is ``initial_graph.indexed()`` wrapped by
         :meth:`~repro.graph.bipartite.BipartiteGraph.from_indexed`: array
         backed from the start, and a different object from
         ``initial_graph``, which is never mutated.  ``initial_result``
         skips the bootstrap full pass by installing a (persisted) result
         as the starting state; the caller asserts it matches the graph."""
-        if recheck_batches is not None and recheck_batches < 1:
-            raise ValueError(f"recheck_batches must be >= 1, got {recheck_batches}")
         self._graph = BipartiteGraph.from_indexed(initial_graph.indexed())
         self._detector = RICDDetector(
             params=params or RICDParams(),
             screening=screening or ScreeningParams(),
             engine=engine,
         )
-        self._recheck_batches = recheck_batches
-        self._time_source = time_source
-        self._dirty_since: float | None = None
         self._dirty_users: set[Node] = set()
         self._dirty_items: set[Node] = set()
         #: Set by :meth:`recheck_full` until a recheck succeeds: the whole
         #: graph is dirty, without copying every node into the sets.
         self._full_owed = False
-        self._batches_since_recheck = 0
         self._store = None
         self._pending_records: list[tuple[Node, Node, int]] = []
         self._snapshot_owed = False
@@ -170,9 +135,7 @@ class IncrementalRICD:
         store,
         params: RICDParams | None = None,
         screening: ScreeningParams | None = None,
-        recheck_batches: int | None = None,
         engine: str = "bitset",
-        time_source: Callable[[], float] | None = None,
     ) -> "IncrementalRICD":
         """Resume from the latest checkpoint of a detection store.
 
@@ -206,9 +169,7 @@ class IncrementalRICD:
             store.load_graph(),
             params=params,
             screening=screening,
-            recheck_batches=recheck_batches,
             engine=engine,
-            time_source=time_source,
             initial_result=store.load_result(),
         )
         if stored_resolved is not None and online._detector.params == stored_input:
@@ -325,59 +286,24 @@ class IncrementalRICD:
         """Whether nothing awaits a recheck."""
         return not (self._full_owed or self._dirty_users or self._dirty_items)
 
-    @property
-    def batches_since_recheck(self) -> int:
-        """Batches ingested since the last (attempted) recheck."""
-        return self._batches_since_recheck
-
-    @property
-    def dirty_since(self) -> float | None:
-        """Clock time the dirty region started accumulating, or ``None``.
-
-        Stamped from ``time_source`` when the dirty region transitions
-        from empty to non-empty, or when a full recheck becomes owed;
-        cleared when a recheck covers it.  Always ``None`` without a time
-        source.
-        """
-        return self._dirty_since
-
-    def dirty_age(self, now: float) -> float:
-        """Clock-seconds the oldest un-rechecked mark has waited (0 if clean)."""
-        if self._dirty_since is None:
-            return 0.0
-        return max(0.0, now - self._dirty_since)
-
     def _mark_dirty(self, records: Sequence[tuple]) -> None:
-        """Mark the endpoints of every record or ``(user, item)`` pair dirty.
-
-        Stamps the region's birth time when it was clean.
-        """
-        if not records:
-            return
-        if self._dirty_since is None and self._time_source is not None and self._clean():
-            self._dirty_since = self._time_source()
+        """Mark the endpoints of every record or ``(user, item)`` pair dirty."""
         self._dirty_users.update(map(_USER, records))
         self._dirty_items.update(map(_ITEM, records))
 
-    def ingest(self, batch: ClickBatch) -> DetectionResult:
-        """Apply one batch; recheck the dirty region when due.
+    def ingest(self, records: Iterable[tuple[Node, Node, int]]) -> None:
+        """Apply a batch of ``(user, item, clicks)`` records and mark them dirty.
 
-        The batch lands in one :meth:`~BipartiteGraph.add_clicks` call:
+        The records land in one :meth:`~BipartiteGraph.add_clicks` call:
         a record with a non-positive count raises :class:`ValueError`
-        before any record is applied or marked dirty.  Returns the
-        (possibly refreshed) current result.
+        before any record is applied or marked dirty.  Nothing is
+        rechecked; call :meth:`recheck` when the result should catch up.
         """
-        self._graph.add_clicks(batch.records)
-        self._mark_dirty(batch.records)
+        records = tuple(records)
+        self._graph.add_clicks(records)
+        self._mark_dirty(records)
         if self._store is not None:
-            self._pending_records.extend(batch.records)
-        self._batches_since_recheck += 1
-        if (
-            self._recheck_batches is not None
-            and self._batches_since_recheck >= self._recheck_batches
-        ):
-            self.recheck()
-        return self._result
+            self._pending_records.extend(records)
 
     def apply_cleanup(
         self, edges: Iterable[tuple[Node, Node, int]]
@@ -414,11 +340,10 @@ class IncrementalRICD:
         Resilience: a recheck that dies with a framework error keeps the
         *previous* result — marked ``stale`` so callers know it predates
         the dirty batches — and retains the dirty sets, so the next
-        recheck (or the next due batch) re-covers the same region.  A
-        stream never loses its detection state to one failed pass.
+        recheck re-covers the same region.  A stream never loses its
+        detection state to one failed pass.
         """
         if self._clean():
-            self._batches_since_recheck = 0
             if self._pending_records or self._snapshot_owed:
                 # A previous persist was absorbed (store fault): the
                 # detection state is current but the store is behind.
@@ -434,11 +359,10 @@ class IncrementalRICD:
             obs.count("resilience.stale_rechecks")
             self._result.stale = True
             # Dirty sets (and an owed full recheck) are retained: the
-            # failed pass covered nothing.
-            self._batches_since_recheck = 0
-            # The stale state still persists (graph advanced, result kept
-            # with its stale flag), so a resume reproduces exactly what
-            # this process would keep serving.
+            # failed pass covered nothing.  The stale state still persists
+            # (graph advanced, result kept with its stale flag), so a
+            # resume reproduces exactly what this process would keep
+            # serving.
             self._persist()
             return self._result
         self._result = result
@@ -446,8 +370,6 @@ class IncrementalRICD:
         self._dirty_users.clear()
         self._dirty_items.clear()
         self._full_owed = False
-        self._dirty_since = None
-        self._batches_since_recheck = 0
         # A full pass has just built the live index: commit it as a
         # snapshot, also when a failed attempt already persisted one.
         self._persist(snapshot=full)
@@ -471,10 +393,6 @@ class IncrementalRICD:
         graph with nothing to recheck commits nothing.
         """
         if len(self._graph) or not self._clean():
-            if self._dirty_since is None and self._time_source is not None:
-                # An owed recheck ages like a dirty region, so a failed
-                # one is rescheduled by the scheduler's max_age bound.
-                self._dirty_since = self._time_source()
             self._full_owed = True
             if self._store is not None:
                 self._snapshot_owed = True

@@ -15,8 +15,8 @@ on the same three primitives:
 * :class:`AttackPlan`, a campaign planned against a snapshot of the
   marketplace but not yet applied.  Plans support three consumption
   modes: one-shot :meth:`~AttackPlan.apply` (batch experiments),
-  :meth:`~AttackPlan.schedule` (slow-drip click batches for the streaming
-  service), and plain inspection (tests).
+  :meth:`~AttackPlan.schedule` (slow-drip lists of click records for the
+  streaming service), and plain inspection (tests).
 
 Planning and application are split because the *adaptive* variants need
 to observe the deployed defense (resolved ``T_hot``/``T_click``) on the
@@ -27,16 +27,13 @@ edges the batch experiments see.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from ...errors import DataGenError
 from ...graph.bipartite import BipartiteGraph
 from ..labels import GroundTruth
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ...core.incremental import ClickBatch
 
 __all__ = [
     "AttackGroup",
@@ -216,23 +213,18 @@ class AttackPlan:
             remaining = still
         return events
 
-    def schedule(self, n_batches: int) -> list["ClickBatch"]:
-        """Split the campaign into ``n_batches`` slow-drip click batches.
+    def schedule(self, n_batches: int) -> list[list[tuple[Node, Node, int]]]:
+        """Split the campaign into ``n_batches`` slow-drip lists of click records.
 
         Replaying every batch (in any order — clicks are additive)
         produces exactly the same final table as :meth:`apply`, which is
         the invariant the serve-parity difftest pins.
         """
-        from ...core.incremental import ClickBatch
-
         if n_batches < 1:
             raise DataGenError(f"n_batches must be >= 1, got {n_batches}")
         events = self.unit_events()
         size = max(1, -(-len(events) // n_batches))  # ceil division
-        return [
-            ClickBatch.of(events[start : start + size])
-            for start in range(0, len(events), size)
-        ]
+        return [events[start : start + size] for start in range(0, len(events), size)]
 
     def __repr__(self) -> str:
         return (

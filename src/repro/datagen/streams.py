@@ -9,10 +9,10 @@ timestamps, so this module assigns them generatively:
 * each attack group runs a campaign window — fake clicks land between its
   start and end day, ramping like the Fig. 10 timeline.
 
-The output is a list of per-day :class:`~repro.core.incremental.ClickBatch`
-objects that an :class:`~repro.core.incremental.IncrementalRICD` can
-consume; :func:`replay` drives that loop and reports the detection day per
-group, which is the headline metric of online detection ("the earlier
+The output is one list of ``(user, item, clicks)`` records per day, which
+:meth:`~repro.core.incremental.IncrementalRICD.ingest` takes as it is;
+:func:`replay` ingests and rechecks each day and reports the detection day
+per group, which is the headline metric of online detection ("the earlier
 these attacks are detected ... the more losses can be reduced").
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.incremental import ClickBatch, IncrementalRICD
+from ..core.incremental import IncrementalRICD
 from ..errors import DataGenError
 from .scenario import Scenario
 
@@ -67,8 +67,8 @@ class StreamConfig:
 
 def scenario_to_stream(
     scenario: Scenario, config: StreamConfig | None = None
-) -> list[ClickBatch]:
-    """Split the scenario's click records into one batch per day.
+) -> list[list[tuple]]:
+    """Split the scenario's click records into one list per day.
 
     Organic records (everything not in a group's ``fake_edges``) are
     assigned uniform-random days; each group's fake records are assigned
@@ -99,7 +99,7 @@ def scenario_to_stream(
             day = int(rng.choice(window, p=ramp)) - 1
             per_day[day].append((user, item, clicks))
 
-    return [ClickBatch.of(records) for records in per_day]
+    return per_day
 
 
 @dataclass
@@ -117,24 +117,15 @@ class ReplayResult:
     days:
         Horizon replayed.
     batch_seconds:
-        Wall-clock seconds each day's ``ingest`` call took (graph apply
-        plus any recheck it triggered) — one entry per day, so benchmarks
-        can report ingest-latency percentiles instead of one end-state
-        number.
-    recheck_days:
-        Days (1-based) on which the detector actually ran a recheck.
-    recheck_lag_days:
-        Per day, how many days its batch waited until the next recheck
-        covered it (0 = rechecked the day it arrived).  Days never covered
-        by a recheck within the horizon are absent.
+        Wall-clock seconds each day's ``ingest`` plus ``recheck`` took —
+        one entry per day, so benchmarks can report latency percentiles
+        instead of one end-state number.
     """
 
     detection_day: dict[int, int]
     final_flagged_users: set
     days: int
     batch_seconds: list[float] = field(default_factory=list)
-    recheck_days: list[int] = field(default_factory=list)
-    recheck_lag_days: dict[int, int] = field(default_factory=dict)
 
 
 def replay(
@@ -144,6 +135,9 @@ def replay(
     detection_bar: float = 0.8,
 ) -> ReplayResult:
     """Feed the scenario's stream through ``online`` day by day.
+
+    Each day's records are ingested and then rechecked, so every day is
+    covered the day it arrives.
 
     Parameters
     ----------
@@ -160,22 +154,12 @@ def replay(
     batches = scenario_to_stream(scenario, config)
     detection_day: dict[int, int] = {}
     batch_seconds: list[float] = []
-    recheck_days: list[int] = []
-    recheck_lag_days: dict[int, int] = {}
-    pending_days: list[int] = []
     result = online.current_result
     for day_index, batch in enumerate(batches, start=1):
-        pending_days.append(day_index)
         started = time.perf_counter()
-        result = online.ingest(batch)
+        online.ingest(batch)
+        result = online.recheck()
         batch_seconds.append(time.perf_counter() - started)
-        if online.batches_since_recheck == 0:
-            # The ingest triggered (or absorbed) a recheck: every pending
-            # day is now covered, at a lag of (today - arrival day).
-            recheck_days.append(day_index)
-            for day in pending_days:
-                recheck_lag_days[day] = day_index - day
-            pending_days.clear()
         for group in scenario.truth.groups:
             if group.group_id in detection_day:
                 continue
@@ -187,6 +171,4 @@ def replay(
         final_flagged_users=set(result.suspicious_users),
         days=config.days,
         batch_seconds=batch_seconds,
-        recheck_days=recheck_days,
-        recheck_lag_days=recheck_lag_days,
     )

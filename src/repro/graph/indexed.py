@@ -157,8 +157,11 @@ class IndexedGraph:
         Duplicate ``(user, item)`` pairs sum their clicks — the
         :meth:`~repro.graph.bipartite.BipartiteGraph.add_click`
         accumulation semantics — which is what chunked ingestion needs
-        when one edge's records straddle a chunk boundary.
+        when one edge's records straddle a chunk boundary.  The
+        from-scratch build :meth:`from_graph` and :meth:`from_arrays`
+        share, counted as ``graph.indexed.builds``.
         """
+        obs.count("graph.indexed.builds")
         mult = max(n_items, 1)
         keys, clicks = coalesce(user_idx.astype(np.int64) * mult + item_idx, clicks)
         user_idx, item_idx = np.divmod(keys, mult)

@@ -37,17 +37,14 @@ class ClickEvent(NamedTuple):
     service's :class:`~repro.serve.clock.Clock` uses); the replay harness
     synthesises it, production stamps it at submission.  A named tuple,
     so it is immutable and cheap to build, and its first three fields
-    slice out as the ``(user, item, clicks)`` record ``ClickBatch`` holds.
+    slice out as the ``(user, item, clicks)`` record
+    :meth:`~repro.core.incremental.IncrementalRICD.ingest` takes.
     """
 
     user: Node
     item: Node
     clicks: int = 1
     timestamp: float = 0.0
-
-    def record(self) -> tuple[Node, Node, int]:
-        """The ``(user, item, clicks)`` tuple ``ClickBatch`` ingests."""
-        return (self.user, self.item, self.clicks)
 
 
 @dataclass(frozen=True)

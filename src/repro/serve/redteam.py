@@ -115,7 +115,7 @@ def drip_campaign(
     events = 0
     mid_flagged: set = set()
     for batch in plan.schedule(n_batches):
-        for user, item, clicks in batch.records:
+        for user, item, clicks in batch:
             service.submit(user, item, clicks)
             events += clicks
         service.pump_until_idle()

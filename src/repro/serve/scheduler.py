@@ -65,10 +65,10 @@ class StalenessPolicy:
 class RecheckScheduler:
     """Evaluates one :class:`StalenessPolicy` against live detector state.
 
-    Stateless between calls by design: the service owns the inputs (dirty
-    size, batch count, dirty age) because they live on the incremental
-    detector; the scheduler owns only the decision, which keeps it
-    trivially pinnable at exact bound values.
+    Stateless between calls by design: the service supplies the inputs
+    (the incremental detector's dirty size, and the batch count and dirty
+    age the service itself keeps); the scheduler owns only the decision,
+    which keeps it trivially pinnable at exact bound values.
 
     Examples
     --------

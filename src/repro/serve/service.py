@@ -24,15 +24,16 @@ lie; it makes it *coarser*, explicitly:
 2. **coarse cadence** — sustained high queue depth or a recheck that
    blows its clock budget (a :class:`~repro.resilience.Deadline` anchored
    to the service clock) multiplies every staleness bound by
-   ``coarse_factor``, trading freshness for ingest throughput;
+   :data:`COARSE_FACTOR`, trading freshness for ingest throughput;
 3. **stale serving** — if overload persists, scheduled rechecks are
    suppressed entirely and the last good result is served, marked with
    explicit ``serve.stale`` provenance, until pressure drops.
 
-The ladder de-escalates one level at a time once the queue drains below
-the low watermark.  Every transition lands in the service's provenance
-log and the ``serve.*`` obs gauges, so a degraded answer is always
-distinguishable from a fresh one.
+A queue filled to :data:`HIGH_WATERMARK` of its capacity escalates the
+ladder, and it de-escalates one level at a time once the queue drains
+below :data:`LOW_WATERMARK`.  Every transition lands in the service's
+provenance log and the ``serve.*`` obs gauges, so a degraded answer is
+always distinguishable from a fresh one.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Hashable, Iterable
 
 from .. import obs
 from ..core.groups import DetectionResult
-from ..core.incremental import ClickBatch, IncrementalRICD
+from ..core.incremental import IncrementalRICD
 from ..errors import ConfigError, TransientWorkerError
 from ..resilience.faults import inject
 from ..resilience.policy import Deadline
@@ -63,6 +64,13 @@ _LEVELS = ("normal", "coarse", "stale")
 #: A :class:`ClickEvent`'s ``(user, item, clicks)`` record, sliced in C.
 _RECORD = itemgetter(slice(3))
 
+#: Idle sleep of the threaded pump loop, in clock seconds.
+POLL_INTERVAL = 0.05
+#: Staleness-bound multiplier at ladder level >= 1.
+COARSE_FACTOR = 4
+#: Queue-depth fractions of capacity that escalate / allow de-escalation.
+HIGH_WATERMARK, LOW_WATERMARK = 0.8, 0.2
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -73,47 +81,29 @@ class ServeConfig:
     queue_capacity:
         Bounded ingest queue size; overflow sheds oldest-first.
     max_batch:
-        Events drained per pump into one ``ClickBatch``.
+        Events drained per pump into one :meth:`IncrementalRICD.ingest`.
     staleness:
         Recheck bounds (size OR batches OR age, whichever first).
-    poll_interval:
-        Idle sleep of the threaded pump loop, in clock seconds.
     recheck_budget:
         Soft clock-seconds budget per recheck; a recheck exceeding it
         escalates the degradation ladder.  ``None`` disables the check.
-    coarse_factor:
-        Staleness-bound multiplier at ladder level >= 1.
-    high_watermark, low_watermark:
-        Queue-depth fractions that escalate / allow de-escalation.
     """
 
     queue_capacity: int = 100_000
     max_batch: int = 1_000
     staleness: StalenessPolicy = field(default_factory=StalenessPolicy)
-    poll_interval: float = 0.05
     recheck_budget: float | None = None
-    coarse_factor: int = 4
-    high_watermark: float = 0.8
-    low_watermark: float = 0.2
 
     def __post_init__(self) -> None:
+        if self.queue_capacity < 1:
+            raise ConfigError(
+                f"queue_capacity must be >= 1, got {self.queue_capacity}", "queue_capacity"
+            )
         if self.max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {self.max_batch}", "max_batch")
-        if self.coarse_factor < 2:
-            raise ConfigError(
-                f"coarse_factor must be >= 2, got {self.coarse_factor}", "coarse_factor"
-            )
-        if not 0.0 < self.low_watermark < self.high_watermark <= 1.0:
-            raise ConfigError(
-                "require 0 < low_watermark < high_watermark <= 1", "high_watermark"
-            )
         if self.recheck_budget is not None and self.recheck_budget <= 0:
             raise ConfigError(
                 f"recheck_budget must be > 0, got {self.recheck_budget}", "recheck_budget"
-            )
-        if self.poll_interval <= 0:
-            raise ConfigError(
-                f"poll_interval must be > 0, got {self.poll_interval}", "poll_interval"
             )
 
 
@@ -151,8 +141,6 @@ class ServiceSnapshot:
     queue: QueueStats
     applied: int
     rechecks: int
-    dirty_region: int
-    recheck_lag: float
     store_version: int | None
 
 
@@ -162,10 +150,12 @@ class DetectionService:
     Parameters
     ----------
     online:
-        The incremental detector to drive.  Build it with
-        ``recheck_batches=None`` (cadence belongs to the scheduler) and
-        ``time_source=clock.now`` (so age-based staleness works); the
-        convenience constructor :meth:`over_graph` wires both.
+        The incremental detector to drive.  It ingests, and rechecks only
+        when asked: the service owns the cadence.  The service keeps the
+        two scheduling inputs that are not the dirty size (the batches
+        ingested since the last recheck and the clock time the dirty
+        region started to grow) and asks the
+        :class:`~repro.serve.scheduler.RecheckScheduler` after every pump.
     config:
         The operating envelope; defaults are production-ish.
     clock:
@@ -208,6 +198,9 @@ class DetectionService:
         self._shed_at_last_recheck = 0
         self._last_recheck_lag = 0.0
         self._recheck_lags: list[float] = []
+        self._batches_since_recheck = 0
+        #: Clock time the dirty region started to grow; ``None`` while clean.
+        self._dirty_since: float | None = None
         self._started_at = self.clock.now()
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -222,19 +215,13 @@ class DetectionService:
         config: ServeConfig | None = None,
         clock: Clock | None = None,
     ) -> "DetectionService":
-        """A service over a fresh scheduler-managed incremental detector.
+        """A service over a fresh incremental detector.
 
         Rechecks run the ``engine`` extraction: ``"bitset"`` by default,
         ``"reference"`` for the pure-Python oracle.
         """
-        clock = clock if clock is not None else MonotonicClock()
         online = IncrementalRICD(
-            initial_graph,
-            params=params,
-            screening=screening,
-            recheck_batches=None,
-            engine=engine,
-            time_source=clock.now,
+            initial_graph, params=params, screening=screening, engine=engine
         )
         return cls(online, config=config, clock=clock)
 
@@ -263,7 +250,6 @@ class DetectionService:
         the API round-trip test pins.  ``engine`` is as in
         :meth:`over_graph`.
         """
-        clock = clock if clock is not None else MonotonicClock()
         if isinstance(store, (str, Path)):
             from ..store import DetectionStore
 
@@ -283,12 +269,7 @@ class DetectionService:
             service.online.persist_checkpoint()
             return service
         online = IncrementalRICD.from_store(
-            store,
-            params=params,
-            screening=screening,
-            recheck_batches=None,
-            engine=engine,
-            time_source=clock.now,
+            store, params=params, screening=screening, engine=engine
         )
         return cls(online, config=config, clock=clock)
 
@@ -337,9 +318,11 @@ class DetectionService:
                 obs.count("serve.ingest_faults")
                 fault = True
             else:
-                self.online.ingest(ClickBatch.of(map(_RECORD, events)))
+                self.online.ingest(tuple(map(_RECORD, events)))
                 self._applied += len(events)
+                self._batches_since_recheck += 1
                 obs.count("serve.ingested", len(events))
+        self._track_dirty()
         applied = 0 if fault else len(events)
 
         reason = None
@@ -347,8 +330,8 @@ class DetectionService:
         if not fault:
             reason = self.scheduler.due(
                 dirty_size=self.online.dirty_size,
-                batches_since=self.online.batches_since_recheck,
-                dirty_age=self.online.dirty_age(self.clock.now()),
+                batches_since=self._batches_since_recheck,
+                dirty_age=self._dirty_age(),
                 scale=self._scale(),
             )
             if reason is not None and self._level >= 2:
@@ -382,19 +365,42 @@ class DetectionService:
         return pumps
 
     def _scale(self) -> int:
-        return self.config.coarse_factor if self._level >= 1 else 1
+        return COARSE_FACTOR if self._level >= 1 else 1
 
-    def _recheck(self, reason: str) -> None:
-        """One scheduled recheck, budget-watched through the service clock."""
-        lag = self.online.dirty_age(self.clock.now())
-        budget = Deadline.start(self.config.recheck_budget, clock=self.clock.now)
-        with obs.span("serve.recheck"):
-            result = self.online.recheck()
+    def _track_dirty(self) -> None:
+        """Start the dirty region's age clock when it grows, stop it when clean.
+
+        A failed recheck leaves the region (or an owed full recheck)
+        dirty, so its age keeps growing and ``max_age`` reschedules it.
+        """
+        if self.online.dirty_size == 0:
+            self._dirty_since = None
+        elif self._dirty_since is None:
+            self._dirty_since = self.clock.now()
+
+    def _dirty_age(self) -> float:
+        """Clock-seconds the oldest un-rechecked mark has waited (0 if clean)."""
+        if self._dirty_since is None:
+            return 0.0
+        return max(0.0, self.clock.now() - self._dirty_since)
+
+    def _rechecked(self, lag: float) -> None:
+        """Bookkeeping after every recheck attempt, scheduled or checkpoint."""
         self._rechecks += 1
         self._last_recheck_lag = lag
         self._recheck_lags.append(lag)
         self._shed_at_last_recheck = self.queue.stats().shed
+        self._batches_since_recheck = 0
+        self._track_dirty()
         obs.count("serve.rechecks")
+
+    def _recheck(self, reason: str) -> None:
+        """One scheduled recheck, budget-watched through the service clock."""
+        lag = self._dirty_age()
+        budget = Deadline.start(self.config.recheck_budget, clock=self.clock.now)
+        with obs.span("serve.recheck"):
+            result = self.online.recheck()
+        self._rechecked(lag)
         obs.gauge("serve.recheck_reason", reason)
         if result.stale:
             # The recheck itself failed (fault injection, framework
@@ -410,8 +416,8 @@ class DetectionService:
     # ------------------------------------------------------------------
     def _adjust_ladder(self) -> None:
         stats = self.queue.stats()
-        high = self.config.high_watermark * self.config.queue_capacity
-        low = self.config.low_watermark * self.config.queue_capacity
+        high = HIGH_WATERMARK * self.config.queue_capacity
+        low = LOW_WATERMARK * self.config.queue_capacity
         shed_since_recheck = stats.shed > self._shed_at_last_recheck
         if shed_since_recheck:
             self._note("serve.shed")
@@ -461,7 +467,7 @@ class DetectionService:
         with self._lock:
             while len(self.queue) > 0:
                 self._pump_locked()
-            lag = self.online.dirty_age(self.clock.now())
+            lag = self._dirty_age()
             with obs.span("serve.checkpoint"):
                 result = self.online.recheck_full()
             # A checkpoint is also the store's snapshot point: the full
@@ -470,11 +476,7 @@ class DetectionService:
             # this makes sure of it (committing anything a store fault
             # left pending) and sweeps unreferenced files.
             self.online.persist_checkpoint()
-            self._rechecks += 1
-            self._last_recheck_lag = lag
-            self._recheck_lags.append(lag)
-            self._shed_at_last_recheck = self.queue.stats().shed
-            obs.count("serve.rechecks")
+            self._rechecked(lag)
             self._emit_gauges(0)
             return result
 
@@ -507,7 +509,7 @@ class DetectionService:
         while not self._stop.is_set():
             report = self.pump()
             if report.applied == 0 and report.recheck_reason is None:
-                self.clock.sleep(self.config.poll_interval)
+                self.clock.sleep(POLL_INTERVAL)
 
     def stop(self, drain: bool = True) -> DetectionResult:
         """Stop the pump loop (if any) and optionally drain.  Idempotent."""
@@ -552,8 +554,6 @@ class DetectionService:
                 queue=stats,
                 applied=self._applied,
                 rechecks=self._rechecks,
-                dirty_region=self.online.dirty_size,
-                recheck_lag=self._last_recheck_lag,
                 store_version=self.store_version,
             )
 

@@ -373,7 +373,7 @@ class DetectionStore:
 
         The snapshot is installed as the graph's memoized array view, so
         the first ``indexed()`` call is a hit — no
-        ``graph.indexed.misses`` on the warm path.  The rebuild is O(1):
+        ``graph.indexed.builds`` on the warm path.  The rebuild is O(1):
         the graph is array-backed by the snapshot (see
         :mod:`repro.graph.bipartite`) — a restart does not loop over the
         edge table.

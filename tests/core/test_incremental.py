@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import RICDParams, ScreeningParams
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 from repro.core.framework import RICDDetector
 from repro.datagen import AttackConfig, inject_attacks
 
@@ -12,27 +12,15 @@ def params():
     return RICDParams(k1=4, k2=4)
 
 
-def make_online(graph, recheck=1):
+def make_online(graph):
     return IncrementalRICD(
         graph,
         params=params(),
         screening=ScreeningParams(min_users=2, min_items=2),
-        recheck_batches=recheck,
     )
 
 
-class TestClickBatch:
-    def test_of_and_len(self):
-        batch = ClickBatch.of([("u", "i", 1), ("v", "i", 2)])
-        assert len(batch) == 2
-        assert batch.records[1] == ("v", "i", 2)
-
-
 class TestIncremental:
-    def test_invalid_recheck(self, tiny):
-        with pytest.raises(ValueError):
-            IncrementalRICD(tiny.graph, recheck_batches=0)
-
     def test_bootstrap_matches_batch_detector(self, tiny):
         online = make_online(tiny.graph)
         batch_result = RICDDetector(
@@ -44,29 +32,38 @@ class TestIncremental:
     def test_initial_graph_not_mutated(self, tiny):
         before = tiny.graph.copy()
         online = make_online(tiny.graph)
-        online.ingest(ClickBatch.of([("new_account", "i0", 5)]))
+        online.ingest([("new_account", "i0", 5)])
+        online.recheck()
         assert tiny.graph == before
 
     def test_ingest_applies_clicks(self, tiny):
-        online = make_online(tiny.graph, recheck=100)
-        online.ingest(ClickBatch.of([("new_account", "i0", 5)]))
+        online = make_online(tiny.graph)
+        online.ingest([("new_account", "i0", 5)])
         assert online.graph.get_click("new_account", "i0") == 5
         assert online.dirty_size == 2
 
+    def test_ingest_takes_a_generator(self, tiny):
+        """A one-pass iterable is applied and marked dirty alike."""
+        online = make_online(tiny.graph)
+        online.ingest(record for record in [("new_account", "i0", 5), ("new_account", "i1", 2)])
+        assert online.graph.get_click("new_account", "i0") == 5
+        assert online.graph.get_click("new_account", "i1") == 2
+        assert online.dirty_size == 3
+
     def test_recheck_clears_dirty(self, tiny):
-        online = make_online(tiny.graph, recheck=100)
-        online.ingest(ClickBatch.of([("new_account", "i0", 5)]))
+        online = make_online(tiny.graph)
+        online.ingest([("new_account", "i0", 5)])
         online.recheck()
         assert online.dirty_size == 0
 
     def test_recheck_without_dirt_is_noop(self, tiny):
-        online = make_online(tiny.graph, recheck=100)
+        online = make_online(tiny.graph)
         before = online.current_result
         assert online.recheck() is before
 
     def test_streamed_attack_is_detected(self, tiny):
         """An attack arriving as click batches is caught at the recheck."""
-        online = make_online(tiny.graph, recheck=1)
+        online = make_online(tiny.graph)
         baseline_users = set(online.current_result.suspicious_users)
         # Stream a fresh 5x5 attack (hot ride + heavy targets).
         workers = [f"nw{i}" for i in range(5)]
@@ -76,19 +73,19 @@ class TestIncremental:
             records.append((worker, "i0", 1))  # ride the hottest item
             for target in targets:
                 records.append((worker, target, 13))
-        result = online.ingest(ClickBatch.of(records))
+        online.ingest(records)
+        result = online.recheck()
         assert set(workers) <= result.suspicious_users
         assert set(targets) <= result.suspicious_items
         # Previously clean users stay out.
         assert baseline_users <= result.suspicious_users | baseline_users
 
     def test_untouched_groups_survive_rechecks(self, tiny):
-        online = make_online(tiny.graph, recheck=1)
+        online = make_online(tiny.graph)
         initial_users = set(online.current_result.suspicious_users)
         # Ingest organic noise far from the attack group.
-        result = online.ingest(
-            ClickBatch.of([("idle_shopper", "i40", 1), ("idle_shopper", "i40", 1)])
-        )
+        online.ingest([("idle_shopper", "i40", 1), ("idle_shopper", "i40", 1)])
+        result = online.recheck()
         assert initial_users <= result.suspicious_users
 
     def test_online_covers_batch_on_final_graph(self, tiny):
@@ -96,11 +93,12 @@ class TestIncremental:
         state additionally retains pre-drift groups (new clicks shift the
         derived thresholds, which can make a *fresh* batch run drop groups
         that were valid when first detected)."""
-        online = make_online(tiny.graph, recheck=1)
+        online = make_online(tiny.graph)
         workers = [f"zw{i}" for i in range(5)]
         targets = [f"zt{j}" for j in range(5)]
         records = [(w, t, 13) for w in workers for t in targets]
-        online.ingest(ClickBatch.of(records))
+        online.ingest(records)
+        online.recheck()
         batch = RICDDetector(
             params=params(), screening=ScreeningParams(min_users=2, min_items=2)
         ).detect(online.graph)
@@ -118,14 +116,13 @@ class TestIncremental:
             BipartiteGraph(),
             params=params(),
             screening=ScreeningParams(min_users=2, min_items=2),
-            recheck_batches=10**9,
         )
         records = [
             (user, item, tiny.graph.get_click(user, item))
             for user in sorted(tiny.graph.users(), key=str)
             for item in sorted(tiny.graph.user_neighbors(user), key=str)
         ]
-        online.ingest(ClickBatch.of(records))
+        online.ingest(records)
         online.recheck()
         # Compare on the replayed graph: the click table omits the
         # scenario's zero-click items, which exist as nodes only.
@@ -138,7 +135,7 @@ class TestIncremental:
 
     def test_injected_attack_via_injector(self, tiny):
         """Full-stack: inject a second attack into the live graph as batches."""
-        online = make_online(tiny.graph, recheck=1)
+        online = make_online(tiny.graph)
         shadow = online.graph.copy()
         truth = inject_attacks(
             shadow,
@@ -167,7 +164,8 @@ class TestIncremental:
             (remap(user), remap(item), clicks)
             for user, item, clicks in group.fake_edges
         ]
-        result = online.ingest(ClickBatch.of(records))
+        online.ingest(records)
+        result = online.recheck()
         caught = {remap(w) for w in group.workers} & result.suspicious_users
         assert len(caught) >= 4
 
@@ -177,7 +175,7 @@ class TestCleanup:
         from repro.core.screening import collect_fake_edges
         from repro.core.thresholds import t_click_from_graph
 
-        online = make_online(tiny.graph, recheck=1)
+        online = make_online(tiny.graph)
         result = online.current_result
         if not result.groups:
             pytest.skip("nothing detected on this seed")
@@ -192,14 +190,14 @@ class TestCleanup:
         assert not (after.suspicious_users & flagged_before)
 
     def test_cleanup_clamps_at_zero(self, tiny):
-        online = make_online(tiny.graph, recheck=100)
+        online = make_online(tiny.graph)
         user = next(iter(tiny.graph.users()))
         item = next(iter(tiny.graph.user_neighbors(user)))
         online.apply_cleanup([(user, item, 10**9)])
         assert online.graph.get_click(user, item) == 0
 
     def test_cleanup_of_unknown_edge_is_safe(self, tiny):
-        online = make_online(tiny.graph, recheck=100)
+        online = make_online(tiny.graph)
         before = online.graph.total_clicks
         online.apply_cleanup([("ghost", "phantom", 5)])
         assert online.graph.total_clicks == before
@@ -207,7 +205,7 @@ class TestCleanup:
     def test_a_cleanup_that_lowers_nothing_marks_nothing(self, tiny):
         from repro.resilience.faults import injecting
 
-        online = make_online(tiny.graph, recheck=100)
+        online = make_online(tiny.graph)
         with injecting("error=1.0,sites=recheck"):
             result = online.apply_cleanup([("ghost", "phantom", 5)])
         assert online.dirty_size == 0
@@ -217,7 +215,7 @@ class TestCleanup:
     def test_a_non_positive_count_applies_nothing(self, tiny, tmp_path):
         from repro.store import DetectionStore
 
-        online = make_online(tiny.graph, recheck=100)
+        online = make_online(tiny.graph)
         online.attach_store(DetectionStore.open_or_create(tmp_path / "store"))
         graph = online.graph
         user = next(iter(tiny.graph.users()))
@@ -232,7 +230,7 @@ class TestCleanup:
 
 class TestCleanupEdgeDeletion:
     def test_fully_cleaned_edge_leaves_the_adjacency(self, tiny):
-        online = make_online(tiny.graph, recheck=100)
+        online = make_online(tiny.graph)
         user = next(iter(tiny.graph.users()))
         item = next(iter(tiny.graph.user_neighbors(user)))
         online.apply_cleanup([(user, item, tiny.graph.get_click(user, item))])
@@ -251,7 +249,7 @@ class TestCleanupEdgeDeletion:
         from repro.core.thresholds import pareto_hot_threshold, t_click_from_graph
         from repro.graph import BipartiteGraph
 
-        online = make_online(tiny.graph, recheck=100)
+        online = make_online(tiny.graph)
         user = next(iter(tiny.graph.users()))
         removed = set()
         for item in list(dict(tiny.graph.user_neighbors(user)))[:2]:
@@ -272,16 +270,14 @@ class TestKeptGroups:
 
     @pytest.mark.parametrize("engine", ["bitset", "reference"])
     def test_clicks_on_ridden_hot_items_serve_each_group_once(self, small, engine):
-        online = IncrementalRICD(
-            small.graph, params=RICDParams(k1=5, k2=5), recheck_batches=None, engine=engine
-        )
+        online = IncrementalRICD(small.graph, params=RICDParams(k1=5, k2=5), engine=engine)
         ridden = {item for group in online.current_result.groups for item in group.hot_items}
         assert ridden
         for index, item in enumerate(sorted(ridden, key=str)):
             # A click on a ridden hot item dirties only that item: the
             # groups riding it stay kept, and the two-hop region around
             # it holds them whole.
-            online.ingest(ClickBatch.of([(f"organic_{index}", item, 1)]))
+            online.ingest([(f"organic_{index}", item, 1)])
             keys = [
                 (frozenset(group.users), frozenset(group.items))
                 for group in online.recheck().groups
@@ -291,8 +287,8 @@ class TestKeptGroups:
     def test_a_regional_recheck_gauges_its_region_share(self, small):
         from repro import obs
 
-        online = IncrementalRICD(small.graph, params=RICDParams(k1=5, k2=5), recheck_batches=None)
-        online.ingest(ClickBatch.of([("fresh_user", "i1", 1)]))
+        online = IncrementalRICD(small.graph, params=RICDParams(k1=5, k2=5))
+        online.ingest([("fresh_user", "i1", 1)])
         with obs.recording(obs.Recorder()) as recorder:
             online.recheck()
         assert 0 < recorder.gauges["incremental.region_share"] <= 1
@@ -306,12 +302,10 @@ class TestFullGraphScreening:
         from ..canon import canonical_result
 
         params = RICDParams(k1=5, k2=5)
-        online = IncrementalRICD(
-            small.graph, params=params, recheck_batches=None, engine=engine
-        )
+        online = IncrementalRICD(small.graph, params=params, engine=engine)
         # The click's two-hop region holds only some of the clicks of many
         # marketplace-hot items; screening must still read them as hot.
-        online.ingest(ClickBatch.of([("fresh_user", "i1", 1)]))
+        online.ingest([("fresh_user", "i1", 1)])
         expected = RICDDetector(params, engine=engine).detect(online.graph.copy())
         assert canonical_result(online.recheck()) == canonical_result(expected)
 
@@ -321,13 +315,13 @@ class TestTraverseCap:
     def _growth_batch(graph, edges=3000):
         """New users piling clicks onto a handful of existing items."""
         targets = sorted(map(str, graph.items()))[:5]
-        return ClickBatch.of(
+        return (
             (f"grower_{index}", targets[index % len(targets)], 1)
             for index in range(edges)
         )
 
     def test_derived_cap_tracks_live_graph_growth(self, tiny):
-        online = make_online(tiny.graph, recheck=100)
+        online = make_online(tiny.graph)
         initial = online.traverse_degree_cap
         online.ingest(self._growth_batch(online.graph))
         online.recheck()
@@ -346,10 +340,10 @@ class TestOwedFullRecheck:
 
         from ..canon import canonical_result
 
-        online = make_online(tiny.graph, recheck=100)
+        online = make_online(tiny.graph)
         if with_store:
             online.attach_store(DetectionStore.open_or_create(tmp_path / "store"))
-        online.ingest(ClickBatch.of([("new_account", "i0", 5)]))
+        online.ingest([("new_account", "i0", 5)])
         with injecting("error=1.0,sites=recheck,max=1"):
             assert online.recheck_full().stale
         graph = online.graph

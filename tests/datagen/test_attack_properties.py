@@ -74,7 +74,7 @@ class TestBudgetConservation:
         plan = plan_family(_BASE, family, budget=budget, seed=seed, adaptive=adaptive)
         batches = plan.schedule(n_batches)
         assert len(batches) <= n_batches
-        records = [record for batch in batches for record in batch.records]
+        records = [record for batch in batches for record in batch]
         assert records == plan.unit_events()
 
 

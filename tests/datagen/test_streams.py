@@ -34,7 +34,7 @@ class TestScenarioToStream:
         batches = scenario_to_stream(tiny, StreamConfig(days=6, campaign_end=5))
         rebuilt = BipartiteGraph()
         for batch in batches:
-            for user, item, clicks in batch.records:
+            for user, item, clicks in batch:
                 rebuilt.add_click(user, item, clicks)
         for user, item, clicks in tiny.graph.edges():
             assert rebuilt.get_click(user, item) == clicks
@@ -49,14 +49,14 @@ class TestScenarioToStream:
             for user, item, _clicks in group.fake_edges
         }
         for day_index, batch in enumerate(batches, start=1):
-            for user, item, _clicks in batch.records:
+            for user, item, _clicks in batch:
                 if (user, item) in fake_pairs:
                     assert config.campaign_start <= day_index <= config.campaign_end
 
     def test_deterministic(self, tiny):
         first = scenario_to_stream(tiny, StreamConfig(seed=4))
         second = scenario_to_stream(tiny, StreamConfig(seed=4))
-        assert [b.records for b in first] == [b.records for b in second]
+        assert first == second
 
 
 class TestReplay:
@@ -65,7 +65,6 @@ class TestReplay:
             BipartiteGraph(),
             params=RICDParams(k1=4, k2=4),
             screening=ScreeningParams(min_users=2, min_items=2),
-            recheck_batches=1,
         )
         config = StreamConfig(days=8, campaign_start=3, campaign_end=6)
         outcome = replay(tiny, online, config)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.config import RICDParams, ScreeningParams
 from repro.core.framework import RICDDetector
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 from repro.graph import BipartiteGraph
 
 from ..canon import canonical_result
@@ -49,13 +49,11 @@ def test_replay_all_batches_matches_one_shot_batch(case):
         BipartiteGraph(),
         params=PARAMS,
         screening=SCREENING,
-        # Rechecks deferred entirely to the explicit final call.
-        recheck_batches=10**9,
     )
     records = click_records(scenario.graph)
     chunk = max(1, len(records) // 7)
     for start in range(0, len(records), chunk):
-        online.ingest(ClickBatch.of(records[start : start + chunk]))
+        online.ingest(records[start : start + chunk])
     online.recheck()
 
     # The replayed graph is the scenario's click *table* (zero-click
@@ -82,7 +80,6 @@ def test_masked_regional_rechecks_match_region_copies(case):
             bootstrap,
             params=PARAMS,
             screening=SCREENING,
-            recheck_batches=None,
             engine=engine,
         )
         for engine in ("bitset", "reference")
@@ -90,7 +87,7 @@ def test_masked_regional_rechecks_match_region_copies(case):
     rest = records[half:]
     chunk = max(1, len(rest) // 12)
     for start in range(0, len(rest), chunk):
-        batch = ClickBatch.of(rest[start : start + chunk])
+        batch = rest[start : start + chunk]
         masked.ingest(batch)
         copied.ingest(batch)
         # Each chunk dirties part of the graph: a genuinely regional pass.

@@ -12,7 +12,7 @@ items.
 import pytest
 
 from repro.config import RICDParams, ScreeningParams
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 
 from .scenarios import SCENARIO_GRID, build_scenario
 
@@ -27,11 +27,10 @@ def test_clicks_on_ridden_hot_items_serve_each_group_once(case):
         scenario.graph,
         params=RICDParams(k1=5, k2=5),
         screening=ScreeningParams(),
-        recheck_batches=None,
     )
     ridden = {item for group in online.current_result.groups for item in group.hot_items}
     for index, item in enumerate(sorted(ridden, key=str)):
-        online.ingest(ClickBatch.of([(f"organic_{index}", item, 1)]))
+        online.ingest([(f"organic_{index}", item, 1)])
         keys = [
             (frozenset(group.users), frozenset(group.items))
             for group in online.recheck().groups

@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import RICDParams, ScreeningParams
 from repro.core.framework import RICDDetector
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 from repro.graph import BipartiteGraph
 
 from .scenarios import SCENARIO_GRID, build_scenario
@@ -37,14 +37,12 @@ def test_rechecks_stay_within_the_drift_bound(case):
     bootstrap = BipartiteGraph()
     for user, item, clicks in records[:half]:
         bootstrap.add_click(user, item, clicks)
-    online = IncrementalRICD(
-        bootstrap, params=PARAMS, screening=SCREENING, recheck_batches=None
-    )
+    online = IncrementalRICD(bootstrap, params=PARAMS, screening=SCREENING)
     batch = RICDDetector(params=PARAMS, screening=SCREENING)
     rest = records[half:]
     chunk = max(1, len(rest) // 12)
     for start in range(0, len(rest), chunk):
-        online.ingest(ClickBatch.of(rest[start : start + chunk]))
+        online.ingest(rest[start : start + chunk])
         flagged = online.recheck().suspicious_users
         # A copy: a batch pass on the live graph would memoize its
         # fixpoint in the live snapshot.

@@ -11,7 +11,7 @@ import pytest
 
 from repro.config import RICDParams, ScreeningParams
 from repro.core.framework import RICDDetector
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 from repro.graph import BipartiteGraph
 from repro.store import DetectionStore, memos_to_json
 
@@ -87,10 +87,8 @@ def test_warm_resume_then_stream_matches_cold_batch(case, tmp_path):
         prefix.add_click(user, item, clicks)
     persist_detected(tmp_path / "store", prefix)
 
-    resumed = IncrementalRICD.from_store(
-        DetectionStore.open(tmp_path / "store"), recheck_batches=10**9
-    )
-    resumed.ingest(ClickBatch.of(records[half:]))
+    resumed = IncrementalRICD.from_store(DetectionStore.open(tmp_path / "store"))
+    resumed.ingest(records[half:])
     resumed.recheck()
 
     expected = RICDDetector(params=PARAMS, screening=SCREENING).detect(resumed.graph)

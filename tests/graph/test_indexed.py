@@ -130,7 +130,7 @@ class TestMemoization:
         ]
         with obs.recording(obs.Recorder()) as recorder:
             clone.indexed()
-        assert recorder.counters.get("graph.indexed.misses", 0) == 0
+        assert recorder.counters.get("graph.indexed.builds", 0) == 0
         assert recorder.counters.get("graph.indexed.delta_builds", 0) == 0
 
     def test_copy_is_cold(self, simple_graph):
@@ -199,7 +199,7 @@ class TestIncrementalMaintenance:
                 graph.add_click(f"new_u{step}", "new_item", 2)
                 graph.add_click("u1", "i1", 1)  # increment existing
                 graph.indexed()
-        assert recorder.counters.get("graph.indexed.misses", 0) == 0
+        assert recorder.counters.get("graph.indexed.builds", 0) == 0
         assert recorder.counters["graph.indexed.delta_builds"] == 5
         assert recorder.counters["graph.indexed.hits"] == 5
 

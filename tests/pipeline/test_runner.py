@@ -3,7 +3,7 @@
 from repro import obs
 from repro.config import FeedbackPolicy, RICDParams
 from repro.core.framework import RICDDetector
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 
 
 def detector(**overrides):
@@ -33,10 +33,10 @@ class TestDetectionPipeline:
             return sequence(self, ctx, kept)
 
         monkeypatch.setattr(RICDDetector, "_run", counting_run)
-        online = IncrementalRICD(small.graph, params=RICDParams(k1=5, k2=5), recheck_batches=None)
+        online = IncrementalRICD(small.graph, params=RICDParams(k1=5, k2=5))
         assert runs == [False]  # the bootstrap detect
         for user in ("fresh_user", "other_user"):
-            online.ingest(ClickBatch.of([(user, "i1", 1)]))
+            online.ingest([(user, "i1", 1)])
             online.recheck()
         assert runs == [False, True, True]
 

@@ -6,7 +6,7 @@ import pytest
 from repro import obs
 from repro.config import RICDParams, ScreeningParams
 from repro.core.framework import RICDDetector
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 from repro.core.thresholds import pareto_hot_threshold, t_click_from_graph
 from repro.pipeline import (
     Extraction,
@@ -132,11 +132,11 @@ class TestSeedExpansion:
         seed = small.truth.groups[0].workers[0]
         RICDDetector(params).detect(small.graph, seed_users=[seed])
         assert len(calls) == 1
-        online = IncrementalRICD(small.graph, params=params, recheck_batches=None)
-        online.ingest(ClickBatch.of([("fresh_user", "i1", 1)]))
+        online = IncrementalRICD(small.graph, params=params)
+        online.ingest([("fresh_user", "i1", 1)])
         online.recheck()
         assert len(calls) == 2
-        online.ingest(ClickBatch.of([("other_user", "i1", 1)]))
+        online.ingest([("other_user", "i1", 1)])
         online.recheck_full()
         assert len(calls) == 2
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro import obs
 from repro.config import FeedbackPolicy, RICDParams, ScreeningParams
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 from repro.errors import InjectedFaultError
 from repro.resilience import FaultInjector, injecting
 
@@ -96,7 +96,6 @@ class TestRecheckFaults:
             federation,
             params=RICDParams(k1=4, k2=3),
             screening=ScreeningParams(min_users=2, min_items=2),
-            recheck_batches=1,
         )
 
     def test_failed_recheck_keeps_previous_result_as_stale(self, federation):
@@ -105,7 +104,8 @@ class TestRecheckFaults:
         recorder = obs.Recorder()
         with obs.recording(recorder):
             with injecting(FaultInjector(error=1.0, sites=("recheck",), max_faults=1)):
-                result = online.ingest(ClickBatch.of([("fresh", "r0:i0", 3)]))
+                online.ingest([("fresh", "r0:i0", 3)])
+                result = online.recheck()
         assert result.stale
         assert canonical(result) == bootstrap  # previous result, kept valid
         assert online.dirty_size == 2  # region retained for the next pass
@@ -114,13 +114,15 @@ class TestRecheckFaults:
     def test_next_recheck_recovers_the_retained_region(self, federation):
         online = self._online(federation)
         with injecting(FaultInjector(error=1.0, sites=("recheck",), max_faults=1)):
-            online.ingest(ClickBatch.of([("fresh", "r0:i0", 3)]))
+            online.ingest([("fresh", "r0:i0", 3)])
+            online.recheck()
             result = online.recheck()  # budget spent: this one succeeds
         assert not result.stale
         assert online.dirty_size == 0
         # The recovered state equals a recheck that never failed.
         witness = self._online(federation)
-        witness.ingest(ClickBatch.of([("fresh", "r0:i0", 3)]))
+        witness.ingest([("fresh", "r0:i0", 3)])
+        witness.recheck()
         assert canonical(result) == canonical(witness.current_result)
 
 

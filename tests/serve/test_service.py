@@ -67,11 +67,10 @@ def submit_burst(service, n, clicks=1, prefix="u"):
     "kwargs",
     [
         {"max_batch": 0},
-        {"coarse_factor": 1},
-        {"high_watermark": 1.5},
-        {"low_watermark": 0.9, "high_watermark": 0.5},
+        {"max_batch": -1},
+        {"queue_capacity": 0},
+        {"recheck_budget": -1.0},
         {"recheck_budget": 0.0},
-        {"poll_interval": 0.0},
     ],
 )
 def test_config_rejects_degenerate_envelopes(kwargs):
@@ -98,7 +97,9 @@ def test_batch_bound_fires_at_the_exact_pump():
     assert service.pump().recheck_reason is None
     report = service.pump()
     assert report.recheck_reason == "batches"
-    assert service.online.batches_since_recheck == 0
+    # The recheck restarted the batch count: the bound fires three pumps later.
+    submit_burst(service, 3, prefix="v")
+    assert [service.pump().recheck_reason for _ in range(3)] == [None, None, "batches"]
 
 
 def test_dirty_bound_fires_when_region_grows_past_it():
@@ -256,7 +257,11 @@ def test_a_failed_checkpoint_recheck_ages_into_an_age_recheck():
         reasons.append(service.pump().recheck_reason)
     assert reasons == ["age"]
     assert not service.result.stale
-    assert service.online.dirty_since is None
+    # The age recheck stopped the age clock: a fresh click less than
+    # max_age later is not yet due.
+    clock.advance(1.0)
+    service.submit("fresh-user", "fresh-item", 1)
+    assert service.pump().recheck_reason is None
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +283,6 @@ def test_coarse_level_scales_the_staleness_bounds():
     service = make_service(
         queue_capacity=20,
         max_batch=1,
-        coarse_factor=4,
         staleness=StalenessPolicy(max_batches=2),
     )
     # Depth sits at exactly the high watermark (16) after the first drain,
@@ -303,7 +307,7 @@ def test_stale_level_suppresses_rechecks_with_explicit_provenance():
     assert first.level == "coarse"            # escalated after the drain
     second = service.pump()
     assert second.level == "stale"            # depth still at the watermark
-    # At level 2 the next due recheck (batch bound 1 * coarse_factor 4) is
+    # At level 2 the next due recheck (batch bound 1 * COARSE_FACTOR 4) is
     # suppressed: the previous result keeps serving, explicitly marked.
     reports = [service.pump() for _ in range(2)]
     assert all(r.recheck_reason is None and not r.recheck_suppressed for r in reports)

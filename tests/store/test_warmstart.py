@@ -1,7 +1,7 @@
 """The warm-start path: every cache layer rehydrates from the store.
 
 Pins the cold==warm contract at each layer: the graph's memoized index
-(zero ``graph.indexed.misses`` after a store load), the resolved
+(zero ``graph.indexed.builds`` through a store load), the resolved
 thresholds cache, the bitset fixpoint memos, the incremental detector's
 resume, and the detection service's restart — including degraded/stale
 provenance surviving the round trip.
@@ -12,7 +12,7 @@ import pytest
 from repro import obs
 from repro.config import RICDParams
 from repro.core.framework import RICDDetector
-from repro.core.incremental import ClickBatch, IncrementalRICD
+from repro.core.incremental import IncrementalRICD
 from repro.datagen import tiny_scenario
 from repro.graph import BipartiteGraph
 from repro.resilience.faults import injecting
@@ -64,12 +64,12 @@ class TestGraphWarmCache:
     def test_loaded_graph_indexes_without_a_miss(self, tmp_path, scenario):
         graph = scenario.graph.copy()
         store, _ = persisted_store(tmp_path, graph)
-        warm = DetectionStore.open(store.root).load_graph()
         recorder = obs.Recorder()
         with obs.recording(recorder):
+            warm = DetectionStore.open(store.root).load_graph()
             warm.indexed()
         assert recorder.counters.get("graph.indexed.hits", 0) == 1
-        assert recorder.counters.get("graph.indexed.misses", 0) == 0
+        assert recorder.counters.get("graph.indexed.builds", 0) == 0
 
     def test_snapshot_version_is_the_store_version(self, tmp_path, scenario):
         store, _ = persisted_store(tmp_path, scenario.graph.copy())
@@ -135,12 +135,12 @@ class TestIncrementalResume:
         for user, item, clicks in records[:half]:
             cold_half.add_click(user, item, clicks)
         store = DetectionStore.create(tmp_path / "store")
-        online = IncrementalRICD(cold_half, params=PARAMS, recheck_batches=10**9)
+        online = IncrementalRICD(cold_half, params=PARAMS)
         online.attach_store(store)
         online.persist_checkpoint()
 
         resumed = IncrementalRICD.from_store(DetectionStore.open(store.root))
-        resumed.ingest(ClickBatch.of(records[half:]))
+        resumed.ingest(records[half:])
         resumed.recheck()
 
         expected = RICDDetector(params=PARAMS).detect(resumed.graph)
@@ -159,7 +159,7 @@ class TestIncrementalResume:
     def test_recheck_persists_a_new_version(self, tmp_path, scenario):
         store, _ = persisted_store(tmp_path, scenario.graph.copy())
         resumed = IncrementalRICD.from_store(store)
-        resumed.ingest(ClickBatch.of([("fresh", "i-fresh", 9)]))
+        resumed.ingest([("fresh", "i-fresh", 9)])
         resumed.recheck()
         assert store.head == 2
         assert ("fresh", "i-fresh", 9) in store.load_delta_records(2)
@@ -167,7 +167,7 @@ class TestIncrementalResume:
     def test_persist_failure_keeps_records_pending(self, tmp_path, scenario):
         store, _ = persisted_store(tmp_path, scenario.graph.copy())
         resumed = IncrementalRICD.from_store(store)
-        resumed.ingest(ClickBatch.of([("fresh", "i-fresh", 9)]))
+        resumed.ingest([("fresh", "i-fresh", 9)])
         recorder = obs.Recorder()
         with obs.recording(recorder):
             with injecting("error=1.0,sites=store"):
@@ -190,7 +190,7 @@ class TestIncrementalResume:
         # ride an append-only delta, so version 2 is a full snapshot.
         assert store.head == 2
         assert "snapshot" in store.entry(2)
-        resumed.ingest(ClickBatch.of([("post-clean", "i0", 2)]))
+        resumed.ingest([("post-clean", "i0", 2)])
         resumed.recheck()
         assert store.head == 3
         assert "delta" in store.entry(3)  # back to cheap deltas afterwards
