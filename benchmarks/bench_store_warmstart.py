@@ -4,12 +4,13 @@ A restart of the detection service can either *cold-start* — replay the
 click table into a fresh graph, rebuild the index, re-resolve
 thresholds, and re-run detection — or *warm-start* from a
 :class:`~repro.store.DetectionStore` checkpoint, where the array
-snapshot installs as an already-hot index, thresholds rehydrate into
-the memo, and the persisted verdict is served without detecting at
-all.  This bench times both restart paths on ``datagen.atscale``
-marketplaces at 1/100 and 1/10 of the paper's Taobao proportions and
-asserts — by counter, not by clock — that the warm path never rebuilds
-the snapshot (zero ``graph.indexed.builds``).
+snapshot installs as an already-hot index, the stored thresholds are
+reinstalled in the snapshot's ``derived`` memo, and the persisted
+verdict is served without detecting at all.  This bench times both
+restart paths on ``datagen.atscale`` marketplaces at 1/100 and 1/10 of
+the paper's Taobao proportions and asserts — by counter, not by clock —
+that the warm path never rebuilds the snapshot (zero
+``graph.indexed.builds``).
 
 ``RICD_WARMSTART_SCALES`` overrides the scale list for quick local or
 CI runs (comma-separated fractions of paper scale)::

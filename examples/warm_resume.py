@@ -4,9 +4,10 @@ Detection-as-a-service survives a process restart: one process ingests a
 click table, checkpoints, and exits; a second process resumes from the
 store directory alone, finds every artifact intact (``verify()``), and
 must serve the *identical* verdict at the same store version — without
-ever rebuilding the array snapshot (asserted by counter, not by
-timing).  CI runs the two phases as separate processes; running the
-script with no phase argument does both in sequence.
+ever rebuilding the array snapshot or re-deriving the thresholds
+(asserted by counter, not by timing).  CI runs the two phases as
+separate processes; running the script with no phase argument does both
+in sequence.
 
 Run:  python examples/warm_resume.py [write|resume] [store-dir]
 """
@@ -66,21 +67,26 @@ def resume(store_dir) -> None:
         service = make_service(store_dir)
         warm = service.result
         service.online.graph.indexed()
+        RICDDetector(params=PARAMS).resolve_thresholds(service.online.graph)
     builds = recorder.counters.get("graph.indexed.builds", 0)
     assert builds == 0, f"warm resume rebuilt the snapshot {builds}x"
+    derived = recorder.counters.get("detect.threshold_cache_misses", 0)
+    assert derived == 0, f"warm resume re-derived its thresholds {derived}x"
     # The checkpoint snapshot another process wrote: CRCs hold, no orphans.
     orphans = service.store.verify()
     assert orphans == [], f"store holds unreferenced artifacts: {orphans}"
 
+    # A copy is cold: it carries none of the memos the store installed.
     cold = RICDDetector(params=PARAMS, engine="reference").detect(
-        service.online.graph
+        service.online.graph.copy()
     )
     assert canonical(warm) == canonical(cold), "warm verdict diverged from cold"
     assert warm.suspicious_users, "resumed service must still flag the attack"
     print(
         f"[resume] store version {service.store_version}: warm verdict equals "
         f"a cold re-detection ({len(warm.suspicious_users)} suspicious users), "
-        "snapshot served from the store (0 index rebuilds)"
+        "snapshot and thresholds served from the store (0 index rebuilds, "
+        "0 threshold derivations)"
     )
 
 

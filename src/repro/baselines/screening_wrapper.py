@@ -12,10 +12,11 @@ the :class:`~repro.baselines.base.Detector` protocol, by composing the
 :class:`~repro.pipeline.stages.Identification` stage objects the RICD
 detector runs — the paper's fairness argument made literal: one
 screening implementation, shared by every method under comparison.
-Thresholds left at ``None`` resolve through the process-wide memoized
-resolver (:func:`repro.pipeline.stages.shared_thresholds`), so a Fig. 8
-suite derives the marketplace statistics once per graph state instead of
-once per baseline.  Timings are kept separate (``detection`` from the
+Thresholds left at ``None`` resolve through the same
+:class:`~repro.pipeline.stages.ResolveThresholds` stage, whose memo lives
+in the graph snapshot, so a Fig. 8 suite (RICD and every "+UI" baseline)
+derives the marketplace statistics once per graph version instead of
+once per method.  Timings are kept separate (``detection`` from the
 inner detector, ``screening`` from the wrapper) so Fig. 8b's
 detection-vs-UI split is reproducible.
 """
@@ -24,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import obs
 from .._util import Stopwatch
 from ..config import RICDParams, ScreeningParams
 from ..core.groups import DetectionResult
 from ..graph.bipartite import BipartiteGraph
-from ..pipeline import Identification, PipelineContext, Screening, shared_thresholds
+from ..pipeline import Identification, PipelineContext, ResolveThresholds, Screening
 from .base import Detector, observe_detector
 
 __all__ = ["WithScreening"]
@@ -70,10 +70,6 @@ class WithScreening:
         with observe_detector(self.name) as sink:
             inner_result = self.inner.detect(graph)
             timer = Stopwatch()
-            with obs.span("thresholds"):
-                params = shared_thresholds().resolve(
-                    graph, RICDParams(t_hot=self.t_hot, t_click=self.t_click)
-                )
             eligible = [
                 group
                 for group in inner_result.groups
@@ -82,11 +78,12 @@ class WithScreening:
             ]
             ctx = PipelineContext(
                 graph=graph,
-                params=params,
+                params=RICDParams(t_hot=self.t_hot, t_click=self.t_click),
                 screening=self.screening,
                 timer=timer,
                 groups=eligible,
             )
+            ResolveThresholds().run(ctx)
             Screening().run(ctx)
             Identification().run(ctx)
             result = ctx.result

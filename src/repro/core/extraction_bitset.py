@@ -56,6 +56,10 @@ __all__ = [
 
 Node = Hashable
 
+#: ``IndexedGraph.derived`` key tag of the whole-graph pruning fixpoint
+#: memo, keyed with the parameter floors.  Stores persist it.
+FIXPOINT_MEMO_TAG = "prune_fixpoint_bitset"
+
 #: Upper bound on the cells of one SquarePruning Gram row block
 #: (``block_vertices x alive_vertices``); 4M float32 cells = 16 MiB.
 _TARGET_CELLS = 1 << 22
@@ -422,7 +426,7 @@ def prune_to_fixpoint_bitset(
     if graph.num_users == 0 or graph.num_items == 0:
         return set(), set()
     snapshot = graph.indexed()
-    cache_key = ("prune_fixpoint_bitset", params.k1, params.k2, round(params.alpha, 9))
+    cache_key = (FIXPOINT_MEMO_TAG, params.k1, params.k2, round(params.alpha, 9))
     if region is None:
         cached = snapshot.derived.get(cache_key)
         if cached is not None:

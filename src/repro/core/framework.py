@@ -48,7 +48,8 @@ from ..pipeline import (
 )
 from ..resilience import Deadline
 from .groups import DetectionResult, SuspiciousGroup
-from .thresholds import pareto_hot_threshold, t_click_from_graph
+# Not called here: perfbench wraps these names (tests/test_perfbench_hooks.py).
+from .thresholds import pareto_hot_threshold, t_click_from_graph  # noqa: F401
 
 __all__ = ["RICDDetector", "RICDVariant", "VARIANT_FULL", "VARIANT_NO_ITEM", "VARIANT_NO_SCREEN"]
 
@@ -64,16 +65,6 @@ VARIANT_NO_SCREEN = "ricd-ui"
 RICDVariant = str  # alias for documentation purposes
 
 _VALID_VARIANTS = (VARIANT_FULL, VARIANT_NO_ITEM, VARIANT_NO_SCREEN)
-
-
-def _derive_t_hot(graph: BipartiteGraph) -> float:
-    """Pareto ``T_hot`` via this module's name, so tests can intercept it."""
-    return pareto_hot_threshold(graph)
-
-
-def _derive_t_click(graph: BipartiteGraph) -> float:
-    """Eq. 4 ``T_click`` via this module's name, so tests can intercept it."""
-    return t_click_from_graph(graph)
 
 
 @dataclass
@@ -136,18 +127,6 @@ class RICDDetector:
     engine: str = "bitset"
     deadline: float | None = None
 
-    #: Lazily built memoized threshold resolver (one per detector, so the
-    #: (graph, version, params) memo survives across detect calls).
-    _threshold_stage: ResolveThresholds | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __getstate__(self) -> dict:
-        """Drop the weakref-bearing resolver; workers re-derive on first use."""
-        state = self.__dict__.copy()
-        state["_threshold_stage"] = None
-        return state
-
     #: Detector name used by the evaluation harness and reports.
     @property
     def name(self) -> str:
@@ -178,20 +157,6 @@ class RICDDetector:
     # ------------------------------------------------------------------
     # Detector configuration -> pipeline stages
     # ------------------------------------------------------------------
-    def _thresholds(self) -> ResolveThresholds:
-        """This detector's memoized threshold-resolution stage.
-
-        The derive hooks route through this module's ``_derive_*``
-        wrappers, which read ``pareto_hot_threshold`` /
-        ``t_click_from_graph`` from the module namespace at call time —
-        the interception seam the threshold-globality tests patch.
-        """
-        if self._threshold_stage is None:
-            self._threshold_stage = ResolveThresholds(
-                derive_t_hot=_derive_t_hot, derive_t_click=_derive_t_click
-            )
-        return self._threshold_stage
-
     def _module_stages(self) -> tuple:
         """Modules 1 + 2 as stage objects, gated by the variant."""
         return (
@@ -207,11 +172,12 @@ class RICDDetector:
     def resolve_thresholds(self, graph: BipartiteGraph) -> RICDParams:
         """Fill in data-derived ``t_hot`` / ``t_click`` (Section IV).
 
-        Resolution is memoized against the graph's mutation version, so
-        feedback rounds and repeated ``detect`` calls on one graph (suites,
-        sweeps, benchmarks) derive the marketplace statistics once.
+        Resolution is memoized in the graph snapshot's ``derived`` cache,
+        so feedback rounds and repeated ``detect`` calls on one graph
+        version (suites, sweeps, benchmarks) derive the marketplace
+        statistics once, whichever detector asks.
         """
-        return self._thresholds().resolve(graph, self.params)
+        return ResolveThresholds().resolve(graph, self.params)
 
     def _run_modules(self, ctx: PipelineContext) -> list[SuspiciousGroup]:
         """Modules 1 + 2: extraction on the region or full graph, screening on the full graph.
@@ -291,7 +257,7 @@ class RICDDetector:
                 seed_items=tuple(seed_items),
                 deadline=Deadline.start(self.deadline),
             )
-            self._thresholds().run(ctx)
+            ResolveThresholds().run(ctx)
             SeedExpansion().run(ctx)
             result = self._run(ctx)
         obs.count(f"detector.{self.name}.groups", len(result.groups))

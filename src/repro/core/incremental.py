@@ -51,7 +51,7 @@ from ..errors import ReproError
 from ..graph.bipartite import BipartiteGraph
 # Not called here: perfbench wraps this name (tests/test_perfbench_hooks.py).
 from ..graph.builders import seed_expansion  # noqa: F401
-from ..pipeline import PipelineContext, SeedExpansion
+from ..pipeline import PipelineContext, ResolveThresholds, SeedExpansion
 from ..resilience.faults import inject
 from .framework import RICDDetector
 from .groups import DetectionResult, SuspiciousGroup
@@ -145,22 +145,23 @@ class IncrementalRICD:
         latency is independent of graph size — and the first
         ``indexed()`` access is a cache hit.  The persisted result
         becomes the starting state — degraded/stale provenance intact, no
-        bootstrap pass — and persisted thresholds are rehydrated into the
-        detector's memo against the live graph, so the first resolution
-        is a ``detect.threshold_cache_hits``.  Parameters default to the
-        values persisted with the head version, so a resumed stream keeps
-        detecting with the configuration it was persisted under.  The
-        extraction engine is not persisted; ``engine`` defaults to
-        ``"bitset"`` as in the constructor.
+        bootstrap pass.  Parameters default to the values persisted with
+        the head version, so a resumed stream keeps detecting with the
+        configuration it was persisted under.  The store load installs
+        the persisted thresholds in the snapshot's ``derived`` memo under
+        those input parameters, so the first resolution with them is a
+        ``detect.threshold_cache_hits``; other parameters miss and
+        derive.  The extraction engine is not persisted; ``engine``
+        defaults to ``"bitset"`` as in the constructor.
         """
         if isinstance(store, (str, Path)):
             from ..store import DetectionStore
 
             store = DetectionStore.open(store)
         stored = store.load_thresholds()
-        stored_input = stored_resolved = stored_screening = None
+        stored_input = stored_screening = None
         if stored is not None:
-            stored_input, stored_resolved, stored_screening = stored
+            stored_input, _, stored_screening = stored
         if params is None:
             params = stored_input
         if screening is None:
@@ -172,11 +173,6 @@ class IncrementalRICD:
             engine=engine,
             initial_result=store.load_result(),
         )
-        if stored_resolved is not None and online._detector.params == stored_input:
-            # The resolver's memo is keyed by graph identity and version.
-            online._detector._thresholds().rehydrate(
-                online.graph, stored_input, stored_resolved
-            )
         online.attach_store(store)
         return online
 
@@ -425,7 +421,7 @@ class IncrementalRICD:
         # the Fig. 4 sequence, which extracts from the region, screens
         # against the full live graph and ranks the kept groups with the
         # region's.
-        detector._thresholds().run(ctx)
+        ResolveThresholds().run(ctx)
         SeedExpansion(max_traverse_degree=self.traverse_degree_cap).run(ctx)
         if ctx.region is not None and obs.current() is not None:
             # Two full-edge gathers: paid only when a recorder reads them.

@@ -36,6 +36,11 @@ __all__ = [
 
 Node = Hashable
 
+#: ``IndexedGraph.derived`` key tag of the resolved-parameters memo
+#: (:class:`~repro.pipeline.stages.ResolveThresholds`), keyed with the
+#: input parameters.
+THRESHOLDS_MEMO_TAG = "resolved_thresholds"
+
 
 def pareto_hot_threshold(graph: BipartiteGraph, mass_fraction: float = 0.8) -> int:
     """``T_hot``: clicks of the last item inside the top ``mass_fraction`` of clicks.
@@ -54,7 +59,7 @@ def pareto_hot_threshold(graph: BipartiteGraph, mass_fraction: float = 0.8) -> i
     """
     if not 0.0 < mass_fraction <= 1.0:
         raise ValueError(f"mass_fraction must lie in (0, 1], got {mass_fraction}")
-    totals_desc = graph.indexed().item_total_clicks_descending()
+    totals_desc = np.sort(graph.indexed().item_total_clicks())[::-1]
     grand = int(totals_desc.sum()) if len(totals_desc) else 0
     if grand == 0:
         return 1
@@ -80,8 +85,8 @@ def t_click_threshold(
     Degenerate inputs — non-positive marketplace averages (an empty or
     clickless graph) or ``heavy_share == 1.0`` (Eq. 4's denominator
     vanishes) — raise :class:`~repro.errors.DegenerateGraphError`, a
-    ``ValueError`` subclass the pipeline's threshold-resolution stage
-    absorbs by falling back to the floor thresholds.
+    ``ValueError`` subclass, to direct callers.  :func:`t_click_from_graph`
+    returns the floor of 2 for an empty or clickless graph instead.
     """
     if avg_clk <= 0 or avg_cnt <= 0:
         raise DegenerateGraphError("avg_clk and avg_cnt must be positive")

@@ -232,12 +232,13 @@ class DeadlineExceededError(DetectionError):
 class DegenerateGraphError(DetectionError, ValueError):
     """Threshold derivation hit a degenerate input.
 
-    Raised instead of a bare :class:`ZeroDivisionError` when Eq. 4's
-    denominator collapses (``heavy_share == 1.0``) or the statistics are
-    non-positive.  Subclasses :class:`ValueError` so existing callers
-    catching the old error class keep working; the pipeline's
-    ``ResolveThresholds`` stage catches it and falls back to the safe
-    floor thresholds.
+    Raised by :func:`~repro.core.thresholds.t_click_threshold` instead of
+    a bare :class:`ZeroDivisionError` when Eq. 4's denominator collapses
+    (``heavy_share == 1.0``) or the statistics are non-positive.
+    Subclasses :class:`ValueError` so existing callers catching the old
+    error class keep working.  Only its direct callers see it: the graph
+    derivations the pipeline resolves through return floor thresholds
+    for an empty or clickless graph instead.
     """
 
 

@@ -127,7 +127,6 @@ class BipartiteGraph:
         "_version",
         "_indexed",
         "_tail",
-        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -154,8 +153,8 @@ class BipartiteGraph:
         becomes the base of an empty tail (see the module docstring), the
         mutation version is pinned to ``snapshot.version``, and the first
         :meth:`indexed` call returns the snapshot itself as a cache *hit*,
-        keeping every version-keyed consumer cache (thresholds, fixpoint
-        memos) attachable to the restored state.
+        so the snapshot's ``derived`` memos (resolved thresholds, fixpoint
+        memos) serve the restored state.
         """
         graph = cls.__new__(cls)
         graph._over(snapshot, snapshot.total_clicks)
@@ -184,9 +183,9 @@ class BipartiteGraph:
     def version(self) -> int:
         """Monotone mutation counter; bumps on every structural change.
 
-        Consumers holding derived data (the :meth:`indexed` snapshot, the
-        detector's threshold cache) compare versions instead of graphs to
-        decide whether their view is still current.
+        The :meth:`indexed` snapshot compares versions to decide whether
+        it is still current; values derived from one version live in that
+        snapshot's ``derived`` memo and die with it.
         """
         return self._version
 

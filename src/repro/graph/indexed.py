@@ -107,7 +107,6 @@ class IndexedGraph:
         "_item_degrees",
         "_user_clicks",
         "_item_clicks",
-        "_item_clicks_sorted",
         "derived",
     )
 
@@ -142,9 +141,9 @@ class IndexedGraph:
         self._item_degrees = None
         self._user_clicks = None
         self._item_clicks = None
-        self._item_clicks_sorted = None
-        #: Scratch cache for consumer-derived results (e.g. the bitset
-        #: engine's pruning fixpoints, keyed by parameter floors).  Entries
+        #: Scratch cache for consumer-derived results (the bitset engine's
+        #: pruning fixpoints, keyed by parameter floors, and the resolved
+        #: thresholds, keyed by the input parameters).  Entries
         #: must be pure functions of this snapshot plus their key; the
         #: whole cache dies with the snapshot on graph mutation, so
         #: invalidation is structural rather than per-consumer.
@@ -358,16 +357,6 @@ class IndexedGraph:
                 self.item_idx, weights=self.clicks, minlength=self.num_items
             ).astype(np.int64)
         return self._item_clicks
-
-    def item_total_clicks_descending(self):
-        """``int64[num_items]`` — per-item totals, sorted descending.
-
-        The Pareto ``T_hot`` derivation reads this; repeated derivations
-        (sweep points, suite detectors) sort once per snapshot.
-        """
-        if self._item_clicks_sorted is None:
-            self._item_clicks_sorted = np.sort(self.item_total_clicks())[::-1]
-        return self._item_clicks_sorted
 
     # ------------------------------------------------------------------
     # CSR / CSC index arrays

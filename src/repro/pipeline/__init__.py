@@ -17,7 +17,6 @@ from .stages import (
     Screening,
     SeedExpansion,
     SizeCaps,
-    shared_thresholds,
 )
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "Screening",
     "SizeCaps",
     "Identification",
-    "shared_thresholds",
     "FeedbackDriver",
 ]

@@ -17,19 +17,17 @@ recorded before and after the refactor line up column for column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING, Callable
-import weakref
+from typing import TYPE_CHECKING
 
 from .. import obs
-from ..errors import DegenerateGraphError
 from ..graph.builders import seed_expansion_masks
 # Not called here: perfbench wraps this name (tests/test_perfbench_hooks.py).
 from ..graph.builders import seed_expansion  # noqa: F401
 from ..core.identification import assemble_result
 from ..core.screening import screen_groups
-from ..core.thresholds import pareto_hot_threshold, t_click_from_graph
+from ..core.thresholds import THRESHOLDS_MEMO_TAG, pareto_hot_threshold, t_click_from_graph
 from ..resilience.faults import inject
 from .context import PipelineContext
 
@@ -47,35 +45,25 @@ __all__ = [
     "Screening",
     "SizeCaps",
     "Identification",
-    "shared_thresholds",
 ]
 
 
 # ----------------------------------------------------------------------
 # Threshold resolution (Section IV) — memoized marketplace statistics
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class ResolveThresholds:
     """Fill data-derived ``t_hot`` / ``t_click`` into the parameters.
 
-    Resolution is memoized against ``(graph identity, mutation version,
-    input params)``, so feedback rounds, repeated ``detect`` calls, and —
-    via :func:`shared_thresholds` — every "+UI"-wrapped baseline of a
-    Fig. 8 suite derive the marketplace statistics exactly once per graph
-    state instead of once per call.
-
-    ``derive_t_hot`` / ``derive_t_click`` default to the Section IV
-    derivations; callers that need an interception seam (the framework
-    exposes its own module-level hooks for the threshold-globality tests)
-    pass their own callables.
+    Resolved parameters are a pure function of one graph version, so they
+    are memoized in the snapshot's ``derived`` cache under
+    ``(THRESHOLDS_MEMO_TAG, input params)``, next to the bitset fixpoint
+    memos: feedback rounds, repeated ``detect`` calls, incremental
+    rechecks and every "+UI"-wrapped baseline of a Fig. 8 suite derive
+    the marketplace statistics once per graph version.  The memo dies with
+    the snapshot at the next write, ``copy()`` starts cold, and a store
+    load reinstalls the persisted entry.
     """
-
-    derive_t_hot: "Callable[[BipartiteGraph], float] | None" = None
-    derive_t_click: "Callable[[BipartiteGraph], float] | None" = None
-    #: Memoized (graph-ref, version, params) -> resolved params.  Detection
-    #: output is unaffected (thresholds are pure functions of the graph
-    #: state), so resolution stays semantically stateless.
-    _cache: "tuple | None" = field(default=None, init=False, repr=False, compare=False)
 
     name = "thresholds"
 
@@ -83,76 +71,25 @@ class ResolveThresholds:
         """Return ``params`` with ``None`` thresholds derived from ``graph``."""
         if params.t_hot is not None and params.t_click is not None:
             return params
-        cached = self._cache
-        if (
-            cached is not None
-            and cached[0]() is graph
-            and cached[1] == graph.version
-            and cached[2] == params
-        ):
+        derived = graph.indexed().derived
+        key = (THRESHOLDS_MEMO_TAG, params)
+        resolved = derived.get(key)
+        if resolved is not None:
             obs.count("detect.threshold_cache_hits")
-            return cached[3]
+            return resolved
         obs.count("detect.threshold_cache_misses")
         changes: dict[str, float] = {}
         if params.t_hot is None:
-            derive = self.derive_t_hot if self.derive_t_hot is not None else pareto_hot_threshold
-            try:
-                changes["t_hot"] = float(derive(graph))
-            except DegenerateGraphError:
-                # Degenerate marketplace (empty graph, single-point Pareto
-                # front): fall back to the floor every derivation bottoms
-                # out at, so detection proceeds instead of dying on an
-                # unusual but valid input.
-                obs.count("detect.degenerate_thresholds")
-                changes["t_hot"] = 1.0
+            changes["t_hot"] = float(pareto_hot_threshold(graph))
         if params.t_click is None:
-            derive = (
-                self.derive_t_click if self.derive_t_click is not None else t_click_from_graph
-            )
-            try:
-                changes["t_click"] = float(derive(graph))
-            except DegenerateGraphError:
-                obs.count("detect.degenerate_thresholds")
-                changes["t_click"] = 2.0
-        resolved = params.replace(**changes)
-        self._cache = (weakref.ref(graph), graph.version, params, resolved)
+            changes["t_click"] = float(t_click_from_graph(graph))
+        resolved = derived[key] = params.replace(**changes)
         return resolved
-
-    def rehydrate(
-        self,
-        graph: "BipartiteGraph",
-        params: "RICDParams",
-        resolved: "RICDParams",
-    ) -> None:
-        """Seed the memo with thresholds persisted for ``graph``'s state.
-
-        The warm-start counterpart of :meth:`resolve`: a store that saved
-        the resolved parameters alongside the graph version reinstalls
-        them here, so the first resolution after a resume is a
-        ``detect.threshold_cache_hits`` instead of re-deriving the
-        marketplace statistics.  Correctness rests on the same invariant
-        the memo itself does — thresholds are pure functions of
-        ``(graph state, input params)`` — so a persisted entry keyed by
-        the same version is exactly what a cold derivation would produce.
-        """
-        self._cache = (weakref.ref(graph), graph.version, params, resolved)
 
     def run(self, ctx: PipelineContext) -> None:
         """Resolve against the *full* graph (thresholds are global)."""
         with obs.span("thresholds"):
             ctx.params = self.resolve(ctx.graph, ctx.params)
-
-
-#: Process-wide resolver shared by callers without a detector of their own
-#: (the "+UI" baseline wrapper).  One entry per (graph, version, params) —
-#: exactly what a mixed Fig. 8 suite needs to derive marketplace statistics
-#: once instead of once per baseline.
-_SHARED_THRESHOLDS = ResolveThresholds()
-
-
-def shared_thresholds() -> ResolveThresholds:
-    """The process-wide memoized threshold resolver."""
-    return _SHARED_THRESHOLDS
 
 
 # ----------------------------------------------------------------------

@@ -193,8 +193,6 @@ class DetectionService:
         self._provenance: list[str] = []
         self._applied = 0
         self._rechecks = 0
-        self._ingest_faults = 0
-        self._stale_served = 0
         self._shed_at_last_recheck = 0
         self._last_recheck_lag = 0.0
         self._recheck_lags: list[float] = []
@@ -314,7 +312,6 @@ class DetectionService:
                 # The batch was never applied: push it back to pending so
                 # no click is lost, and let the next pump retry it.
                 self.queue.requeue_front(events)
-                self._ingest_faults += 1
                 obs.count("serve.ingest_faults")
                 fault = True
             else:
@@ -339,7 +336,6 @@ class DetectionService:
                 # are suppressed and the previous result keeps serving.
                 suppressed = True
                 reason = None
-                self._stale_served += 1
                 self._note("serve.stale")
                 obs.count("serve.stale_served")
             if reason is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..config import RICDParams, ScreeningParams
+from ..core.extraction_bitset import FIXPOINT_MEMO_TAG
 from ..core.groups import DetectionResult, SuspiciousGroup
 
 __all__ = [
@@ -34,10 +35,6 @@ __all__ = [
     "memos_from_json",
     "FIXPOINT_MEMO_TAG",
 ]
-
-#: ``IndexedGraph.derived`` key tag of the bitset extraction's pruning
-#: fixpoint memo (see :mod:`repro.core.extraction_bitset`).
-FIXPOINT_MEMO_TAG = "prune_fixpoint_bitset"
 
 
 def _sorted_ids(nodes: Iterable) -> list[str]:

@@ -54,6 +54,7 @@ from pathlib import Path
 from .. import obs
 from ..config import RICDParams, ScreeningParams
 from ..core.groups import DetectionResult
+from ..core.thresholds import THRESHOLDS_MEMO_TAG
 from ..errors import CorruptArtifactError, SchemaVersionError, StoreError
 from ..graph.bipartite import BipartiteGraph
 from ..graph.indexed import IndexedGraph
@@ -381,11 +382,14 @@ class DetectionStore:
         return BipartiteGraph.from_indexed(self.load_snapshot(version))
 
     def _rehydrate_memos(self, snapshot: IndexedGraph, version: int) -> None:
+        """Reinstall the version's resolved thresholds and fixpoint memos."""
         entry = self._catalog["entries"].get(str(version), {})
         if "thresholds" not in entry:
             return
         payload = json.loads((self.root / entry["thresholds"]).read_text())
         snapshot.derived.update(memos_from_json(payload.get("memos", [])))
+        key = (THRESHOLDS_MEMO_TAG, params_from_json(payload["input"]))
+        snapshot.derived[key] = params_from_json(payload["resolved"])
 
     def load_thresholds(
         self, version: int | None = None

@@ -1,17 +1,19 @@
-"""The "+UI" wrapper derives thresholds through the shared memoized resolver.
+"""The "+UI" wrapper and RICD share one memo of resolved thresholds.
 
-Before the pipeline refactor every :class:`WithScreening` call re-ran
-``pareto_hot_threshold`` / ``t_click_from_graph`` from scratch, so a
-Fig. 8 suite recomputed the marketplace statistics once per baseline.
-Now resolution routes through
-:func:`repro.pipeline.stages.shared_thresholds`, whose version-keyed memo
-derives them once per graph state.
+:class:`WithScreening` resolves through the same
+:class:`~repro.pipeline.stages.ResolveThresholds` stage as
+:class:`~repro.core.framework.RICDDetector`, and the stage memoizes in
+the graph snapshot's ``derived`` cache.  A Fig. 8 suite therefore derives
+``pareto_hot_threshold`` / ``t_click_from_graph`` once per graph version,
+not once per method.
 """
 
 from dataclasses import dataclass
 
 import repro.pipeline.stages as stages_module
+from repro import obs
 from repro.baselines import WithScreening
+from repro.core.framework import RICDDetector
 from repro.core.groups import DetectionResult
 
 
@@ -47,6 +49,14 @@ class TestSharedThresholdResolution:
         WithScreening(_NullInner()).detect(graph)
         WithScreening(_NullInner(name="Null2")).detect(graph)
         assert calls == {"t_hot": 1, "t_click": 1}
+
+    def test_ricd_and_a_wrapper_share_one_derivation(self, small):
+        graph = small.graph.copy()
+        with obs.recording(obs.Recorder()) as recorder:
+            RICDDetector().detect(graph)
+            WithScreening(_NullInner()).detect(graph)
+        assert recorder.counters.get("detect.threshold_cache_misses", 0) == 1
+        assert recorder.counters.get("detect.threshold_cache_hits", 0) == 1
 
     def test_mutation_triggers_rederivation(self, small, monkeypatch):
         calls = {"n": 0}

@@ -130,23 +130,6 @@ class TestDegenerateInputs:
             t_click_threshold(10.0, 4.0, heavy_share=1.5)
         assert not isinstance(excinfo.value, DegenerateGraphError)
 
-    def test_resolve_stage_falls_back_to_floor_thresholds(self, empty_graph):
-        from repro import obs
-        from repro.config import RICDParams
-        from repro.errors import DegenerateGraphError
-        from repro.pipeline.stages import ResolveThresholds
-
-        def degenerate(graph):
-            raise DegenerateGraphError("single-point Pareto front")
-
-        stage = ResolveThresholds(derive_t_hot=degenerate, derive_t_click=degenerate)
-        recorder = obs.Recorder()
-        with obs.recording(recorder):
-            resolved = stage.resolve(empty_graph, RICDParams(k1=4, k2=4))
-        assert resolved.t_hot == 1.0
-        assert resolved.t_click == 2.0
-        assert recorder.counters["detect.degenerate_thresholds"] == 2
-
     def test_detection_survives_degenerate_derivation(self, empty_graph):
         from repro.config import RICDParams
         from repro.core.framework import RICDDetector

@@ -60,13 +60,12 @@ def test_warm_detection_matches_cold(case, tmp_path):
 
     reopened = DetectionStore.open(tmp_path / "store")
     warm_graph = reopened.load_graph()
-    stored_params, stored_resolved, stored_screening = reopened.load_thresholds()
+    stored_params, _, stored_screening = reopened.load_thresholds()
     warm_detector = RICDDetector(
         params=stored_params,
         screening=stored_screening,
         engine="bitset",
     )
-    warm_detector._thresholds().rehydrate(warm_graph, stored_params, stored_resolved)
     warm = warm_detector.detect(warm_graph)
 
     assert canonical_result(warm) == canonical_result(cold)

@@ -16,7 +16,6 @@ from repro.pipeline import (
     Screening,
     SeedExpansion,
     SizeCaps,
-    shared_thresholds,
 )
 
 #: Explicit thresholds used wherever derivation is not the thing under test.
@@ -69,9 +68,12 @@ class TestResolveThresholds:
 
     def test_memoized_identity_and_counters(self, small):
         stage = ResolveThresholds()
+        # A copy starts with a cold memo; the session graph's snapshot
+        # keeps the entries earlier tests resolved.
+        graph = small.graph.copy()
         with obs.recording(obs.Recorder()) as recorder:
-            first = stage.resolve(small.graph, RICDParams())
-            second = stage.resolve(small.graph, RICDParams())
+            first = stage.resolve(graph, RICDParams())
+            second = stage.resolve(graph, RICDParams())
         assert second is first
         assert recorder.counters["detect.threshold_cache_misses"] == 1
         assert recorder.counters["detect.threshold_cache_hits"] == 1
@@ -83,17 +85,6 @@ class TestResolveThresholds:
         for n in range(40):
             graph.add_click(f"stage_u{n}", "stage_hot", 500)
         assert stage.resolve(graph, RICDParams()) is not first
-
-    def test_custom_derive_hooks_are_used(self, small):
-        stage = ResolveThresholds(
-            derive_t_hot=lambda graph: 111.0, derive_t_click=lambda graph: 7.0
-        )
-        resolved = stage.resolve(small.graph, RICDParams())
-        assert resolved.t_hot == 111.0
-        assert resolved.t_click == 7.0
-
-    def test_shared_resolver_is_process_wide(self):
-        assert shared_thresholds() is shared_thresholds()
 
     def test_run_writes_resolved_params_to_context(self, small):
         ctx = ctx_for(small.graph, params=RICDParams(k1=5, k2=5))

@@ -93,7 +93,6 @@ class TestThresholdRehydration:
         warm = reopened.load_graph()
         stored_input, stored_resolved, _ = reopened.load_thresholds()
         detector = RICDDetector(params=stored_input)
-        detector._thresholds().rehydrate(warm, stored_input, stored_resolved)
         recorder = obs.Recorder()
         with obs.recording(recorder):
             resolved = detector.resolve_thresholds(warm)
@@ -107,6 +106,22 @@ class TestThresholdRehydration:
         _, stored_resolved, _ = DetectionStore.open(store.root).load_thresholds()
         cold = RICDDetector(params=PARAMS).resolve_thresholds(graph)
         assert stored_resolved == cold
+
+    @pytest.mark.parametrize(
+        "params, hits, misses",
+        [(None, 1, 0), (PARAMS, 1, 0), (RICDParams(k1=5, k2=5), 0, 1)],
+        ids=["stored", "same", "other"],
+    )
+    def test_from_store_hits_only_with_the_stored_params(
+        self, tmp_path, scenario, params, hits, misses
+    ):
+        store, _ = persisted_store(tmp_path, scenario.graph.copy())
+        online = IncrementalRICD.from_store(DetectionStore.open(store.root), params=params)
+        recorder = obs.Recorder()
+        with obs.recording(recorder):
+            online._detector.resolve_thresholds(online.graph)
+        assert recorder.counters.get("detect.threshold_cache_hits", 0) == hits
+        assert recorder.counters.get("detect.threshold_cache_misses", 0) == misses
 
 
 class TestFixpointMemoRehydration:
@@ -227,8 +242,9 @@ class TestServiceRestart:
             service.submit(user, item, clicks)
         service.checkpoint()
         restarted = self.make_service(tmp_path / "store")
+        # A copy is cold: no thresholds or fixpoints the store installed.
         cold = RICDDetector(params=PARAMS, engine="reference").detect(
-            restarted.online.graph
+            restarted.online.graph.copy()
         )
         assert canonical_result(restarted.result) == canonical_result(cold)
 
