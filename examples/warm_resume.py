@@ -5,7 +5,9 @@ click table, checkpoints, and exits; a second process resumes from the
 store directory alone, finds every artifact intact (``verify()``), and
 must serve the *identical* verdict at the same store version — without
 ever rebuilding the array snapshot or re-deriving the thresholds
-(asserted by counter, not by timing).  CI runs the two phases as
+(asserted by counter, not by timing).  It then checkpoints one click by
+a fresh user, which must encode that one id only: the load kept the
+snapshot's encoded ids.  CI runs the two phases as
 separate processes; running the script with no phase argument does both
 in sequence.
 
@@ -87,6 +89,22 @@ def resume(store_dir) -> None:
         f"a cold re-detection ({len(warm.suspicious_users)} suspicious users), "
         "snapshot and thresholds served from the store (0 index rebuilds, "
         "0 threshold derivations)"
+    )
+
+    # The load kept the snapshot's encoded ids, so a checkpoint after one
+    # click by a fresh user encodes that one id, not every id again.
+    item = next(iter(service.online.graph.items()))
+    service.submit("resumed-fresh-user", item, 1)
+    recorder = obs.Recorder()
+    with obs.recording(recorder):
+        service.checkpoint()
+    encoded = recorder.counters.get("graph.io.ids_encoded", 0)
+    assert encoded == 1, f"the checkpoint after one new user encoded {encoded} ids"
+    orphans = service.store.verify()
+    assert orphans == [], f"store holds unreferenced artifacts: {orphans}"
+    print(
+        f"[resume] one fresh click checkpointed as store version "
+        f"{service.store_version}, encoding 1 new id"
     )
 
 

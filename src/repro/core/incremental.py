@@ -41,7 +41,7 @@ full-graph item totals.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
@@ -49,6 +49,7 @@ from .. import obs
 from ..config import RICDParams, ScreeningParams
 from ..errors import ReproError
 from ..graph.bipartite import BipartiteGraph
+from ..graph.indexed import record_columns
 # Not called here: perfbench wraps this name (tests/test_perfbench_hooks.py).
 from ..graph.builders import seed_expansion  # noqa: F401
 from ..pipeline import PipelineContext, ResolveThresholds, SeedExpansion
@@ -59,8 +60,6 @@ from .groups import DetectionResult, SuspiciousGroup
 __all__ = ["IncrementalRICD"]
 
 Node = Hashable
-
-_USER, _ITEM = itemgetter(0), itemgetter(1)
 
 
 class IncrementalRICD:
@@ -120,7 +119,9 @@ class IncrementalRICD:
         #: graph is dirty, without copying every node into the sets.
         self._full_owed = False
         self._store = None
-        self._pending_records: list[tuple[Node, Node, int]] = []
+        #: The ``(users, items, clicks)`` columns ingested since the last
+        #: persist, one entry per batch.
+        self._pending: list[tuple[Sequence, Sequence, Sequence]] = []
         self._snapshot_owed = False
         if initial_result is not None:
             self._result = initial_result
@@ -192,7 +193,7 @@ class IncrementalRICD:
         recheck — the stream never dies to its own persistence.
         """
         self._store = store
-        self._pending_records = []
+        self._pending = []
         self._snapshot_owed = False
 
     @property
@@ -216,7 +217,7 @@ class IncrementalRICD:
         """
         if self._store is None:
             return None
-        if self._store.head is None or self._pending_records or self._snapshot_owed:
+        if self._store.head is None or self._pending or self._snapshot_owed:
             return self._persist(snapshot=True)
         try:
             with obs.span("store_persist"):
@@ -235,7 +236,9 @@ class IncrementalRICD:
                 if snapshot or store.head is None or self._snapshot_owed:
                     store.put_snapshot(self._graph)
                 else:
-                    store.put_delta(self._pending_records)
+                    store.put_delta(
+                        chain.from_iterable(zip(*batch) for batch in self._pending)
+                    )
                 resolved = self._detector.resolve_thresholds(self._graph)
                 from ..store import memos_to_json
 
@@ -251,7 +254,7 @@ class IncrementalRICD:
             store.abort()
             obs.count("store.persist_failures")
             return None
-        self._pending_records = []
+        self._pending = []
         self._snapshot_owed = False
         return version
 
@@ -282,24 +285,32 @@ class IncrementalRICD:
         """Whether nothing awaits a recheck."""
         return not (self._full_owed or self._dirty_users or self._dirty_items)
 
-    def _mark_dirty(self, records: Sequence[tuple]) -> None:
-        """Mark the endpoints of every record or ``(user, item)`` pair dirty."""
-        self._dirty_users.update(map(_USER, records))
-        self._dirty_items.update(map(_ITEM, records))
+    def _mark_dirty(self, users: Iterable[Node], items: Iterable[Node]) -> None:
+        """Mark the given users and items dirty."""
+        self._dirty_users.update(users)
+        self._dirty_items.update(items)
 
-    def ingest(self, records: Iterable[tuple[Node, Node, int]]) -> None:
+    def ingest(self, records: Iterable[Sequence]) -> None:
         """Apply a batch of ``(user, item, clicks)`` records and mark them dirty.
 
-        The records land in one :meth:`~BipartiteGraph.add_clicks` call:
-        a record with a non-positive count raises :class:`ValueError`
-        before any record is applied or marked dirty.  Nothing is
-        rechecked; call :meth:`recheck` when the result should catch up.
+        A record may carry a fourth field, which is not read: the service
+        pump hands over its drained :class:`~repro.serve.queue.ClickEvent`
+        batch as it is.  The batch is transposed once into columns, which one
+        :meth:`~BipartiteGraph.add_click_columns` call applies, the dirty
+        sets take, and the store's pending records keep.  A record with a
+        non-positive count raises :class:`ValueError` before any record is
+        applied or marked dirty, as does a batch whose records do not all
+        have three fields, or all four.  Nothing is rechecked; call
+        :meth:`recheck` when the result should catch up.
         """
-        records = tuple(records)
-        self._graph.add_clicks(records)
-        self._mark_dirty(records)
+        columns = record_columns(records, widths=(3, 4))
+        if not columns:
+            return
+        users, items, clicks = columns
+        self._graph.add_click_columns(users, items, clicks)
+        self._mark_dirty(users, items)
         if self._store is not None:
-            self._pending_records.extend(records)
+            self._pending.append((users, items, clicks))
 
     def apply_cleanup(
         self, edges: Iterable[tuple[Node, Node, int]]
@@ -319,7 +330,8 @@ class IncrementalRICD:
         anything is applied, marked dirty or persisted.
         """
         lowered = self._graph.subtract_clicks(edges)
-        self._mark_dirty(lowered)
+        if lowered:
+            self._mark_dirty(*zip(*lowered))
         if lowered and self._store is not None:
             # Deltas are append-only click records; lowered counts force
             # the next persisted version to be a full snapshot.
@@ -340,7 +352,7 @@ class IncrementalRICD:
         detection state to one failed pass.
         """
         if self._clean():
-            if self._pending_records or self._snapshot_owed:
+            if self._pending or self._snapshot_owed:
                 # A previous persist was absorbed (store fault): the
                 # detection state is current but the store is behind.
                 # Retry so the backlog lands as soon as pressure is off.

@@ -11,8 +11,9 @@ Every graph is **array-backed**.  Its truth is the last merged
 :class:`~repro.graph.indexed.InternedDelta`); ``BipartiteGraph()`` starts
 from an empty snapshot, and :meth:`from_indexed` from a given one:
 
-* appends — :meth:`add_clicks`, idle :meth:`add_user`/:meth:`add_item`,
-  and the increment of a :meth:`set_click` that raises a count — intern
+* appends — :meth:`add_click_columns` (which :meth:`add_clicks` and
+  :meth:`add_click` call), idle :meth:`add_user`/:meth:`add_item`, and
+  the increment of a :meth:`set_click` that raises a count — intern
   their ids and extend the tail; they never write a dict;
 * lowered counts — :meth:`subtract_clicks`, and the :meth:`set_click` and
   :meth:`remove_edge` built on it — merge the tail, then merge the
@@ -44,34 +45,24 @@ pins under random operation interleavings.
 from __future__ import annotations
 
 from itertools import compress
-from operator import itemgetter
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..errors import DuplicateNodeError, NodeNotFoundError
-from .indexed import IndexedGraph, InternedDelta
+from .indexed import IndexedGraph, InternedDelta, record_columns
 
 __all__ = ["BipartiteGraph"]
 
 Node = Hashable
 
-_CLICKS = itemgetter(2)
 
-
-def _checked(records: Iterable[tuple[Node, Node, int]]) -> tuple:
-    """``records`` as a tuple; raise :class:`ValueError` unless every count is positive.
-
-    A record without exactly three fields raises as well.
-    """
-    records = tuple(records)
-    if records and (set(map(len, records)) != {3} or min(map(_CLICKS, records)) <= 0):
-        # Unpacking also rejects a record without exactly three fields.
-        for _, _, clicks in records:
-            if clicks <= 0:
-                raise ValueError(f"clicks must be positive, got {clicks}")
-    return records
+def _check_counts(clicks: Sequence[int]) -> None:
+    """Raise :class:`ValueError`, naming the first offender, unless every count is positive."""
+    if clicks and min(clicks) <= 0:
+        first = next(count for count in clicks if count <= 0)
+        raise ValueError(f"clicks must be positive, got {first}")
 
 
 def _row(snapshot: IndexedGraph, user: Node) -> int:
@@ -245,23 +236,36 @@ class BipartiteGraph:
 
         Creates the endpoints if needed.  ``clicks`` must be positive.
         """
-        self.add_clicks(((user, item, clicks),))
+        self.add_click_columns((user,), (item,), (clicks,))
 
     def add_clicks(self, records: Iterable[tuple[Node, Node, int]]) -> None:
         """Apply ``(user, item, clicks)`` records in order, all or none.
 
         The same graph and :attr:`version` as one :meth:`add_click` per
-        record, in one pass: every count is checked before the batch is
-        interned into the tail, so a record with a non-positive count
+        record: the records are transposed once and applied by
+        :meth:`add_click_columns`, so a record with a non-positive count
         raises :class:`ValueError` and leaves the graph untouched, as does
         a record without exactly three fields.
         """
-        records = _checked(records)
-        if not records:
+        columns = record_columns(records)
+        if columns:
+            self.add_click_columns(*columns)
+
+    def add_click_columns(
+        self, users: Sequence[Node], items: Sequence[Node], clicks: Sequence[int]
+    ) -> None:
+        """Apply parallel user, item and click columns in order, all or none.
+
+        The one write path of appended clicks: every count is checked
+        before the columns are interned into the tail, so a non-positive
+        count raises :class:`ValueError` and leaves the graph untouched.
+        """
+        _check_counts(clicks)
+        if not clicks:
             return
-        self._tail.add(records)
-        self._version += len(records)
-        self._total_clicks += sum(map(_CLICKS, records))
+        self._tail.add_columns(users, items, clicks)
+        self._version += len(clicks)
+        self._total_clicks += sum(clicks)
 
     def subtract_clicks(
         self, records: Iterable[tuple[Node, Node, int]]
@@ -282,10 +286,13 @@ class BipartiteGraph:
         :meth:`~repro.graph.indexed.IndexedGraph.apply_delta` of negative
         counts, so the tail never holds one.
         """
-        records = _checked(records)
+        columns = record_columns(records)
+        if not columns:
+            return []
+        _check_counts(columns[2])
         taken: dict[tuple[Node, Node], int] = {}
         steps = 0
-        for user, item, clicks in records:
+        for user, item, clicks in zip(*columns):
             # No write happens before the loop ends, so get_click reads
             # the count before this call.
             already = taken.get((user, item), 0)

@@ -20,23 +20,26 @@ graph's mutation version, so the common build-once/detect-many workloads
 (feedback rounds, suites, sweeps, benchmarks) share its cached aggregates.
 
 Appends never force a from-scratch rebuild.  :class:`InternedDelta` is the
-one interning step: it turns ``(user, item, clicks)`` records into row,
-column and click columns plus the ids they add.  An array-backed graph
-interns each write into its tail as it arrives; a store's delta records
-are interned when merged.  :meth:`IndexedGraph.apply_delta` then merges
-the columns into a fresh snapshot with numpy only — one coalescing sort
-(:func:`coalesce`, the sort-and-coalesce step every canonicalizing build
-shares), one ``searchsorted`` against the base keys, count changes on a
-copy and ``np.insert`` for new edges — so chains of merges stay
-canonical and never degrade lookups.  A negative count lowers an edge the
-base holds, and an edge it takes to zero is dropped.
+one interning step: it turns ``(user, item, clicks)`` columns into int64
+row, column and click columns plus the ids they add.  An array-backed
+graph interns each write into its tail as it arrives; a store's delta
+records are interned when merged.  :meth:`IndexedGraph.apply_delta` then
+merges the columns into a fresh snapshot with numpy only — one coalescing
+sort (:func:`coalesce`, the sort-and-coalesce step every canonicalizing
+build shares), one ``searchsorted`` against the base keys, and one
+scatter that places the base edges and the new ones in the merged arrays
+— so chains of merges stay canonical and never degrade lookups.  A
+negative count lowers an edge the base holds, and an edge it takes to
+zero is dropped.  A merged snapshot's ids extend its base's, so the
+base's encoded id arrays (:data:`ENCODED_IDS_TAG`) carry over and a
+snapshot write encodes only the ids added since.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count, repeat
 from operator import is_, itemgetter
-from typing import TYPE_CHECKING, Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,11 +48,45 @@ from .. import obs
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .bipartite import BipartiteGraph
 
-__all__ = ["IndexedGraph", "InternedDelta", "coalesce"]
+__all__ = ["IndexedGraph", "InternedDelta", "coalesce", "record_columns", "ENCODED_IDS_TAG"]
 
 Node = Hashable
 
-_USER, _ITEM, _CLICKS = itemgetter(0), itemgetter(1), itemgetter(2)
+#: ``IndexedGraph.derived`` key tag of a snapshot's ids encoded as a unicode
+#: array, keyed with the side (``"users"`` or ``"items"``).  The array may
+#: encode only a prefix of the ids: :func:`~repro.graph.io.write_graph_memmap`
+#: encodes the rest and stores the whole array back.
+ENCODED_IDS_TAG = "encoded_ids"
+
+#: Records a tail buffers as Python ints before it flushes them into one
+#: int64 chunk, so record-at-a-time writers pay no numpy allocation per
+#: click.
+_TAIL_CHUNK_RECORDS = 4096
+
+_FIELDS = (itemgetter(0), itemgetter(1), itemgetter(2))
+
+
+def record_columns(records: Iterable[Sequence], widths: tuple[int, ...] = (3,)) -> tuple:
+    """The user, item and click columns of ``(user, item, clicks, ...)`` records.
+
+    One scan of the record lengths checks that every record has the same
+    number of fields, one of ``widths`` (fields past the third are not
+    read); otherwise :class:`ValueError`.  Each column is then one
+    C-level ``map`` over the batch.  ``zip(*records)`` would allocate a
+    tracked iterator per record, which on large batches sets off full
+    garbage collections.  No records give ``()``.
+    """
+    if not isinstance(records, (list, tuple)):
+        records = tuple(records)
+    if not records:
+        return ()
+    lengths = set(map(len, records))
+    if len(lengths) != 1 or not lengths <= set(widths):
+        odd = lengths - set(widths)
+        got = min(odd) if odd else " and ".join(map(str, sorted(lengths)))
+        expected = " or ".join(map(str, widths))
+        raise ValueError(f"records have {expected} fields, got {got}")
+    return tuple(tuple(map(field, records)) for field in _FIELDS)
 
 
 def coalesce(keys, clicks):
@@ -71,6 +108,14 @@ def coalesce(keys, clicks):
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     return keys[starts], np.add.reduceat(clicks[order], starts)
+
+
+def _scatter(base, from_base, new_slots, new_values):
+    """One merged int64 column: ``base`` where ``from_base``, ``new_values`` at ``new_slots``."""
+    merged = np.empty(len(from_base), dtype=np.int64)
+    merged[from_base] = base
+    merged[new_slots] = new_values
+    return merged
 
 
 class IndexedGraph:
@@ -146,7 +191,9 @@ class IndexedGraph:
         #: thresholds, keyed by the input parameters).  Entries
         #: must be pure functions of this snapshot plus their key; the
         #: whole cache dies with the snapshot on graph mutation, so
-        #: invalidation is structural rather than per-consumer.
+        #: invalidation is structural rather than per-consumer.  The one
+        #: entry a merge carries over is the encoded ids
+        #: (:data:`ENCODED_IDS_TAG`), which encode a prefix of the ids.
         self.derived: dict = {}
 
     @staticmethod
@@ -254,10 +301,18 @@ class IndexedGraph:
         append-only merges do no extra O(edges) work.  A count taken
         below zero raises :class:`ValueError`.
 
+        The new edges go in with one scatter: a mask of the base edges'
+        slots in the merged arrays is built once, and each merged array
+        is one masked assignment of the base column plus one assignment
+        of the new edges.  The clicks are written once, by that scatter
+        or, when every edge is present, on one copy.
+
         The result is a fresh, canonical, independently cached snapshot
-        that takes over the delta's id tables.  The original is untouched
-        (frozen-snapshot contract), and chained merges stay O(edges) each
-        because every merge compacts the delta into sorted-unique form.
+        that takes over the delta's id tables, and the encoded id arrays
+        of this snapshot's ``derived`` memo (:data:`ENCODED_IDS_TAG`),
+        which its ids extend.  The original is untouched (frozen-snapshot
+        contract), and chained merges stay O(edges) each because every
+        merge compacts the delta into sorted-unique form.
         """
         if not isinstance(delta, InternedDelta):
             records = delta
@@ -266,29 +321,36 @@ class IndexedGraph:
         elif delta.base is not self:
             raise ValueError("the delta was interned against another snapshot")
         user_idx, item_idx, clicks = self.user_idx, self.item_idx, self.clicks
-        if delta.rows:
-            mult, group_keys, group_weights = delta.coalesced()
+        if len(delta):
+            mult, keys, weights = delta.coalesced()
             base_keys = user_idx * mult + item_idx
-            positions = np.searchsorted(base_keys, group_keys)
-            present = np.zeros(len(group_keys), dtype=bool)
+            positions = np.searchsorted(base_keys, keys)
+            present = np.zeros(len(keys), dtype=bool)
             inside = positions < len(base_keys)
-            present[inside] = base_keys[positions[inside]] == group_keys[inside]
-            if present.any():
-                clicks = clicks.copy()
-                clicks[positions[present]] += group_weights[present]
+            present[inside] = base_keys[positions[inside]] == keys[inside]
+            del base_keys, inside
             inserted = ~present
-            if inserted.any():
-                insert_keys = group_keys[inserted]
-                at = positions[inserted]
-                user_idx = np.insert(user_idx, at, insert_keys // mult)
-                item_idx = np.insert(item_idx, at, insert_keys % mult)
-                clicks = np.insert(clicks, at, group_weights[inserted])
-            if (group_weights <= 0).any():
+            # Each key's slot in the merged arrays: its base position,
+            # moved past the new keys that sort before it, so the k new
+            # keys land at ``positions + arange(k)``.
+            slots = positions + np.cumsum(inserted) - inserted
+            if present.all():
+                clicks = clicks.copy()
+            else:
+                new_slots = slots[inserted]
+                from_base = np.ones(len(clicks) + len(new_slots), dtype=bool)
+                from_base[new_slots] = False
+                new_keys = keys[inserted]
+                user_idx = _scatter(user_idx, from_base, new_slots, new_keys // mult)
+                item_idx = _scatter(item_idx, from_base, new_slots, new_keys % mult)
+                clicks = _scatter(clicks, from_base, new_slots, weights[inserted])
+            clicks[slots[present]] += weights[present]
+            if (weights <= 0).any():
                 if (clicks < 0).any():
                     raise ValueError("a delta lowered an edge below zero clicks")
                 kept = clicks > 0
                 user_idx, item_idx, clicks = user_idx[kept], item_idx[kept], clicks[kept]
-        return IndexedGraph(
+        merged = IndexedGraph(
             delta.users,
             delta.items,
             user_idx,
@@ -298,6 +360,13 @@ class IndexedGraph:
             user_index=delta.user_index,
             item_index=delta.item_index,
         )
+        # The merged ids extend this snapshot's, so its encoded ids stay a
+        # prefix of them.
+        for side in ("users", "items"):
+            encoded = self.derived.get((ENCODED_IDS_TAG, side))
+            if encoded is not None:
+                merged.derived[ENCODED_IDS_TAG, side] = encoded
+        return merged
 
     # ------------------------------------------------------------------
     # Scale
@@ -488,13 +557,18 @@ class InternedDelta:
 
     The one interning step of the package: an array-backed graph's tail,
     a store's delta records and the chunked table reader pass through
-    :meth:`add` on their way into :meth:`IndexedGraph.apply_delta`, and
-    an array-backed graph's idle nodes through :meth:`register`.  A tail
-    only ever holds positive counts: an array-backed graph merges a
-    lowered count at once
+    :meth:`add_columns` (or :meth:`add`, its record form) on their way
+    into :meth:`IndexedGraph.apply_delta`, and an array-backed graph's
+    idle nodes through :meth:`register`.  A tail only ever holds positive
+    counts: an array-backed graph merges a lowered count at once
     (:meth:`~repro.graph.bipartite.BipartiteGraph.subtract_clicks`), so
-    reads of the tail alone, such as :meth:`merged_num_edges`, stay
-    exact.
+    reads of the tail alone, such as :meth:`merged_num_edges`, stay exact.
+
+    The records live in int64 chunks plus an open buffer of Python ints:
+    appends extend the buffer, which is flushed into one chunk of three
+    arrays whenever it holds 4,096 records or more, so a record-at-a-time
+    writer pays no numpy allocation per click and a merge converts no
+    long list.  ``len(delta)`` counts both.
 
     Attributes
     ----------
@@ -506,7 +580,8 @@ class InternedDelta:
         unseen id, which copies them once, so ``base`` stays frozen; the
         merged snapshot takes them over.
     rows, columns, clicks:
-        The records as parallel id and click columns, in arrival order.
+        The open buffer: the records not yet flushed, as parallel id and
+        click lists in arrival order.  :meth:`arrays` reads every record.
     """
 
     __slots__ = (
@@ -518,6 +593,8 @@ class InternedDelta:
         "rows",
         "columns",
         "clicks",
+        "_chunks",
+        "_flushed",
     )
 
     def __init__(self, base: IndexedGraph) -> None:
@@ -527,36 +604,65 @@ class InternedDelta:
         self.rows: list[int] = []
         self.columns: list[int] = []
         self.clicks: list[int] = []
+        #: Flushed ``(rows, columns, clicks)`` int64 chunks, in arrival order.
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._flushed = 0
+
+    def __len__(self) -> int:
+        """The number of records interned."""
+        return self._flushed + len(self.clicks)
 
     def add(self, records: Iterable[tuple]) -> None:
         """Intern ``(user, item, clicks)`` records in order.
 
+        :meth:`add_columns` of the records' :func:`record_columns`.  A
+        record without exactly three fields raises :class:`ValueError`
+        before anything is interned.
+        """
+        columns = record_columns(records)
+        if columns:
+            self.add_columns(*columns)
+
+    def add_columns(
+        self, users: Sequence[Node], items: Sequence[Node], clicks: Sequence[int]
+    ) -> None:
+        """Intern parallel user, item and click columns in order.
+
         An unseen user or item takes the next free row or column of its
         side in first-seen order, the numbering one record-at-a-time
-        replay would give.  Counts are taken as given.  A record without
-        exactly three fields raises :class:`ValueError` before anything
-        is interned.
+        replay would give.  Counts are taken as given.  Both sides are
+        interned before the buffer grows, so a failure (an unhashable id)
+        leaves the columns the same length.
         """
-        if not isinstance(records, (list, tuple)):
-            records = list(records)
-        if not records:
-            return
-        lengths = set(map(len, records))
-        if lengths != {3}:
-            raise ValueError(f"delta records have 3 fields, got {min(lengths - {3})}")
         # Column-wise C loops allocate no per-record objects, which keeps
-        # the garbage collector quiet on large batches.  Both sides are
-        # interned before any column grows, so a failure leaves the
-        # columns the same length.
-        rows = self._ids(list(map(_USER, records)), True)
-        columns = self._ids(list(map(_ITEM, records)), False)
+        # the garbage collector quiet on large batches.
+        rows = self._ids(users, True)
+        columns = self._ids(items, False)
         self.rows += rows
         self.columns += columns
-        self.clicks += map(_CLICKS, records)
+        self.clicks += clicks
+        if len(self.clicks) >= _TAIL_CHUNK_RECORDS:
+            self._flush()
 
     def register(self, kind: str, node: Node) -> None:
         """Intern one idle ``"user"`` or ``"item"`` id; a known id is a no-op."""
         self._ids([node], kind == "user")
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, columns, clicks)``: every record as an int64 column, in arrival order.
+
+        Flushes the buffer and concatenates the chunks into one, which
+        later reads reuse.
+        """
+        self._flush()
+        chunks = self._chunks
+        if len(chunks) != 1:
+            if chunks:
+                joined = tuple(np.concatenate(column) for column in zip(*chunks))
+            else:
+                joined = (np.zeros(0, dtype=np.int64),) * 3
+            self._chunks = [joined]
+        return self._chunks[0]
 
     def coalesced(self):
         """``(mult, keys, clicks)``: the records' edge keys, coalesced.
@@ -565,9 +671,10 @@ class InternedDelta:
         the keys and sums each edge's counts.
         """
         mult = max(len(self.items), 1)
-        keys = np.array(self.rows, dtype=np.int64) * mult
-        keys += np.array(self.columns, dtype=np.int64)
-        return (mult, *coalesce(keys, np.array(self.clicks, dtype=np.int64)))
+        rows, columns, clicks = self.arrays()
+        keys = rows * mult
+        keys += columns
+        return (mult, *coalesce(keys, clicks))
 
     def merged_num_edges(self) -> int:
         """The edge count :meth:`IndexedGraph.apply_delta` would give, without merging.
@@ -578,13 +685,26 @@ class InternedDelta:
         pass over ``base``'s edges.
         """
         base = self.base
-        if not self.rows:
+        if not len(self):
             return base.num_edges
         mult, keys, _ = self.coalesced()
         present = base.has_edges(keys // mult, keys % mult)
         return base.num_edges + len(keys) - int(np.count_nonzero(present))
 
-    def _ids(self, nodes: list, users: bool) -> list[int]:
+    def _flush(self) -> None:
+        """Move the buffered records into one int64 chunk."""
+        if self.clicks:
+            self._chunks.append(
+                (
+                    np.array(self.rows, dtype=np.int64),
+                    np.array(self.columns, dtype=np.int64),
+                    np.array(self.clicks, dtype=np.int64),
+                )
+            )
+            self._flushed += len(self.clicks)
+            self.rows, self.columns, self.clicks = [], [], []
+
+    def _ids(self, nodes: Sequence[Node], users: bool) -> list[int]:
         """The ids of ``nodes`` on one side, registering unseen ones."""
         index = self.user_index if users else self.item_index
         ids = list(map(index.get, nodes))

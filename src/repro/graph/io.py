@@ -29,9 +29,10 @@ from typing import Iterator
 
 import numpy as np
 
+from .. import obs
 from ..errors import ClickTableError, MalformedRowError, SchemaVersionError
 from .bipartite import BipartiteGraph
-from .indexed import IndexedGraph, InternedDelta
+from .indexed import ENCODED_IDS_TAG, IndexedGraph, InternedDelta
 
 __all__ = [
     "read_click_table",
@@ -210,9 +211,27 @@ def _as_snapshot(graph) -> IndexedGraph:
     return graph.indexed()
 
 
-def _id_array(ids: list):
-    """Node ids as a unicode array (ids stringify, as in the text format)."""
-    return np.array([str(node) for node in ids], dtype=str)
+def _id_array(snapshot: IndexedGraph, side: str):
+    """``snapshot``'s ``side`` ids (``"users"`` or ``"items"``) as a unicode array.
+
+    Ids stringify, as in the text format.  Only the ids past the encoded
+    prefix the snapshot's ``derived`` memo holds under
+    :data:`~repro.graph.indexed.ENCODED_IDS_TAG` are encoded (a load
+    installs the prefix, and a merge carries its base's over), counted as
+    ``graph.io.ids_encoded``; the whole array goes back into the memo.
+    Concatenation widens the prefix's width to the new ids', so the
+    array equals an encoding from scratch.
+    """
+    ids = getattr(snapshot, side)
+    key = (ENCODED_IDS_TAG, side)
+    prefix = snapshot.derived.get(key)
+    done = 0 if prefix is None else len(prefix)
+    obs.count("graph.io.ids_encoded", len(ids) - done)
+    encoded = np.array([str(node) for node in ids[done:]], dtype=str)
+    if prefix is not None:
+        encoded = np.concatenate((prefix, encoded)) if len(encoded) else prefix
+    snapshot.derived[key] = encoded
+    return encoded
 
 
 #: Schema revisions this build can read.  Bump the last entry when the
@@ -246,13 +265,16 @@ def write_graph_memmap(graph, directory: str | Path) -> Path:
     Each edge array lands in its own ``.npy`` file, which
     :func:`read_graph_memmap` can open with ``mmap_mode="r"`` — the
     arrays then live in the page cache and are paged in on demand,
-    bounding heap use for paper-scale graphs.
+    bounding heap use for paper-scale graphs.  The id arrays encode only
+    the ids the snapshot's memo has not encoded yet (see
+    :func:`_id_array`), so a checkpoint of a merged snapshot pays for its
+    new ids, not for every id.
     """
     snapshot = _as_snapshot(graph)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    np.save(directory / "users.npy", _id_array(snapshot.users))
-    np.save(directory / "items.npy", _id_array(snapshot.items))
+    for side in ("users", "items"):
+        np.save(directory / f"{side}.npy", _id_array(snapshot, side))
     for name in _MEMMAP_ARRAYS:
         np.save(
             directory / f"{name}.npy",
@@ -277,7 +299,9 @@ def read_graph_memmap(directory: str | Path, mmap: bool = True) -> IndexedGraph:
     accessors, :func:`repro.core.extraction_bitset.prune_fixpoint_arrays`
     — consumes them without materialising copies of the raw edge list.
     The id lists always load eagerly (the node-id round trip needs real
-    strings).
+    strings), and the loaded arrays stay in the snapshot's ``derived``
+    memo, so writing the snapshot (or a merge of it) again encodes only
+    the ids added since.
     """
     directory = Path(directory)
     meta = json.loads((directory / "meta.json").read_text())
@@ -289,12 +313,22 @@ def read_graph_memmap(directory: str | Path, mmap: bool = True) -> IndexedGraph:
         name: np.load(directory / f"{name}.npy", mmap_mode=mode, allow_pickle=False)
         for name in _MEMMAP_ARRAYS
     }
-    users = [str(user) for user in np.load(directory / "users.npy", allow_pickle=False)]
-    items = [str(item) for item in np.load(directory / "items.npy", allow_pickle=False)]
-    if len(users) != meta["num_users"] or len(items) != meta["num_items"]:
+    encoded = {
+        side: np.load(directory / f"{side}.npy", allow_pickle=False)
+        for side in ("users", "items")
+    }
+    if len(encoded["users"]) != meta["num_users"] or len(encoded["items"]) != meta["num_items"]:
         raise ClickTableError(f"{directory}: meta.json disagrees with the id arrays")
     # Arrays were persisted canonical (write path snapshots are), so the
     # plain constructor — which never copies — keeps them memory-mapped.
-    return IndexedGraph(
-        users, items, arrays["user_idx"], arrays["item_idx"], arrays["clicks"]
+    # ``tolist`` gives the same ``str`` values as stringifying each id.
+    snapshot = IndexedGraph(
+        encoded["users"].tolist(),
+        encoded["items"].tolist(),
+        arrays["user_idx"],
+        arrays["item_idx"],
+        arrays["clicks"],
     )
+    for side, ids in encoded.items():
+        snapshot.derived[ENCODED_IDS_TAG, side] = ids
+    return snapshot

@@ -36,9 +36,10 @@ class ClickEvent(NamedTuple):
     ``timestamp`` is event time in clock seconds (whatever epoch the
     service's :class:`~repro.serve.clock.Clock` uses); the replay harness
     synthesises it, production stamps it at submission.  A named tuple,
-    so it is immutable and cheap to build, and its first three fields
-    slice out as the ``(user, item, clicks)`` record
-    :meth:`~repro.core.incremental.IncrementalRICD.ingest` takes.
+    so it is immutable and cheap to build, and a drained batch goes to
+    :meth:`~repro.core.incremental.IncrementalRICD.ingest` as it is:
+    ingest transposes the events into user, item and click columns and
+    does not read the timestamp.
     """
 
     user: Node

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import Hashable, Iterable
 
@@ -60,9 +59,6 @@ Node = Hashable
 
 #: Ladder levels, index == severity.
 _LEVELS = ("normal", "coarse", "stale")
-
-#: A :class:`ClickEvent`'s ``(user, item, clicks)`` record, sliced in C.
-_RECORD = itemgetter(slice(3))
 
 #: Idle sleep of the threaded pump loop, in clock seconds.
 POLL_INTERVAL = 0.05
@@ -315,7 +311,8 @@ class DetectionService:
                 obs.count("serve.ingest_faults")
                 fault = True
             else:
-                self.online.ingest(tuple(map(_RECORD, events)))
+                # Unsliced: ingest reads each event's first three fields itself.
+                self.online.ingest(events)
                 self._applied += len(events)
                 self._batches_since_recheck += 1
                 obs.count("serve.ingested", len(events))

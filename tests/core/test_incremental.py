@@ -228,6 +228,63 @@ class TestCleanup:
         assert online.store.head is None
 
 
+class TestColumnarIngest:
+    """The service pump hands ``ingest`` its drained ``ClickEvent`` batch as it is."""
+
+    RECORDS = [("new_account", "i0", 5), ("fresh_user", "fresh_item", 2), ("new_account", "i0", 1)]
+
+    @staticmethod
+    def _stored(tiny, path):
+        from repro.store import DetectionStore
+
+        online = make_online(tiny.graph)
+        online.attach_store(DetectionStore.open_or_create(path))
+        online.persist_checkpoint()
+        return online
+
+    def test_click_events_ingest_like_their_records(self, tiny, tmp_path):
+        from repro.serve import ClickEvent
+
+        events = [ClickEvent(*record, timestamp=float(n)) for n, record in enumerate(self.RECORDS)]
+        seen = []
+        for name, batch in (("records", self.RECORDS), ("events", events)):
+            online = self._stored(tiny, tmp_path / name)
+            online.ingest(batch)
+            state = (list(online.graph.edges()), online.graph.version, online.dirty_size)
+            online.recheck()
+            store = online.store
+            seen.append((state, store.load_delta_records(store.head)))
+        assert seen[0] == seen[1]
+        assert seen[0][1] == self.RECORDS
+
+    def test_a_zero_count_event_applies_nothing(self, tiny, tmp_path):
+        from repro.serve import ClickEvent
+
+        online = self._stored(tiny, tmp_path / "store")
+        online.ingest([ClickEvent("early_user", "i0", 1)])
+        graph = online.graph
+        before = (graph.version, online.dirty_size)
+        batch = [ClickEvent("new_account", "i0", 3), ClickEvent("fresh_user", "i1", 0)]
+        with pytest.raises(ValueError, match="clicks must be positive, got 0"):
+            online.ingest(batch)
+        assert (graph.version, online.dirty_size) == before
+        assert not graph.has_user("new_account")
+        online.recheck()
+        store = online.store
+        assert store.load_delta_records(store.head) == [("early_user", "i0", 1)]
+
+    @pytest.mark.parametrize(
+        "batch, width",
+        [([("u", "i")], "got 2"), ([("u", "i", 1), ("u", "i", 1, 0.0)], "got 3 and 4")],
+    )
+    def test_a_batch_of_other_widths_applies_nothing(self, tiny, batch, width):
+        online = make_online(tiny.graph)
+        version = online.graph.version
+        with pytest.raises(ValueError, match=f"have 3 or 4 fields, {width}"):
+            online.ingest(batch)
+        assert online.graph.version == version and online.dirty_size == 0
+
+
 class TestCleanupEdgeDeletion:
     def test_fully_cleaned_edge_leaves_the_adjacency(self, tiny):
         online = make_online(tiny.graph)

@@ -16,6 +16,7 @@ lowered counts leaves its base frozen.
 import pickle
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -435,6 +436,27 @@ def test_a_failed_add_leaves_the_columns_aligned():
     assert "u2" not in delta.user_index
     delta.add([("u0", "i0", 2)])
     assert base.apply_delta(delta, 2).clicks.tolist() == [3]
+
+
+def test_single_clicks_across_tail_flushes_merge_like_one_batch():
+    """A tail flushes its buffer into int64 chunks every 4,096 records."""
+    rng = np.random.default_rng(7)
+    records = [
+        (f"u{user}", f"i{item}", clicks)
+        for user, item, clicks in zip(
+            rng.integers(0, 3000, 10_000).tolist(),
+            rng.integers(0, 500, 10_000).tolist(),
+            rng.integers(1, 5, 10_000).tolist(),
+        )
+    ]
+    base = from_click_records([("u0", "i0", 1)]).indexed()
+    single, batch = BipartiteGraph.from_indexed(base), BipartiteGraph.from_indexed(base)
+    for record in records:
+        single.add_click(*record)
+    batch.add_clicks(records)
+    assert len(single._tail) == len(batch._tail) == len(records)
+    assert (single.version, single.total_clicks) == (batch.version, batch.total_clicks)
+    assert arrays_and_tables(single.indexed()) == arrays_and_tables(batch.indexed())
 
 
 @given(

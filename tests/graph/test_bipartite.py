@@ -236,7 +236,8 @@ class TestDeltaEventFlags:
     @staticmethod
     def _last_record(graph):
         tail = graph._tail
-        return tail.users[tail.rows[-1]], tail.items[tail.columns[-1]], tail.clicks[-1]
+        rows, columns, clicks = tail.arrays()
+        return tail.users[rows[-1]], tail.items[columns[-1]], int(clicks[-1])
 
     @staticmethod
     def _snapshots_equal(graph):

@@ -279,9 +279,10 @@ class TestRecordDelta:
         graph.add_user("idle")  # idle registration
         graph.add_click("u9", "i1", 3)  # new edge, one old endpoint
         tail = graph._tail
+        rows, columns, clicks = (column.tolist() for column in tail.arrays())
         assert [
-            (tail.users[row], tail.items[column], clicks)
-            for row, column, clicks in zip(tail.rows, tail.columns, tail.clicks)
+            (tail.users[row], tail.items[column], count)
+            for row, column, count in zip(rows, columns, clicks)
         ] == [("u1", "i1", 2), ("u9", "i9", 1), ("u9", "i1", 3)]
         assert tail.users[-2:] == ["u9", "idle"]
         rebuilt = IndexedGraph.from_graph(graph)

@@ -314,6 +314,55 @@ def test_property_text_and_array_round_trips_agree(tmp_path_factory, records):
     assert edge_table(read_graph_memmap(directory)) == graph_table(graph)
 
 
+# Each step's ids draw from a wider range (``<U2`` up to ``<U5``), and an
+# item may be an ``int``, which the writer stringifies.
+_steps = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.integers(0, 9999), st.booleans(), st.integers(0, 9999), st.integers(1, 5)),
+            max_size=8,
+        ),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _step_records(step, draws):
+    width = 10 ** min(step + 1, 4)
+    return [
+        (f"u{user % width}", item % 100 if plain else f"i{item % width}", clicks)
+        for user, plain, item, clicks in draws
+    ]
+
+
+@given(_steps)
+@settings(max_examples=40, deadline=None)
+def test_a_write_encodes_only_the_ids_added_since_the_last(tmp_path_factory, steps):
+    """Merged and reloaded snapshots write the bytes a cold write does, encoding only new ids."""
+    from repro import obs
+
+    tmp_path = tmp_path_factory.mktemp("ids")
+    graph = BipartiteGraph()
+    encoded = 0
+    for step, (draws, reload) in enumerate(steps):
+        graph.add_clicks(_step_records(step, draws))
+        graph.indexed()
+        recorder = obs.Recorder()
+        with obs.recording(recorder):
+            directory = write_graph_memmap(graph, tmp_path / f"v{step}")
+        cold = write_graph_memmap(graph.copy(), tmp_path / f"cold{step}")
+        for path in sorted(cold.iterdir()):
+            assert (directory / path.name).read_bytes() == path.read_bytes(), path.name
+        ids = graph.num_users + graph.num_items
+        assert recorder.counters.get("graph.io.ids_encoded", 0) == ids - encoded
+        encoded = ids
+        if reload:
+            # A loaded snapshot holds its encoded ids as read.
+            graph = BipartiteGraph.from_indexed(read_graph_memmap(directory))
+
+
 # ----------------------------------------------------------------------
 # The table reader inlines its common row; the loop it replaced stays
 # here as the reference every generated table must agree with.

@@ -104,7 +104,12 @@ class TestThresholdRehydration:
         graph = scenario.graph.copy()
         store, _ = persisted_store(tmp_path, graph)
         _, stored_resolved, _ = DetectionStore.open(store.root).load_thresholds()
-        cold = RICDDetector(params=PARAMS).resolve_thresholds(graph)
+        # The detect inside persisted_store memoized graph's snapshot; a
+        # copy starts cold, so the reference is derived, not looked up.
+        recorder = obs.Recorder()
+        with obs.recording(recorder):
+            cold = RICDDetector(params=PARAMS).resolve_thresholds(graph.copy())
+        assert recorder.counters.get("detect.threshold_cache_misses", 0) == 1
         assert stored_resolved == cold
 
     @pytest.mark.parametrize(
